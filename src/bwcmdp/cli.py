@@ -292,10 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except Exception as exc:  # exit 1 means "no": any failure is an error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from bwcmdp.model import Mdp, require_valid
 
@@ -23,76 +23,87 @@ class EndComponent:
         return state in self.states
 
 
-def sccs(mdp: Mdp, edge_filter: Optional[Iterable[int]] = None) -> list[set[str]]:
-    """Strongly connected components of the (optionally filtered) edge relation.
+def index_sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph ``i -> succ[i]`` on 0..n-1.
 
-    Returns a partition of all states in reverse topological order of the
-    condensation: every edge between distinct components points from a
-    later component to an earlier one.  Iterative Tarjan, so deep graphs
-    do not hit the recursion limit.
+    The one SCC routine of the package: iterative Tarjan (deep graphs do
+    not hit the recursion limit), roots and successors taken in index
+    order.  Returns a partition into sorted node lists, in reverse
+    topological order of the condensation: every edge between distinct
+    components points from a later component to an earlier one.
     """
-    allowed = None if edge_filter is None else set(edge_filter)
-    succ: dict[str, list[str]] = {s: [] for s in mdp.state_ids}
-    for e in mdp.edges:
-        if allowed is None or e.eid in allowed:
-            succ[e.source].append(e.target)
-
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    out: list[set[str]] = []
-
-    for root in mdp.state_ids:
-        if root in index:
+    n = len(succ)
+    index = [0] * n  # visit number, 0 while unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 1
+    out: list[list[int]] = []
+    for root in range(n):
+        if index[root]:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
+        index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
+                if not index[w]:
+                    index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                out.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comp.sort()
+                    out.append(comp)
     return out
 
 
-def is_trivial_scc(mdp: Mdp, component: set[str],
-                   edge_filter: Optional[Iterable[int]] = None) -> bool:
-    """True for a singleton component with no (allowed) self-loop."""
-    if len(component) != 1:
-        return False
-    (s,) = tuple(component)
+def index_reachable(succ: Sequence[Sequence[int]], roots: Iterable[int]) -> set[int]:
+    """Nodes of the graph ``i -> succ[i]`` reachable from ``roots``."""
+    seen = set(roots)
+    frontier = list(seen)
+    while frontier:
+        for w in succ[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def sccs(mdp: Mdp, edge_filter: Optional[Iterable[int]] = None) -> list[set[str]]:
+    """Strongly connected components of the (optionally filtered) edge relation.
+
+    ``index_sccs`` over the states in declaration order: a partition of
+    all states in reverse topological order of the condensation.
+    """
+    ids = mdp.state_ids
+    pos = {s: i for i, s in enumerate(ids)}
     allowed = None if edge_filter is None else set(edge_filter)
-    return not any(e.source == s and e.target == s and (allowed is None or e.eid in allowed)
-                   for e in mdp.edges)
+    succ: list[list[int]] = [[] for _ in ids]
+    for e in mdp.edges:
+        if allowed is None or e.eid in allowed:
+            succ[pos[e.source]].append(pos[e.target])
+    return [{ids[i] for i in comp} for comp in index_sccs(succ)]
 
 
 def reachable(mdp: Mdp, start: str) -> set[str]:
@@ -103,41 +114,14 @@ def reachable(mdp: Mdp, start: str) -> set[str]:
     """
     if start not in mdp.owner:
         raise KeyError(f"unknown state {start!r}")
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        for e in mdp.out_edges[s]:
-            if e.target not in seen:
-                seen.add(e.target)
-                frontier.append(e.target)
-    return seen
+    ids = mdp.state_ids
+    pos = {s: i for i, s in enumerate(ids)}
+    succ = [[pos[e.target] for e in mdp.out_edges[s]] for s in ids]
+    return {ids[i] for i in index_reachable(succ, [pos[start]])}
 
 
 def _internal_edges(mdp: Mdp, states: set[str]) -> set[int]:
     return {e.eid for e in mdp.edges if e.source in states and e.target in states}
-
-
-def is_end_component(mdp: Mdp, states: set[str]) -> bool:
-    """Brute-force EC check: strong connectivity plus random-edge closure."""
-    if not states:
-        return False
-    internal = _internal_edges(mdp, states)
-    for s in states:
-        if mdp.is_random(s):
-            if any(e.target not in states for e in mdp.out_edges[s]):
-                return False
-    comps = sccs(mdp, internal)
-    for comp in comps:
-        if states <= comp:
-            break
-    else:
-        return False
-    # Every state needs an internal edge; a trivial singleton is not an EC.
-    for s in states:
-        if not any(mdp.edge_by_id[eid].source == s for eid in internal):
-            return False
-    return True
 
 
 def mecs(mdp: Mdp) -> list[EndComponent]:

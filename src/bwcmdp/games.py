@@ -344,14 +344,6 @@ def nontrivial_dims(query: ThresholdQuery, W: int) -> tuple[int, ...]:
     return tuple(i for i in range(len(query.mu)) if i not in trivial)
 
 
-def component_is_winning(mdp: Mdp, ec: EndComponent,
-                         dims: Sequence[int],
-                         budget: int = DEFAULT_ADVERSARY_BUDGET) -> bool:
-    sub = restrict(mdp, ec.states)
-    region = wc_winning_region(sub, dims, budget)
-    return region.states == ec.states
-
-
 def mwecs(mdp: Mdp, dims: Optional[Sequence[int]] = None,
           budget: int = DEFAULT_ADVERSARY_BUDGET) -> list[EndComponent]:
     """Maximal winning end components of a normalized MDP.

@@ -7,8 +7,6 @@ denominator is 1), so every file round-trips losslessly.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Optional
 
 from bwcmdp.machines import TableMachine, materialize
 from bwcmdp.model import Mdp
@@ -100,40 +98,72 @@ def machine_from_json(data: dict) -> TableMachine:
 def procedural_to_json(mdp: Mdp, strategy, node_limit: int = 50_000) -> dict:
     """Parameter record for a total-payoff-monitor strategy.
 
-    Embedded finite machines are inlined; the memory->branch map lets a
-    loaded copy route runs to the right monitor.
+    The record carries the prepared MDP the strategy was synthesized on
+    (pruned, possibly with a pre-state), since its machines live there.
+    Embedded finite machines are inlined, the fallback over every state
+    of that MDP; the memory->branch map lets a loaded copy route runs to
+    the right monitor.
     """
-    from bwcmdp.machines import materialize as _mat
-
-    composed = _mat(strategy.mdp, strategy.composed, strategy.start, node_limit)
+    composed = materialize(strategy.mdp, strategy.composed, strategy.start, node_limit)
     branch_map = {}
     for m in composed.memory:
         if isinstance(m, tuple) and m and m[0] == "in":
             branch_map[_mem_key(m)] = m[1]
     return {
         "kind": "total-payoff-monitor",
+        "mdp": mdp_to_json(strategy.mdp),
         "period": strategy.period,
         "start": strategy.start,
         "monitors": [[format_rational(x) for x in mon.monitor] for mon in strategy.monitors],
         "transient": machine_to_json(strategy.mdp, composed, strategy.start, node_limit),
         "memory_branch": branch_map,
-        "fallback": machine_to_json(strategy.mdp, strategy.fwc, strategy.start, node_limit),
+        "fallback": machine_to_json(strategy.mdp, strategy.fwc, strategy.mdp.state_ids,
+                                    node_limit),
     }
 
 
+def _check_prepared(mdp: Mdp, prepared: Mdp, start: str) -> None:
+    """Raise ValueError unless ``prepared`` is a prepared copy of ``mdp``:
+    its states, owners and edges (ids, ends, probabilities) are ``mdp``'s,
+    but for a pre-state ``start`` with one edge into a random state.  Its
+    weights are normalized; payoffs are reported on ``mdp``'s."""
+    def fail(what: str):
+        raise ValueError(f"the strategy's MDP is not a copy of this MDP: {what}")
+
+    if prepared.dimension != mdp.dimension or start not in prepared.owner:
+        fail("dimension or start state")
+    for s, owner in prepared.states:
+        if mdp.owner.get(s, owner) != owner:
+            fail(f"state {s!r}")
+    for e in prepared.edges:
+        mine = mdp.edge_by_id.get(e.eid)
+        if e.source not in mdp.owner:
+            ok = (e.source == start and len(prepared.out_edges[start]) == 1
+                  and e.target in mdp.owner and mdp.is_random(e.target))
+        else:
+            ok = (mine is not None and (mine.source, mine.target) == (e.source, e.target)
+                  and mdp.probabilities.get(e.eid) == prepared.probabilities.get(e.eid))
+        if not ok:
+            fail(f"edge {e.eid}")
+
+
 def procedural_from_json(mdp: Mdp, data: dict):
+    """Rebuild a total-payoff-monitor strategy on the prepared MDP its
+    record carries, once that MDP is checked to belong to ``mdp``."""
     from bwcmdp.synthesis import BranchedInfiniteStrategy, TotalPayoffMonitorStrategy
 
+    if "mdp" not in data:
+        raise ValueError("strategy record carries no MDP; re-synthesize it")
+    prepared = mdp_from_json(data["mdp"])
+    _check_prepared(mdp, prepared, data["start"])
     composed = machine_from_json(data["transient"])
     fallback = machine_from_json(data["fallback"])
-    branch_map = dict(data["memory_branch"])
-    monitors = [TotalPayoffMonitorStrategy(mdp, composed, fallback, int(data["period"]),
+    period = int(data["period"])
+    monitors = [TotalPayoffMonitorStrategy(prepared, composed, fallback, period,
                                            [parse_rational(x) for x in mon])
                 for mon in data["monitors"]]
-    strat = BranchedInfiniteStrategy(mdp, data["start"], composed, monitors,
-                                     fallback, int(data["period"]))
-    strat.branch_map = branch_map
-    return strat
+    return BranchedInfiniteStrategy(prepared, data["start"], composed, monitors, fallback,
+                                    period, dict(data["memory_branch"]))
 
 
 def load_strategy(mdp: Mdp, path: str):

@@ -64,54 +64,6 @@ def memoryless(mdp: Mdp, choices: dict[str, int | dict[int, Fraction]]) -> Table
     return TableMachine([m0], {m0: Fraction(1)}, update, output)
 
 
-def check_machine(mdp: Mdp, machine, start: str,
-                  node_limit: int = 200_000) -> list[str]:
-    """Invariant check over the reachable (state, memory) space.
-
-    Output supports must stay within the state's outgoing edges and every
-    distribution must sum to exactly 1 with non-negative entries.
-    """
-    problems: list[str] = []
-
-    def check_dist(d, what):
-        total = Fraction(0)
-        for k, p in d.items():
-            if p < 0:
-                problems.append(f"{what}: negative probability at {k!r}")
-            total += p
-        if total != 1:
-            problems.append(f"{what}: probabilities sum to {total}")
-
-    init = machine.initial_dist()
-    check_dist(init, "initial distribution")
-    seen: set[tuple[str, Mem]] = set()
-    frontier = [(start, m) for m, p in init.items() if p > 0]
-    seen.update(frontier)
-    while frontier and len(seen) <= node_limit:
-        s, m = frontier.pop()
-        up = machine.update(s, m)
-        check_dist(up, f"update at ({s}, {m!r})")
-        out_ids = {e.eid for e in mdp.out_edges[s]}
-        if mdp.is_random(s):
-            succ_edges = list(out_ids)
-        else:
-            out = machine.output(s, m)
-            check_dist(out, f"output at ({s}, {m!r})")
-            bad = set(out) - out_ids
-            if bad:
-                problems.append(f"output at ({s}, {m!r}) uses non-outgoing edges {sorted(bad)}")
-            succ_edges = [e for e, p in out.items() if p > 0 and e in out_ids]
-        for eid in succ_edges:
-            t = mdp.edge_by_id[eid].target
-            for m2, p in up.items():
-                if p > 0 and (t, m2) not in seen:
-                    seen.add((t, m2))
-                    frontier.append((t, m2))
-        if problems:
-            break
-    return problems
-
-
 @dataclass
 class InducedChain:
     """Finite Markov chain of MDP x strategy, with exact probabilities.
@@ -131,16 +83,35 @@ class InducedChain:
         return len(self.nodes)
 
 
-def induced_chain(mdp: Mdp, machine, start: Optional[str] = None,
-                  node_limit: int = 200_000) -> InducedChain:
-    """Product chain over reachable (state, memory) pairs.
+def _positive_part(dist: dict, what: str) -> dict:
+    """The positive entries of ``dist``, once it is checked to be a
+    distribution: non-negative entries summing to exactly 1."""
+    if len(dist) == 1 and next(iter(dist.values())) == 1:
+        return dist
+    for k, p in dist.items():
+        if p < 0:
+            raise MachineError(f"{what}: negative probability at {k!r}")
+    total = sum(dist.values())
+    if total != 1:
+        raise MachineError(f"{what}: probabilities sum to {total}")
+    return {k: p for k, p in dist.items() if p > 0}
 
-    Transition probability from (s, m) through edge e with next memory m'
-    is output(e) * update(m') at controller states and P(e) * update(m')
-    at random states; the weight is the edge's weight vector.
+
+def _walk(mdp: Mdp, machine, start, node_limit: int):
+    """The product walk over the (state, memory) pairs reachable from the starts.
+
+    ``start`` is one state or a collection of states (None: the MDP's
+    initial state); with several, the initial distribution spreads
+    uniformly over them.  Each node's update and output is read once and
+    checked: non-negative entries summing to exactly 1, outputs supported
+    on the state's outgoing edges; a bad one raises MachineError.  Returns
+    the induced chain plus, per node, the positive parts of its update
+    and output (None at random states).
     """
-    s0 = start if start is not None else mdp.initial
-    if s0 is None:
+    if start is None:
+        start = mdp.initial
+    starts = [start] if isinstance(start, str) else list(start or ())
+    if not starts:
         raise MachineError("no start state: pass one or set mdp.initial")
 
     nodes: list[tuple[str, Mem]] = []
@@ -150,40 +121,65 @@ def induced_chain(mdp: Mdp, machine, start: Optional[str] = None,
         i = index.get(node)
         if i is None:
             if len(nodes) >= node_limit:
-                raise MachineError(f"induced chain exceeds {node_limit} nodes")
+                raise MachineError(f"product walk exceeds {node_limit} (state, memory) pairs")
             i = len(nodes)
             index[node] = i
             nodes.append(node)
         return i
 
+    init_dist = _positive_part(machine.initial_dist(), "initial distribution")
+    share = Fraction(1, len(starts))
     init: dict[int, Fraction] = {}
-    for m, p in machine.initial_dist().items():
-        if p > 0:
-            init[intern((s0, m))] = p
+    for s0 in starts:
+        for m, p in init_dist.items():
+            i = intern((s0, m))
+            init[i] = init.get(i, 0) + p * share
 
+    edge_by_id = mdp.edge_by_id
+    random_dist: dict[str, dict[int, Fraction]] = {}
     transitions: list[list[tuple[int, Fraction, tuple[int, ...], int]]] = []
+    updates: list[dict[Mem, Fraction]] = []
+    outputs: list[Optional[dict[int, Fraction]]] = []
     cursor = 0
     while cursor < len(nodes):
         s, m = nodes[cursor]
-        up = machine.update(s, m)
+        up = _positive_part(machine.update(s, m), f"update at ({s}, {m!r})")
         if mdp.is_random(s):
-            edge_dist = {e.eid: mdp.prob(e.eid) for e in mdp.out_edges[s]}
+            out = None
+            edge_dist = random_dist.get(s)
+            if edge_dist is None:
+                edge_dist = random_dist[s] = {e.eid: mdp.prob(e.eid) for e in mdp.out_edges[s]}
         else:
-            edge_dist = {e: p for e, p in machine.output(s, m).items() if p > 0}
+            out = machine.output(s, m)
+            bad = [e for e in out if e not in edge_by_id or edge_by_id[e].source != s]
+            if bad:
+                raise MachineError(f"output at ({s}, {m!r}) uses non-outgoing edges {sorted(bad)}")
+            out = edge_dist = _positive_part(out, f"output at ({s}, {m!r})")
         row: list[tuple[int, Fraction, tuple[int, ...], int]] = []
         for eid, pe in sorted(edge_dist.items()):
-            edge = mdp.edge_by_id[eid]
+            edge = edge_by_id[eid]
             for m2, pm in up.items():
-                if pm <= 0:
-                    continue
-                j = intern((edge.target, m2))
-                row.append((j, pe * pm, edge.weight, eid))
+                row.append((intern((edge.target, m2)), pe * pm, edge.weight, eid))
         transitions.append(row)
+        updates.append(up)
+        outputs.append(out)
         cursor += 1
-    return InducedChain(mdp, nodes, index, transitions, init)
+    return InducedChain(mdp, nodes, index, transitions, init), updates, outputs
 
 
-def support_product(mdp: Mdp, machine, start: Optional[str] = None,
+def induced_chain(mdp: Mdp, machine, start=None,
+                  node_limit: int = 200_000) -> InducedChain:
+    """Product chain over reachable (state, memory) pairs.
+
+    Transition probability from (s, m) through edge e with next memory m'
+    is output(e) * update(m') at controller states and P(e) * update(m')
+    at random states; the weight is the edge's weight vector.  ``start``
+    is one state or a collection of states.
+    """
+    return _walk(mdp, machine, start, node_limit)[0]
+
+
+def support_product(mdp: Mdp, machine, start=None,
                     node_limit: int = 500_000):
     """Support graph of the induced chain: every positive-probability move.
 
@@ -204,40 +200,12 @@ def support_product(mdp: Mdp, machine, start: Optional[str] = None,
     return chain.nodes, edges, sorted(chain.initial)
 
 
-def materialize(mdp: Mdp, machine, start: str, node_limit: int = 50_000) -> TableMachine:
-    """Freeze a lazy machine into explicit tables over its reachable part."""
+def materialize(mdp: Mdp, machine, start, node_limit: int = 50_000) -> TableMachine:
+    """Freeze a lazy machine into explicit tables over its reachable part
+    (from one state or from a collection of states)."""
+    chain, updates, outputs = _walk(mdp, machine, start, node_limit)
     init = {m: p for m, p in machine.initial_dist().items() if p > 0}
-    mems: list[Mem] = []
-    seen: set[Mem] = set()
-    pairs: set[tuple[str, Mem]] = set()
-    frontier: list[tuple[str, Mem]] = []
-    for m in init:
-        if m not in seen:
-            seen.add(m)
-            mems.append(m)
-        frontier.append((start, m))
-        pairs.add((start, m))
-    update = {}
-    output = {}
-    while frontier:
-        if len(pairs) > node_limit:
-            raise MachineError("machine too large to materialize")
-        s, m = frontier.pop()
-        up = {k: v for k, v in machine.update(s, m).items() if v > 0}
-        update[(s, m)] = up
-        if mdp.is_random(s):
-            succ = [e.eid for e in mdp.out_edges[s]]
-        else:
-            out = {k: v for k, v in machine.output(s, m).items() if v > 0}
-            output[(s, m)] = out
-            succ = list(out)
-        for m2 in up:
-            if m2 not in seen:
-                seen.add(m2)
-                mems.append(m2)
-            for eid in succ:
-                node = (mdp.edge_by_id[eid].target, m2)
-                if node not in pairs:
-                    pairs.add(node)
-                    frontier.append(node)
+    mems = list(dict.fromkeys(m for _, m in chain.nodes))
+    update = dict(zip(chain.nodes, updates))
+    output = {node: out for node, out in zip(chain.nodes, outputs) if out is not None}
     return TableMachine(mems, init, update, output)

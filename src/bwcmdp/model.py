@@ -110,9 +110,6 @@ class Mdp:
     def is_random(self, state: str) -> bool:
         return self.owner[state] == RANDOM
 
-    def is_controller(self, state: str) -> bool:
-        return self.owner[state] == CONTROLLER
-
     def prob(self, eid: int) -> Fraction:
         return self.probabilities[eid]
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from bwcmdp import games, rng
 from bwcmdp.decomposition import EndComponent, mecs, restrict, sccs
-from bwcmdp.machines import InducedChain, MachineError, induced_chain, memoryless
+from bwcmdp.machines import MachineError, induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.systems import Decision, Witness, decide, xe, ye, ys
 from bwcmdp.verification import expected_mp, verify_almost_sure, verify_worstcase
@@ -411,7 +411,7 @@ def _two_memory_machine(mdp: Mdp, upd: dict, out: dict):
 
 
 def _wc_everywhere(mdp: Mdp, machine, mu) -> bool:
-    return all(verify_worstcase(mdp, machine, mu, start=s).ok for s in mdp.state_ids)
+    return verify_worstcase(mdp, machine, mu, start=mdp.state_ids).ok
 
 
 def _check_vector(mdp: Mdp, dims: Sequence[int]) -> list[Fraction]:
@@ -547,16 +547,13 @@ def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
     from bwcmdp.machines import support_product
     from bwcmdp.verification import WeightedGraph, karp_min_mean
 
+    nodes, edges, init = support_product(mdp, machine, mdp.state_ids)
+    graph = WeightedGraph(tuple(nodes), tuple(edges), tuple(init))
     floor = [Fraction(0)] * mdp.dimension
-    for start in mdp.state_ids:
-        nodes, edges, init = support_product(mdp, machine, start)
-        graph = WeightedGraph(tuple(nodes), tuple(edges), tuple(init))
-        for i in dims:
-            v = karp_min_mean(graph, i)
-            if v is None:
-                continue
-            if floor[i] == 0 or v < floor[i]:
-                floor[i] = v
+    for i in dims:
+        v = karp_min_mean(graph, i)
+        if v is not None:
+            floor[i] = v
     return floor
 
 
@@ -573,7 +570,7 @@ def _support_violation(sub: Mdp, assignment: dict, dims) -> Optional[list[int]]:
     support.  Returns the cycle's controller edge ids (empty list when the
     cycle is purely stochastic and cannot be repaired).
     """
-    from bwcmdp.verification import WeightedGraph, karp_min_mean, min_mean_cycle_witness
+    from bwcmdp.verification import WeightedGraph, min_mean_cycle_witness
 
     support = []
     for e in sub.edges:
@@ -585,9 +582,8 @@ def _support_violation(sub: Mdp, assignment: dict, dims) -> Optional[list[int]]:
                                 for e in support),
                           tuple(range(len(sub.state_ids))))
     for i in dims:
-        val = karp_min_mean(graph, i)
-        if val is not None and val <= 0:
-            cyc = min_mean_cycle_witness(graph, i, Fraction(0)) or []
+        cyc = min_mean_cycle_witness(graph, i, Fraction(0))
+        if cyc is not None:
             return [eid for eid in cyc if not sub.is_random(sub.edge_by_id[eid].source)]
     return None
 
@@ -952,18 +948,9 @@ def bas_strategy(mdp: Mdp, query: ThresholdQuery,
             zero = [Fraction(0)] * w.mdp.dimension
             ok = verify_almost_sure(w.mdp, composed, zero, start=w.start)
         if ok:
-            _assert_well_formed(w.mdp, composed, w.start)
             return composed, w.mdp, w.start
         dwell *= 2
     raise FallbackUnavailable(f"no dwell parameter up to {search_cap} verified")
-
-
-def _assert_well_formed(mdp: Mdp, machine, start: str) -> None:
-    from bwcmdp.machines import check_machine
-
-    problems = check_machine(mdp, machine, start)
-    if problems:
-        raise SynthesisError("synthesized machine invalid: " + "; ".join(problems))
 
 
 def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
@@ -1023,7 +1010,6 @@ def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
                                     cap=n, fallback=fallback)
         exp = expected_mp(induced_chain(w.mdp, composed, w.start))
         if cap is not None or all(exp[i] > w.nu[i] for i in range(w.mdp.dimension)):
-            _assert_well_formed(w.mdp, composed, w.start)
             return composed, w.mdp, w.start, n
     raise FallbackUnavailable(f"no step cap up to {cap_limit} cleared the expectation target")
 
@@ -1103,7 +1089,9 @@ class BranchedInfiniteStrategy:
     The finite part (transient flow plus per-component expectation
     machines) is a ComposedStrategy; after locking into component i, the
     total-payoff monitor of that branch runs with its own floors, counting
-    from the lock.  Serializes as a parameter record only.
+    from the lock.  Serializes as a parameter record only; a copy loaded
+    from one has a table machine as ``composed`` and maps its memories to
+    branches through ``branch_map``.
     """
 
     mdp: Mdp
@@ -1112,33 +1100,47 @@ class BranchedInfiniteStrategy:
     monitors: list[TotalPayoffMonitorStrategy]
     fwc: object
     period: int
+    branch_map: Optional[dict] = None
 
     def simulate_runs(self, mdp: Mdp, start: str, horizon: int, runs: int, seed: int):
         """Vectorized simulation; returns (total payoffs, monitor violations).
 
-        Draw layout matches the chain simulator: counter 0 seeds the
-        initial node, counter t+1 drives step t.  Monitor comparisons run
-        in int64; magnitudes are bounded and checked on entry.
+        ``mdp`` is the instance the query was posed on and ``start`` the
+        state the strategy was synthesized from.  The monitors run on the
+        prepared (normalized) weights; the reported totals are on
+        ``mdp``'s weights.  Draw layout matches the chain simulator:
+        counter 0 seeds the initial node, counter t+1 drives step t.
+        Monitor comparisons run in int64; magnitudes are bounded and
+        checked on entry.
         """
-        from bwcmdp.machines import materialize
         from bwcmdp.verification import _chain_arrays
+
+        origin = self.start
+        if origin not in mdp.owner:  # a pre-state stands for its one target
+            origin = self.mdp.out_edges[origin][0].target
+        if start != origin:
+            raise ValueError(f"the strategy plays from {origin!r}, not from {start!r}")
 
         chain = induced_chain(self.mdp, self.composed, self.start, node_limit=100_000)
         cum, tgt, wgt = _chain_arrays(chain)
+        uwgt = _reported_weights(chain, mdp, wgt.shape)
         nnodes = chain.node_count()
         # Branch id per node (-1 transient), and game state per node.
-        branch_map = getattr(self, "branch_map", None)
         branch = np.full(nnodes, -1, dtype=np.int64)
         for i, (s, mem) in enumerate(chain.nodes):
-            if branch_map is not None:
-                b = branch_map.get(mem if isinstance(mem, str) else repr(mem))
+            if self.branch_map is not None:
+                b = self.branch_map.get(mem)
                 if b is not None:
                     branch[i] = int(b)
             elif isinstance(mem, tuple) and mem and mem[0] == "in":
                 branch[i] = mem[1]
 
-        fchain = _full_chain(self.mdp, self.fwc)
+        fchain = induced_chain(self.mdp, self.fwc, self.mdp.state_ids)
         fcum, ftgt, fwgt = _chain_arrays(fchain)
+        fuwgt = _reported_weights(fchain, mdp, fwgt.shape)
+        # Equal for mu = 0; the second gather per step would then cost
+        # about a sixth of the simulation for nothing.
+        shifted = not (np.array_equal(uwgt, wgt) and np.array_equal(fuwgt, fwgt))
         f0 = _single_initial(self.fwc)
         fnode_by_stateidx = np.array(
             [fchain.index[(s, f0)] for s in self.mdp.state_ids], dtype=np.int64)
@@ -1151,7 +1153,8 @@ class BranchedInfiniteStrategy:
                             for m in self.monitors], dtype=np.int64)
         mon_den = np.array([[m.monitor[i].denominator for i in range(d)]
                             for m in self.monitors], dtype=np.int64)
-        bound = (horizon * self.mdp.max_abs_weight + 1) * 2 * int(mon_den.max())
+        wmax = max(self.mdp.max_abs_weight, mdp.max_abs_weight)
+        bound = (horizon * wmax + 1) * 2 * int(mon_den.max())
         bound = max(bound, int(mon_num.max()) * (horizon + K))
         if bound >= 2**62:
             raise OverflowError("monitor arithmetic exceeds int64 range")
@@ -1164,7 +1167,7 @@ class BranchedInfiniteStrategy:
         pick = (u0[:, None] >= init_cum[None, :]).sum(axis=1)
         node = np.array(init_nodes, dtype=np.int64)[pick]
 
-        tp = np.zeros((runs, d), dtype=np.int64)          # reported payoff
+        tp = np.zeros((runs, d), dtype=np.int64)          # reported payoff, on mdp
         tp_lock = np.zeros((runs, d), dtype=np.int64)     # payoff since lock
         steps_lock = np.zeros(runs, dtype=np.int64)
         run_branch = np.full(runs, -1, dtype=np.int64)
@@ -1181,17 +1184,22 @@ class BranchedInfiniteStrategy:
             wsel = in_wc
             csel = ~in_wc
             step_w = np.zeros((runs, d), dtype=np.int64)
+            step_u = np.zeros((runs, d), dtype=np.int64) if shifted else step_w
             if np.any(csel):
                 c = cum[node[csel]]
                 choice = np.minimum((u[csel, None] >= c).sum(axis=1), c.shape[1] - 1)
                 step_w[csel] = wgt[node[csel], choice]
+                if shifted:
+                    step_u[csel] = uwgt[node[csel], choice]
                 node[csel] = tgt[node[csel], choice]
             if np.any(wsel):
                 c = fcum[node[wsel]]
                 choice = np.minimum((u[wsel, None] >= c).sum(axis=1), c.shape[1] - 1)
                 step_w[wsel] = fwgt[node[wsel], choice]
+                if shifted:
+                    step_u[wsel] = fuwgt[node[wsel], choice]
                 node[wsel] = ftgt[node[wsel], choice]
-            tp += step_w
+            tp += step_u
             tp_lock[locked] += step_w[locked]
             steps_lock[locked] += 1
 
@@ -1236,44 +1244,15 @@ class BranchedInfiniteStrategy:
         return tp, violations
 
 
-def _full_chain(mdp: Mdp, machine) -> InducedChain:
-    """Induced chain covering every game state (union over all starts)."""
-    from bwcmdp.machines import InducedChain as IC
-
-    nodes: list = []
-    index: dict = {}
-    transitions: list = []
-
-    def intern(node):
-        i = index.get(node)
-        if i is None:
-            i = len(nodes)
-            index[node] = i
-            nodes.append(node)
-        return i
-
-    init_mem = [m for m, p in machine.initial_dist().items() if p > 0]
-    for s in mdp.state_ids:
-        for m in init_mem:
-            intern((s, m))
-    cursor = 0
-    while cursor < len(nodes):
-        s, m = nodes[cursor]
-        up = machine.update(s, m)
-        if mdp.is_random(s):
-            edge_dist = {e.eid: mdp.prob(e.eid) for e in mdp.out_edges[s]}
-        else:
-            edge_dist = {e: p for e, p in machine.output(s, m).items() if p > 0}
-        row = []
-        for eid, pe in sorted(edge_dist.items()):
-            edge = mdp.edge_by_id[eid]
-            for m2, pm in up.items():
-                if pm > 0:
-                    row.append((intern((edge.target, m2)), pe * pm, edge.weight, eid))
-        transitions.append(row)
-        cursor += 1
-    init = {index[(mdp.state_ids[0], init_mem[0])]: Fraction(1)}
-    return IC(mdp, nodes, index, transitions, init)
+def _reported_weights(chain, mdp: Mdp, shape) -> np.ndarray:
+    """``mdp``'s weight of every chain transition, laid out as in
+    ``_chain_arrays``; the edge out of a pre-state weighs 0."""
+    out = np.zeros(shape, dtype=np.int64)
+    for i, row in enumerate(chain.transitions):
+        if chain.nodes[i][0] in mdp.owner:
+            for k, (_, _, _, eid) in enumerate(row):
+                out[i, k, :] = mdp.edge_by_id[eid].weight
+    return out
 
 
 class AdaptedMachine:

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bwcmdp import rng
+from bwcmdp.decomposition import index_reachable, index_sccs
 from bwcmdp.machines import InducedChain, induced_chain, support_product
 from bwcmdp.model import Mdp
 
@@ -59,56 +60,9 @@ class Bscc:
     mean: tuple[Fraction, ...]
 
 
-def _chain_sccs(chain: InducedChain) -> list[list[int]]:
-    n = chain.node_count()
-    succ = [[t[0] for t in row] for row in chain.transitions]
-    index = [0] * n
-    low = [0] * n
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    out: list[list[int]] = []
-    counter = 1
-    stack: list[int] = []
-    for root in range(n):
-        if state[root]:
-            continue
-        work = [(root, 0)]
-        index[root] = low[root] = counter
-        counter += 1
-        state[root] = 1
-        stack.append(root)
-        while work:
-            v, ptr = work[-1]
-            if ptr < len(succ[v]):
-                work[-1] = (v, ptr + 1)
-                w = succ[v][ptr]
-                if not state[w]:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    state[w] = 1
-                    stack.append(w)
-                    work.append((w, 0))
-                elif state[w] == 1:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        state[w] = 2
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(sorted(comp))
-    return out
-
-
 def bscc_analysis(chain: InducedChain) -> list[Bscc]:
     """Bottom SCCs with exact reach probabilities and stationary distributions."""
-    comps = _chain_sccs(chain)
+    comps = index_sccs([[t[0] for t in row] for row in chain.transitions])
     comp_of = {}
     for ci, comp in enumerate(comps):
         for v in comp:
@@ -219,57 +173,60 @@ def mdp_graph(mdp: Mdp, start: Optional[str] = None) -> WeightedGraph:
     return WeightedGraph(tuple(mdp.state_ids), edges, init)
 
 
-def _graph_sccs(n: int, edges) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _, _ in edges:
+def _cycle_sccs(graph: WeightedGraph) -> list[tuple[list[int], list]]:
+    """SCCs reachable from the graph's initial nodes that carry an edge,
+    each with its internal edges, in ``index_sccs`` order."""
+    succ: list[list[int]] = [[] for _ in graph.nodes]
+    for u, v, _, _ in graph.edges:
         succ[u].append(v)
-    chainlike = InducedChain(None, list(range(n)), {}, [
-        [(v, Fraction(1), (), -1) for v in succ[u]] for u in range(n)], {})
-    return _chain_sccs(chainlike)
+    reach = index_reachable(succ, graph.initial)
+    comp_of = {}
+    comps = []
+    for comp in index_sccs(succ):
+        if comp[0] in reach:
+            for v in comp:
+                comp_of[v] = len(comps)
+            comps.append((comp, []))
+    for e in graph.edges:
+        c = comp_of.get(e[0])
+        if c is not None and comp_of.get(e[1]) == c:
+            comps[c][1].append(e)
+    return [(comp, internal) for comp, internal in comps if internal]
 
 
-def _reachable_nodes(n: int, edges, init) -> set[int]:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _, _ in edges:
-        succ[u].append(v)
-    seen = set(init)
-    frontier = list(init)
-    while frontier:
-        u = frontier.pop()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
+# Karp's table runs in int64 with this as infinity while every path sum
+# stays strictly inside (-INF, INF), in Python ints otherwise.
+_KARP_INF = 2**62
 
 
 def _karp_scc(comp: list[int], edges, dim: int) -> Fraction:
     """Minimum cycle mean of one SCC (assumed to contain an edge cycle)."""
     pos = {v: i for i, v in enumerate(comp)}
     m = len(comp)
-    es = np.array([(pos[u], pos[v]) for u, v, _, _ in edges], dtype=np.int64)
-    ws = np.array([w[dim] for _, _, w, _ in edges], dtype=np.int64)
-    INF = np.int64(2**62)
-    D = np.full((m + 1, m), INF, dtype=np.int64)
-    D[0][0] = 0
-    src = es[:, 0]
-    dst = es[:, 1]
+    arcs = [(pos[u], pos[v], w[dim]) for u, v, w, _ in edges]
+    # int64 while every path sum stays below the infinity; exact Python
+    # ints (object dtype) beyond it.
+    inf = max(_KARP_INF, m * max(abs(w) for _, _, w in arcs) + 1)
+    dtype = np.int64 if inf == _KARP_INF else object
+    src = np.array([u for u, _, _ in arcs], dtype=np.int64)
+    dst = np.array([v for _, v, _ in arcs], dtype=np.int64)
+    ws = np.array([w for _, _, w in arcs], dtype=dtype)
+    table = np.full((m + 1, m), inf, dtype=dtype)
+    table[0][0] = 0
     for k in range(1, m + 1):
-        prev = D[k - 1]
-        ok = prev[src] < INF
-        cand = prev[src[ok]] + ws[ok]
-        row = np.full(m, INF, dtype=np.int64)
-        np.minimum.at(row, dst[ok], cand)
-        D[k] = row
+        prev = table[k - 1]
+        ok = prev[src] < inf
+        np.minimum.at(table[k], dst[ok], prev[src[ok]] + ws[ok])
+    D = [[None if x == inf else x for x in row] for row in table.tolist()]
     best: Optional[Fraction] = None
     for v in range(m):
-        if D[m][v] >= INF:
+        if D[m][v] is None:
             continue
         worst: Optional[Fraction] = None
         for k in range(m):
-            if D[k][v] >= INF:
+            if D[k][v] is None:
                 continue
-            val = Fraction(int(D[m][v]) - int(D[k][v]), m - k)
+            val = Fraction(D[m][v] - D[k][v], m - k)
             if worst is None or val > worst:
                 worst = val
         if worst is not None and (best is None or worst < best):
@@ -284,20 +241,8 @@ def karp_min_mean(graph: WeightedGraph, dim: int) -> Optional[Fraction]:
 
     Returns None when no reachable cycle exists.
     """
-    n = len(graph.nodes)
-    reach = _reachable_nodes(n, graph.edges, graph.initial)
-    best: Optional[Fraction] = None
-    for comp in _graph_sccs(n, graph.edges):
-        cset = set(comp) & reach
-        if cset != set(comp) or not cset:
-            continue
-        internal = [e for e in graph.edges if e[0] in cset and e[1] in cset]
-        if not internal:
-            continue
-        val = _karp_scc(comp, internal, dim)
-        if best is None or val < best:
-            best = val
-    return best
+    return min((_karp_scc(comp, internal, dim) for comp, internal in _cycle_sccs(graph)),
+               default=None)
 
 
 def min_mean_cycle_witness(graph: WeightedGraph, dim: int,
@@ -305,29 +250,29 @@ def min_mean_cycle_witness(graph: WeightedGraph, dim: int,
     """A reachable cycle with mean <= bound in the given dimension, or None.
 
     Finds the exact minimum mean first, then extracts a cycle achieving it
-    through shortest-path potentials: with weights q*w - p (mean p/q), the
-    tight edges after Bellman-Ford contain a zero-mean cycle.  Returns the
-    cycle as a list of edge labels.
+    (see ``_tight_cycle``).  Returns the cycle as a list of edge labels.
     """
-    n = len(graph.nodes)
-    reach = _reachable_nodes(n, graph.edges, graph.initial)
-    target_comp = None
+    return _min_mean_cycle(_cycle_sccs(graph), dim, bound)
+
+
+def _min_mean_cycle(comps, dim: int, bound: Fraction) -> Optional[list]:
+    target = None
     target_val: Optional[Fraction] = None
-    for comp in _graph_sccs(n, graph.edges):
-        cset = set(comp)
-        if not cset <= reach:
-            continue
-        internal = [e for e in graph.edges if e[0] in cset and e[1] in cset]
-        if not internal:
-            continue
+    for comp, internal in comps:
         val = _karp_scc(comp, internal, dim)
         if val <= bound and (target_val is None or val < target_val):
             target_val = val
-            target_comp = (comp, internal)
-    if target_comp is None:
+            target = (comp, internal)
+    if target is None:
         return None
-    comp, internal = target_comp
-    p, q = target_val.numerator, target_val.denominator
+    return _tight_cycle(*target, dim, target_val)
+
+
+def _tight_cycle(comp: list[int], internal, dim: int, val: Fraction) -> list:
+    """A cycle of mean ``val``, the SCC's minimum, through shortest-path
+    potentials: with weights q*w - p (mean p/q), the tight edges after
+    Bellman-Ford contain a zero-mean cycle."""
+    p, q = val.numerator, val.denominator
     pos = {v: i for i, v in enumerate(comp)}
     m = len(comp)
     dist = [Fraction(0)] * m
@@ -415,11 +360,10 @@ def verify_worstcase(mdp: Mdp, machine, mu: Sequence[Fraction],
     if not dims:
         return WorstCaseVerdict(True)
     nodes, edges, init = support_product(mdp, machine, start, node_limit)
-    graph = WeightedGraph(tuple(nodes), tuple(edges), tuple(init))
+    comps = _cycle_sccs(WeightedGraph(tuple(nodes), tuple(edges), tuple(init)))
     for i in dims:
-        val = karp_min_mean(graph, i)
-        if val is not None and val <= mu[i]:
-            cyc = min_mean_cycle_witness(graph, i, mu[i])
+        cyc = _min_mean_cycle(comps, i, mu[i])
+        if cyc is not None:
             return WorstCaseVerdict(False, i, tuple(cyc) if cyc else None)
     return WorstCaseVerdict(True)
 

@@ -27,6 +27,34 @@ def brute_reachable(mdp: Mdp, start: str) -> set[str]:
     return reach
 
 
+def brute_sccs(mdp: Mdp, edge_filter=None) -> set[frozenset[str]]:
+    """SCCs as the classes of mutual reachability over the allowed edges."""
+    edges = [e for e in mdp.edges if edge_filter is None or e.eid in edge_filter]
+    reach = {}
+    for s in mdp.state_ids:
+        seen = {s}
+        changed = True
+        while changed:
+            changed = False
+            for e in edges:
+                if e.source in seen and e.target not in seen:
+                    seen.add(e.target)
+                    changed = True
+        reach[s] = seen
+    return {frozenset(t for t in mdp.state_ids if t in reach[s] and s in reach[t])
+            for s in mdp.state_ids}
+
+
+def is_trivial_scc(mdp: Mdp, component: set[str], edge_filter=None) -> bool:
+    """True for a singleton component with no (allowed) self-loop."""
+    if len(component) != 1:
+        return False
+    (s,) = tuple(component)
+    return not any(e.source == s and e.target == s
+                   and (edge_filter is None or e.eid in edge_filter)
+                   for e in mdp.edges)
+
+
 def brute_is_ec(mdp: Mdp, subset: frozenset[str]) -> bool:
     if not subset:
         return False

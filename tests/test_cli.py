@@ -7,7 +7,7 @@ import pytest
 
 from bwcmdp import jsonio
 from bwcmdp.cli import main
-from bwcmdp.model import fixture, validate
+from bwcmdp.model import Mdp, ThresholdQuery, fixture, validate
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +167,116 @@ def test_procedural_strategy_file_round_trip(capsys, run_path, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["monitor_violations"] == 0 and rep["exceed_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("fixture_name,start,nu", [
+    ("RUN_EX_BAS", "s", "4,14"),
+    ("RUN_EX", "s", "1,1"),
+    ("RUN_EX", "t", "1,1"),
+    ("RUN_EX", "u", "1,1"),
+    ("RUN_EX", "v", "1,1"),
+])
+def test_bwc_inf_strategy_file_simulates(capsys, tmp_path, fixture_name, start, nu):
+    # The file carries the prepared MDP (pruned, with a pre-state when the
+    # start is random), so it simulates from every start state.
+    from bwcmdp.synthesis import bwc_infinite_strategy
+    from bwcmdp.verification import simulate
+
+    mdp = fixture(fixture_name)
+    path = str(tmp_path / "mdp.json")
+    jsonio.save_mdp(path, mdp)
+    strat = str(tmp_path / "proc.json")
+    code, _, _ = run_cli(capsys, "synthesize", "--mdp", path, "--mode", "bwc-inf",
+                         "--from", start, "--mu", "0,0", "--nu", nu, "--period", "64",
+                         "--out", strat)
+    assert code == 0
+    code, out, err = run_cli(capsys, "simulate", "--mdp", path, "--strategy", strat,
+                             "--from", start, "--runs", "20", "--horizon", "500",
+                             "--seed", "4", "--mu", "0,0")
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["monitor_violations"] == 0
+    if fixture_name == "RUN_EX" and start == "s":
+        q = ThresholdQuery.build("bwc-inf", start, [0, 0], [F(x) for x in nu.split(",")])
+        in_memory = simulate(mdp, bwc_infinite_strategy(mdp, q, period=64), start,
+                             horizon=500, runs=20, seed=4, mu=[F(0), F(0)])
+        assert rep == in_memory.to_json()
+
+
+def test_bwc_inf_strategy_reports_the_mdps_weights(capsys, tmp_path):
+    # With mu != 0 the monitors run on normalized weights (w*b - a); the
+    # reported totals stay on the MDP's own.  Every run alternates a, b,
+    # so the mean payoff over an even horizon is exactly (3, 1).
+    from bwcmdp.synthesis import bwc_infinite_strategy
+    from bwcmdp.verification import simulate
+
+    mdp = Mdp.build(2, [("a", "controller"), ("b", "random")],
+                    [(0, "a", "b", (2, 0)), (1, "b", "a", (4, 2))], {1: 1})
+    path = str(tmp_path / "mdp.json")
+    jsonio.save_mdp(path, mdp)
+    strat = str(tmp_path / "proc.json")
+    code, _, _ = run_cli(capsys, "synthesize", "--mdp", path, "--mode", "bwc-inf",
+                         "--from", "a", "--mu=-1/2,1/3", "--nu", "1,1/2", "--period", "64",
+                         "--out", strat)
+    assert code == 0
+    code, out, err = run_cli(capsys, "simulate", "--mdp", path, "--strategy", strat,
+                             "--from", "a", "--runs", "10", "--horizon", "100",
+                             "--mu=-1/2,1/3")
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["mean"] == rep["min"] == rep["max"] == [3.0, 1.0]
+    assert rep["exceed_fraction"] == 1.0 and rep["monitor_violations"] == 0
+    q = ThresholdQuery.build("bwc-inf", "a", [F(-1, 2), F(1, 3)], [1, F(1, 2)])
+    in_memory = simulate(mdp, bwc_infinite_strategy(mdp, q, period=64), "a",
+                         horizon=100, runs=10, seed=0, mu=[F(-1, 2), F(1, 3)])
+    assert in_memory.to_json() == rep
+
+
+def _reprob(data):
+    for e in data["edges"]:
+        if "prob" in e:
+            e["prob"] = "1/3" if e["id"] == 5 else "2/3"
+
+
+@pytest.mark.parametrize("mutate_mdp,mutate_file,frm,message", [
+    (_reprob, None, "s", "edge 5"),
+    (lambda data: data["edges"].pop(3), None, "s", "edge 3"),
+    (None, lambda rec: rec.pop("mdp"), "s", "re-synthesize"),
+    (None, None, "t", "plays from 's'"),
+], ids=["probabilities", "missing-edge", "no-mdp", "other-start"])
+def test_bwc_inf_strategy_file_mismatch_exits_2(capsys, tmp_path, run_path, mutate_mdp,
+                                                mutate_file, frm, message):
+    strat = str(tmp_path / "proc.json")
+    code, _, _ = run_cli(capsys, "synthesize", "--mdp", run_path, "--mode", "bwc-inf",
+                         "--from", "s", "--mu", "0,0", "--nu", "1,1", "--period", "64",
+                         "--out", strat)
+    assert code == 0
+    path = run_path
+    if mutate_mdp is not None:
+        data = jsonio.mdp_to_json(fixture("RUN_EX"))
+        mutate_mdp(data)
+        path = str(tmp_path / "other.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    if mutate_file is not None:
+        rec = json.load(open(strat))
+        mutate_file(rec)
+        with open(strat, "w") as fh:
+            json.dump(rec, fh)
+    code, out, err = run_cli(capsys, "simulate", "--mdp", path, "--strategy", strat,
+                             "--from", frm, "--runs", "5", "--horizon", "50")
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda data: data.update(edges=5),
+    lambda data: data["edges"][0].update(weight=[None]),
+], ids=["edges-not-a-list", "null-weight"])
+def test_malformed_mdp_exits_2(capsys, tmp_path, mutate):
+    data = jsonio.mdp_to_json(fixture("RUN_EX"))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "decide", "--mdp", str(path), "--mode", "wc",
+                             "--from", "s", "--mu", "0,0")
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from bwcmdp.decomposition import (is_end_component, is_trivial_scc, mecs, reachable,
-                                  restrict, sccs)
+from bwcmdp.decomposition import mecs, reachable, restrict, sccs
 from conftest import random_mdp
-from oracles import brute_mecs, brute_reachable
+from oracles import brute_is_ec, brute_mecs, brute_reachable, brute_sccs, is_trivial_scc
 
 
 def test_sccs_run_ex(run_ex):
@@ -38,6 +37,21 @@ def test_sccs_empty_filter(run_ex):
     assert all(is_trivial_scc(run_ex, c, set()) for c in comps)
 
 
+def test_sccs_match_brute_force():
+    rng = random.Random(11)
+    for _ in range(80):
+        mdp = random_mdp(rng)
+        eids = [e.eid for e in mdp.edges]
+        for edge_filter in (None, set(), set(rng.sample(eids, rng.randint(1, len(eids))))):
+            comps = sccs(mdp, edge_filter)
+            assert {frozenset(c) for c in comps} == brute_sccs(mdp, edge_filter)
+            assert sum(len(c) for c in comps) == len(mdp.state_ids)
+            pos = {s: i for i, c in enumerate(comps) for s in c}
+            for e in mdp.edges:
+                if edge_filter is None or e.eid in edge_filter:
+                    assert pos[e.source] >= pos[e.target]
+
+
 def test_mecs_fixtures(run_ex, run_ex_bas, task_ex, approx_ex):
     assert {frozenset(ec.states) for ec in mecs(run_ex)} == {frozenset({"t"}), frozenset({"u", "v"})}
     assert {frozenset(ec.states) for ec in mecs(task_ex)} == {
@@ -57,7 +71,7 @@ def test_mecs_match_brute_force():
 
 def test_mec_invariants(run_ex):
     for ec in mecs(run_ex):
-        assert is_end_component(run_ex, set(ec.states))
+        assert brute_is_ec(run_ex, frozenset(ec.states))
 
 
 def test_reachable(run_ex, run_ex_bas):

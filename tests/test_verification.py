@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from bwcmdp.machines import TableMachine, check_machine, induced_chain, memoryless
+from bwcmdp.machines import (MachineError, TableMachine, induced_chain, memoryless,
+                             support_product)
 from bwcmdp.model import Mdp
-from bwcmdp.verification import (bscc_analysis, expected_mp, karp_min_mean,
+from bwcmdp.verification import (WeightedGraph, bscc_analysis, expected_mp, karp_min_mean,
                                  mdp_graph, min_mean_cycle_witness, simulate,
                                  verify_almost_sure, verify_worstcase)
 from conftest import random_mdp
@@ -112,6 +113,53 @@ def test_karp_matches_cycle_enumeration():
             assert got == want
 
 
+def test_karp_beyond_int64():
+    # Path sums of 2**62 and more leave int64: exact Python ints take over.
+    big = 2**61
+    two_cycle = WeightedGraph((0, 1), ((0, 1, (big,), 0), (1, 0, (big,), 1)), (0,))
+    assert karp_min_mean(two_cycle, 0) == big
+    cyc = min_mean_cycle_witness(two_cycle, 0, F(big))
+    assert sorted(cyc) == [0, 1]
+
+
+def test_karp_large_weights_match_cycle_enumeration():
+    rng = random.Random(9)
+    for _ in range(30):
+        mdp = random_mdp(rng, max_dim=1)
+        scaled = mdp.replace_weights({e.eid: (e.weight[0] * 2**60 + rng.randint(-3, 3),)
+                                      for e in mdp.edges})
+        g = mdp_graph(scaled)
+        g = WeightedGraph(g.nodes, g.edges, tuple(range(len(g.nodes))))
+        assert karp_min_mean(g, 0) == brute_min_cycle_mean(g.nodes, g.edges, 0)
+
+
+def test_several_starts_union():
+    # One walk from several starts covers exactly the union of the
+    # single-start walks, so the worst case holds from all of them at once
+    # iff it holds from each, and the minimum cycle mean is the least one.
+    rng = random.Random(13)
+    for _ in range(40):
+        mdp = random_mdp(rng)
+        choice = {s: rng.choice(mdp.out_edges[s]).eid for s in mdp.state_ids
+                  if not mdp.is_random(s)}
+        machine = memoryless(mdp, choice)
+        mu = [F(rng.randint(-2, 2)) for _ in range(mdp.dimension)]
+        union = verify_worstcase(mdp, machine, mu, start=mdp.state_ids).ok
+        assert union == all(verify_worstcase(mdp, machine, mu, start=s).ok
+                            for s in mdp.state_ids)
+        nodes, edges, init = support_product(mdp, machine, mdp.state_ids)
+        assert {s for s, _ in nodes} == set(mdp.state_ids)
+        graph = WeightedGraph(tuple(nodes), tuple(edges), tuple(init))
+        for dim in range(mdp.dimension):
+            per_start = []
+            for s in mdp.state_ids:
+                n1, e1, i1 = support_product(mdp, machine, s)
+                v = karp_min_mean(WeightedGraph(tuple(n1), tuple(e1), tuple(i1)), dim)
+                if v is not None:
+                    per_start.append(v)
+            assert karp_min_mean(graph, dim) == min(per_start, default=None)
+
+
 def test_witness_cycle_mean_matches(run_ex):
     g = mdp_graph(run_ex, "s")
     cyc = min_mean_cycle_witness(g, 1, F(0))
@@ -194,4 +242,19 @@ def test_monte_carlo_matches_exact(run_ex):
 def test_check_machine_flags_bad_support(run_ex):
     bad = memoryless(run_ex, {"s": 0, "t": 2, "u": 3})
     bad.output_table[("s", 0)] = {5: F(1)}  # not an outgoing edge of s
-    assert check_machine(run_ex, bad, "s")
+    with pytest.raises(MachineError, match="non-outgoing"):
+        induced_chain(run_ex, bad, "s")
+
+
+@pytest.mark.parametrize("dist", [{0: F(1, 2)}, {0: F(3, 2), 1: F(-1, 2)}])
+def test_walk_rejects_bad_distributions(run_ex, dist):
+    good = memoryless(run_ex, {"s": 0, "t": 2, "u": 3})
+    induced_chain(run_ex, good, "s")
+    bad = memoryless(run_ex, {"s": 0, "t": 2, "u": 3})
+    bad.output_table[("s", 0)] = dist
+    with pytest.raises(MachineError):
+        induced_chain(run_ex, bad, "s")
+    bad = memoryless(run_ex, {"s": 0, "t": 2, "u": 3})
+    bad.update_table[("t", 0)] = {0: F(1, 2)}
+    with pytest.raises(MachineError, match="sum"):
+        induced_chain(run_ex, bad, "s")
