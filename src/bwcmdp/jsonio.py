@@ -57,6 +57,12 @@ def save_mdp(path: str, mdp: Mdp) -> None:
 
 
 def _mem_key(mem) -> str:
+    """``repr(mem)`` with set members sorted, so that the text does not
+    depend on string hashing."""
+    if isinstance(mem, tuple):
+        return "(" + ", ".join(map(_mem_key, mem)) + ("," if len(mem) == 1 else "") + ")"
+    if isinstance(mem, frozenset) and mem:
+        return "frozenset({" + ", ".join(sorted(map(_mem_key, mem))) + "})"
     return repr(mem)
 
 

@@ -35,21 +35,24 @@ budgeted and report failure rather than returning unverified strategies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from bwcmdp import games, rng
-from bwcmdp.decomposition import EndComponent, mecs, restrict, sccs
+from bwcmdp.decomposition import EndComponent, restrict, sccs
 from bwcmdp.machines import MachineError, induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.systems import Decision, Witness, decide, xe, ye, ys
 from bwcmdp.verification import expected_mp, verify_almost_sure, verify_worstcase
 
 DEFAULT_SEARCH_CAP = 1 << 16
-DEFAULT_ENUM_BUDGET = 1 << 20
+ENUM_BUDGET = 1 << 20  # memoryless_wc_search candidates
+DWELL_CAP = 64  # largest dwell of the bwc-fin ladder, bwc-inf and (by default) bas
+CHAIN_LIMIT = 600  # product nodes a bwc-fin rung's expectation may take
 
 
 class SynthesisError(RuntimeError):
@@ -180,9 +183,11 @@ def local_strategies(mdp: Mdp, ec: EndComponent,
 
 
 class CyclingMachine:
-    """Rotate through local strategies: reach each sub-component, then play
-    its local strategy for dwell * c_i steps (c_i proportional to its
-    target frequency).  The induced chain is unichain for dwell >= |EC|.
+    """The paper's global unichain combiner g_A: rotate through local
+    strategies, reaching each sub-component, then playing its local
+    strategy for dwell * c_i steps (c_i proportional to its target
+    frequency).  The induced chain is unichain for dwell >= |EC|; smaller
+    dwells often are too, and callers verify exactly.
 
     Memory: ("reach", i) heading to sub-component i, locking on entry;
     ("play", i, k) with k plays remaining.  With deterministic=True the
@@ -201,7 +206,7 @@ class CyclingMachine:
         self.deterministic = deterministic
         denom_lcm = 1
         for loc in self.locals:
-            denom_lcm = _lcm(denom_lcm, loc.frequency.denominator)
+            denom_lcm = math.lcm(denom_lcm, loc.frequency.denominator)
         self.counts = [int(loc.frequency * denom_lcm) * dwell for loc in self.locals]
         self._reach_edge = [self._reach_table(loc) for loc in self.locals]
         if deterministic:
@@ -246,7 +251,7 @@ class CyclingMachine:
                 continue
             denom = 1
             for p in dist.values():
-                denom = _lcm(denom, p.denominator)
+                denom = math.lcm(denom, p.denominator)
             counts = {eid: int(p * denom) for eid, p in dist.items()}
             seq = []
             acc = {eid: Fraction(0) for eid in counts}
@@ -323,35 +328,18 @@ class CyclingMachine:
         return {("play", i, remaining): Fraction(1)}
 
 
-def _lcm(a: int, b: int) -> int:
-    import math
-    return a * b // math.gcd(a, b)
-
-
-def global_unichain(mdp: Mdp, ec: EndComponent, locals_: Sequence[LocalStrategy],
-                    dwell: int, deterministic: bool = False) -> CyclingMachine:
-    """The cycling combiner g_A; unichain is guaranteed for dwell >= |EC|.
-
-    Smaller dwells are accepted (they are often unichain too and the
-    callers verify exactly); the guarantee only starts at the component
-    size.
-    """
-    return CyclingMachine(mdp, ec, locals_, dwell, deterministic)
-
-
 # ---------------------------------------------------------------------------
 # Worst-case fallback machines.
 
 
-def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None,
-                         budget: int = DEFAULT_ENUM_BUDGET):
+def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None):
     """Search for a finite machine winning the worst case everywhere.
 
     Unidimensional inputs use the positional strategy extracted from the
     energy progress measure (always succeeds on a pruned MDP).  Otherwise
     pure memoryless strategies are enumerated, then pure 2-memory ones,
-    within the budget; each candidate is checked exactly.  Returns None
-    when the budget is exhausted.
+    within ENUM_BUDGET candidates; each candidate is checked exactly.
+    Returns None when the budget is exhausted.
     """
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
     mu = _check_vector(mdp, dims)
@@ -364,16 +352,12 @@ def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None,
     ctrl = [s for s in mdp.state_ids if not mdp.is_random(s)]
     options = [[e.eid for e in mdp.out_edges[s]] for s in ctrl]
     spent = 0
-    count = 1
-    for o in options:
-        count *= len(o)
-    if count <= budget:
+    if math.prod(len(o) for o in options) <= ENUM_BUDGET:
         for combo in itertools.product(*options):
             spent += 1
             cand = memoryless(mdp, dict(zip(ctrl, combo)))
             if _wc_everywhere(mdp, cand, mu):
                 return cand
-    spent = min(spent, budget)
 
     mems = (0, 1)
     upd_options = list(itertools.product(mems, repeat=2 * len(mdp.state_ids)))
@@ -387,7 +371,7 @@ def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None,
                 k += 1
         for outs in out_options:
             spent += 1
-            if spent > budget:
+            if spent > ENUM_BUDGET:
                 return None
             table_o = {}
             k = 0
@@ -477,17 +461,13 @@ class MonitoredMachine:
                 return False
         return True
 
-    def _fresh_period(self, prev_state) -> dict:
-        return {("exp", gm, 0, (0,) * self.mdp.dimension, None): p
-                for gm, p in self.g.initial_dist().items()}
-
     def update(self, state, mem):
         if mem[0] == "rec":
             _, fm, steps = mem
             nxt = self.fwc.update(state, fm)
             if steps + 1 < self.recovery:
                 return {("rec", m2, steps + 1): p for m2, p in nxt.items()}
-            return self._fresh_period(state)
+            return self.initial_dist()
 
         _, gm, taken, sums, prev = mem
         if prev is not None:
@@ -499,48 +479,8 @@ class MonitoredMachine:
         look = self._support_min(state, gm)
         total = tuple(a + look[i] for i, a in enumerate(sums))
         if self._passes(total):
-            return self._fresh_period(state)
+            return self.initial_dist()
         return {("rec", fm, 0): p for fm, p in self.fwc.initial_dist().items()}
-
-
-def recovery_length(period: int, max_weight: int, floor_min: Fraction,
-                    delta: Fraction, machine_size: int) -> int:
-    """Recovery length making monitored alternation safe.
-
-    ceil((2*period*(W + floor - delta) + size*(2W + 2*floor - delta)) / delta)
-    with ``size`` the worst-case machine's memory count times the number
-    of states.
-    """
-    import math
-    num = 2 * period * (max_weight + floor_min - delta) \
-        + machine_size * (2 * max_weight + 2 * floor_min - delta)
-    return max(1, math.ceil(num / delta))
-
-
-def wec_combined(mdp: Mdp, wec: EndComponent, expectation_machine,
-                 worstcase_machine, period: int, delta: Fraction,
-                 dims: Optional[Sequence[int]] = None,
-                 wc_memory_size: int = 1,
-                 recovery: Optional[int] = None) -> MonitoredMachine:
-    """Monitored combination for a winning component.
-
-    The floor is the worst-case machine's guaranteed per-dimension cycle
-    mean inside the component; ``delta`` must stay below its smallest
-    monitored entry.  The recovery length defaults to the closed form of
-    ``recovery_length``; callers doing verified search may pass a shorter
-    one, the exact checks stay authoritative either way.
-    """
-    dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
-    sub = restrict(mdp, wec.states)
-    floor = _guaranteed_floor(sub, worstcase_machine, dims)
-    floor_min = min(floor[i] for i in dims)
-    if not (0 < delta < floor_min):
-        raise ValueError(f"delta must lie in (0, {floor_min}), got {delta}")
-    if recovery is None:
-        m = wc_memory_size * len(sub.state_ids)
-        recovery = recovery_length(period, sub.max_abs_weight, floor_min, delta, m)
-    return MonitoredMachine(sub, expectation_machine, worstcase_machine,
-                            period, recovery, floor, delta, dims)
 
 
 def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
@@ -561,195 +501,98 @@ def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
 # Per-component recurrent-phase ladder.
 
 
-def _support_violation(sub: Mdp, assignment: dict, dims) -> Optional[list[int]]:
-    """A worst-case-violating cycle in the play support of a local solution.
+def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
+    """Memoryless tables (small components only), then cycling combiners,
+    each dwell up to 4 followed by its deterministic rotation."""
+    ctrl = [s for s in sub.state_ids if not sub.is_random(s)]
+    options = [[e.eid for e in sub.out_edges[s]] for s in ctrl]
+    if math.prod(len(o) for o in options) <= 256:
+        for combo in itertools.product(*options):
+            yield memoryless(sub, dict(zip(ctrl, combo)))
+    for dwell in _doubling(DWELL_CAP):
+        yield CyclingMachine(sub, ec, locals_, dwell)
+        if dwell <= 4:
+            yield CyclingMachine(sub, ec, locals_, dwell, deterministic=True)
 
-    The support of consistent plays is the positive-frequency controller
-    edges plus every random edge; any cycle there with mean <= 0 in an
-    enforced dimension refutes the worst case of every strategy with that
-    support.  Returns the cycle's controller edge ids (empty list when the
-    cycle is purely stochastic and cannot be repaired).
+
+def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], dims):
+    """The paper's combined strategy: a cycling combiner alternating with
+    a worst-case machine under a payoff monitor, over a small grid of
+    periods, recovery lengths and dwells."""
+    fwc = memoryless_wc_search(sub, dims)
+    if fwc is None:
+        return
+    floor = _guaranteed_floor(sub, fwc, dims)
+    floor_min = min((floor[i] for i in dims), default=Fraction(1))
+    if floor_min <= 0:
+        return
+    for period in (1, 2, 4):
+        for rec in (4, 16, 64):
+            for dwell in (1, 2):
+                g = CyclingMachine(sub, ec, locals_, dwell)
+                yield MonitoredMachine(sub, g, fwc, period, rec, floor, floor_min / 2, dims)
+
+
+class _Ladder:
+    """One winning component's candidate machines, cheapest first.
+
+    Rungs are built lazily and analysed once: each one's exact expectation
+    on the restricted component when first reached, its worst case (from
+    every state, each start under its own node limit) when some target
+    first admits that expectation.  Rungs whose product outgrows the
+    limits never win.
     """
-    from bwcmdp.verification import WeightedGraph, min_mean_cycle_witness
 
-    support = []
-    for e in sub.edges:
-        if sub.is_random(e.source) or assignment.get(xe(e.eid), Fraction(0)) > 0:
-            support.append(e)
-    idx = {s: i for i, s in enumerate(sub.state_ids)}
-    graph = WeightedGraph(tuple(sub.state_ids),
-                          tuple((idx[e.source], idx[e.target], e.weight, e.eid)
-                                for e in support),
-                          tuple(range(len(sub.state_ids))))
-    for i in dims:
-        cyc = min_mean_cycle_witness(graph, i, Fraction(0))
-        if cyc is not None:
-            return [eid for eid in cyc if not sub.is_random(sub.edge_by_id[eid].source)]
-    return None
+    def __init__(self, mdp: Mdp, comp: EndComponent, locals_: list[LocalStrategy], dims):
+        self.sub = restrict(mdp, comp.states)
+        ec = EndComponent(comp.states, comp.edges)
+        self.mu = _check_vector(self.sub, dims)
+        self.start = min(comp.states, key=mdp.state_ids.index)
+        self._sources = (_plain_rungs(self.sub, ec, locals_),
+                         _monitored_rungs(self.sub, ec, locals_, dims))
+        self._rungs = ([], [])  # per source: [machine, expectation or None, wins wc or None]
 
+    def first(self, target: Sequence[Fraction], monitored: bool):
+        """The first rung whose expectation dominates ``target`` in every
+        dimension and which wins the worst case; monitored rungs only when
+        ``monitored``.  None when no rung qualifies."""
+        for k in ((0, 1) if monitored else (0,)):
+            for rung in self._walk(k):
+                machine, exp = rung[0], rung[1]
+                if exp is None or any(e < t for e, t in zip(exp, target)):
+                    continue
+                if rung[2] is None:
+                    rung[2] = self._wins_worstcase(machine)
+                if rung[2]:
+                    return machine
+        return None
 
-def _refined_local_solution(sub: Mdp, ec_sub: EndComponent,
-                            target: Sequence[Fraction], dims) -> Optional[dict]:
-    """Local frequencies meeting the target with a worst-case-clean support.
+    def _walk(self, k: int):
+        rungs = self._rungs[k]
+        i = 0
+        while True:
+            if i == len(rungs):
+                machine = next(self._sources[k], None)
+                if machine is None:
+                    return
+                rungs.append([machine, self._expectation(machine), None])
+            yield rungs[i]
+            i += 1
 
-    Iteratively solves the strict in-component expectation system, finds a
-    support cycle violating the enforced worst-case dimensions, and forbids
-    one controller edge on it (the heaviest offender), until the support is
-    clean or the system turns infeasible.
-    """
-    from bwcmdp import linsolve as _ls
-    from bwcmdp.systems import ec_expectation_system
-
-    forbidden: set[int] = set()
-    for _ in range(len(ec_sub.edges) + 1):
-        system = ec_expectation_system(sub, ec_sub, target, strict=True)
-        for eid in forbidden:
-            system.add({xe(eid): Fraction(1)}, "=", Fraction(0))
-        out = _ls.solve(system)
-        if not out.strict_feasible:
-            return None
-        cyc = _support_violation(sub, out.assignment, dims)
-        if cyc is None:
-            return out.assignment
-        candidates = [eid for eid in cyc if eid not in forbidden]
-        if not candidates:
-            return None
-        worst_dim = dims[0]
-        forbidden.add(min(candidates, key=lambda eid: sub.edge_by_id[eid].weight[worst_dim]))
-    return None
-
-
-def _rounded_locals(locals_: list[LocalStrategy], q: int) -> list[LocalStrategy]:
-    """Locals with per-state choices snapped to denominator q.
-
-    Support and normalization are preserved (largest remainder); the small
-    denominators keep the rotation machines small.  The snapped means are
-    no longer exact, so callers must re-check expectations exactly.
-    """
-    out = []
-    for loc in locals_:
-        choices = {}
-        for s, dist in loc.choices.items():
-            if len(dist) == 1:
-                choices[s] = dict(dist)
-                continue
-            items = sorted(dist.items())
-            counts = {eid: max(1, int(p * q)) for eid, p in items}
-            rem = {eid: p * q - counts[eid] for eid, p in items}
-            while sum(counts.values()) < q:
-                pick = max(rem, key=lambda k: (rem[k], -k))
-                counts[pick] += 1
-                rem[pick] -= 1
-            while sum(counts.values()) > q:
-                pick = min(rem, key=lambda k: (rem[k], k))
-                if counts[pick] > 1:
-                    counts[pick] -= 1
-                    rem[pick] += 1
-                else:
-                    other = max((k for k in counts if counts[k] > 1),
-                                default=None, key=lambda k: counts[k])
-                    if other is None:
-                        break
-                    counts[other] -= 1
-            total = sum(counts.values())
-            choices[s] = {eid: Fraction(c, total) for eid, c in counts.items()}
-        out.append(LocalStrategy(loc.states, loc.edges,
-                                 loc.frequency.limit_denominator(q),
-                                 loc.mean, choices))
-    # Re-balance frequencies to sum to one.
-    total = sum((loc.frequency for loc in out), Fraction(0))
-    if total != 1 and total > 0:
-        out = [LocalStrategy(l.states, l.edges, l.frequency / total, l.mean, l.choices)
-               for l in out]
-    return out
-
-
-def _component_candidates(sub: Mdp, ec_sub: EndComponent, locals_: list[LocalStrategy],
-                          target: Sequence[Fraction], dims, need_worstcase: bool,
-                          search_cap: int, monitored: bool):
-    """Yield candidate machines for one component, cheapest first."""
-    # Pure memoryless enumeration (worst-case components only; tiny caps).
-    if need_worstcase:
-        ctrl = [s for s in sub.state_ids if not sub.is_random(s)]
-        combos = 1
-        for s in ctrl:
-            combos *= len(sub.out_edges[s])
-        if combos <= 256:
-            for combo in itertools.product(*[[e.eid for e in sub.out_edges[s]] for s in ctrl]):
-                yield memoryless(sub, dict(zip(ctrl, combo)))
-    for dwell in (1, 2, 4):
-        yield global_unichain(sub, ec_sub, locals_, dwell)
-        if need_worstcase:
-            yield global_unichain(sub, ec_sub, locals_, dwell, deterministic=True)
-    if need_worstcase:
-        # Re-solve for frequencies whose play support wins the worst case,
-        # then realize them as rotations; snapped-denominator variants
-        # keep the machines small when the exact vertex is ugly.
-        refined = _refined_local_solution(sub, ec_sub, target, dims)
-        if refined is not None:
-            locs2 = local_strategies(sub, ec_sub, refined)
-            variants = [_rounded_locals(locs2, q) for q in (4, 8, 16)] + [locs2]
-            for dwell in (1, 2, 4, 8):
-                for var in variants:
-                    if dwell > 1 and len(var) == 1:
-                        continue  # no stage counter: dwell has no effect
-                    yield global_unichain(sub, ec_sub, var, dwell, deterministic=True)
-                    yield global_unichain(sub, ec_sub, var, dwell)
-    dwell = 8
-    while dwell <= search_cap:
-        yield global_unichain(sub, ec_sub, locals_, dwell)
-        dwell *= 2
-    if need_worstcase and monitored:
-        fwc = memoryless_wc_search(sub, dims)
-        if fwc is not None:
-            floor = _guaranteed_floor(sub, fwc, dims)
-            floor_min = min((floor[i] for i in dims), default=Fraction(1))
-            if floor_min > 0:
-                delta = floor_min / 2
-                for period in (1, 2, 4):
-                    for rec in (4, 16, 64):
-                        for d2 in (1, 2):
-                            g = global_unichain(sub, ec_sub, locals_, d2)
-                            yield MonitoredMachine(sub, g, fwc, period, rec,
-                                                   floor, delta, dims)
-
-
-def _component_machine(mdp: Mdp, comp: EndComponent, locals_: list[LocalStrategy],
-                       target: Sequence[Fraction], dims, need_worstcase: bool,
-                       search_cap: int = 64, chain_limit: int = 600,
-                       monitored: bool = False):
-    """First candidate whose exact expectation dominates the target
-    (componentwise, all dimensions) and, when required, whose worst case
-    is verified on the restricted component.  Candidates whose exact
-    analysis would outgrow the chain limit are skipped."""
-    sub = restrict(mdp, comp.states)
-    ec_sub = EndComponent(comp.states, comp.edges)
-    mu = _check_vector(sub, dims) if need_worstcase else None
-    start = min(comp.states, key=mdp.state_ids.index)
-    for cand in _component_candidates(sub, ec_sub, locals_, target, dims,
-                                      need_worstcase, search_cap, monitored):
+    def _expectation(self, machine):
         try:
-            chain = induced_chain(sub, cand, start, node_limit=chain_limit)
-            exp = expected_mp(chain)
+            return expected_mp(induced_chain(self.sub, machine, self.start,
+                                             node_limit=CHAIN_LIMIT))
         except MachineError:
-            continue
-        if any(exp[i] < target[i] for i in range(sub.dimension)):
-            continue
-        if need_worstcase:
-            ok = True
-            for s in sub.state_ids:
-                try:
-                    if not verify_worstcase(sub, cand, mu, start=s,
-                                            node_limit=4 * chain_limit).ok:
-                        ok = False
-                        break
-                except MachineError:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        return cand
-    return None
+            return None
+
+    def _wins_worstcase(self, machine) -> bool:
+        try:
+            return all(verify_worstcase(self.sub, machine, self.mu, start=s,
+                                        node_limit=4 * CHAIN_LIMIT).ok
+                       for s in self.sub.state_ids)
+        except MachineError:
+            return False
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +647,7 @@ class ComposedStrategy:
             dists = nxt
         return dists
 
-    def _enter(self, idx: int, state: str):
+    def _enter(self, idx: int):
         machine = self.machines[idx]
         return {("in", idx, m): p for m, p in machine.initial_dist().items()}
 
@@ -822,7 +665,7 @@ class ComposedStrategy:
         q = self._lock_prob(start)
         out: dict = {}
         if q > 0:
-            for m, p in self._enter(self.component_of[start], start).items():
+            for m, p in self._enter(self.component_of[start]).items():
                 out[m] = out.get(m, Fraction(0)) + q * p
         if q < 1:
             key = self._p1_mem(frozenset(), 0)
@@ -885,8 +728,10 @@ def _single_initial(machine):
 # Top-level synthesis entry points.
 
 
-def _witness_locals(witness: Witness) -> tuple[dict[str, int], list, list]:
-    """Per-component local strategies and targets from an LP witness."""
+def _witness_locals(witness: Witness) -> tuple[dict[str, int], list]:
+    """Per-component local strategies and targets from an LP witness:
+    the component index of each state, and (component, locals, target)
+    for every positive-mass component."""
     mdp = witness.mdp
     asg = witness.assignment
     component_of: dict[str, int] = {}
@@ -905,16 +750,16 @@ def _witness_locals(witness: Witness) -> tuple[dict[str, int], list, list]:
         for loc in locals_:
             for i in range(mdp.dimension):
                 target[i] += loc.frequency * loc.mean[i]
-        entries.append((comp, mass, locals_, target))
-    for idx, (comp, _, _, _) in enumerate(entries):
+        entries.append((comp, locals_, target))
+    for idx, (comp, _, _) in enumerate(entries):
         for s in comp.states:
             component_of[s] = idx
-    return component_of, entries, [e[1] for e in entries]
+    return component_of, entries
 
 
 def bas_strategy(mdp: Mdp, query: ThresholdQuery,
                  decision: Optional[Decision] = None,
-                 search_cap: int = 64,
+                 search_cap: int = DWELL_CAP,
                  require_almost_sure: bool = True):
     """Finite machine for a yes beyond-almost-sure (or expectation) decision.
 
@@ -931,16 +776,12 @@ def bas_strategy(mdp: Mdp, query: ThresholdQuery,
         raise SynthesisError(f"no witness: decision is {decision.answer} ({decision.failure})")
     w = decision.witness
     plan = phase1_strategy(w)
-    component_of, entries, _ = _witness_locals(w)
+    component_of, entries = _witness_locals(w)
 
-    dwell = 1
-    while dwell <= search_cap:
-        machines = []
-        ok = True
-        for comp, mass, locals_, target in entries:
-            sub = restrict(w.mdp, comp.states)
-            cand = global_unichain(sub, EndComponent(comp.states, comp.edges), locals_, dwell)
-            machines.append(cand)
+    for dwell in _doubling(search_cap):
+        machines = [CyclingMachine(restrict(w.mdp, comp.states),
+                                   EndComponent(comp.states, comp.edges), locals_, dwell)
+                    for comp, locals_, _ in entries]
         composed = ComposedStrategy(w.mdp, plan, component_of, machines)
         exp = expected_mp(induced_chain(w.mdp, composed, w.start))
         ok = all(exp[i] > w.nu[i] for i in range(w.mdp.dimension))
@@ -949,23 +790,24 @@ def bas_strategy(mdp: Mdp, query: ThresholdQuery,
             ok = verify_almost_sure(w.mdp, composed, zero, start=w.start)
         if ok:
             return composed, w.mdp, w.start
-        dwell *= 2
     raise FallbackUnavailable(f"no dwell parameter up to {search_cap} verified")
 
 
 def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
                         cap: Optional[int] = None,
                         decision: Optional[Decision] = None,
-                        cap_limit: int = DEFAULT_SEARCH_CAP,
-                        search_cap: int = 64):
+                        cap_limit: int = DEFAULT_SEARCH_CAP):
     """Finite machine for a yes finite-memory beyond-worst-case decision.
 
     Shape: play the phase-1 flow with per-visit locking into per-component
     machines; at the step cap, runs inside a winning component switch to
     its machine and all others to the worst-case fallback.  The worst case
     then holds for every cap (prefix independence); the cap is grown until
-    the exact expectation clears the target.  Returns (machine, prepared
-    mdp, prepared start, cap used).
+    the exact expectation clears the target.  Each component's machine is
+    the first rung of its ladder (see ``_Ladder``) that meets the
+    component's target, shrunk by growing fractions of the slack; the
+    monitored rungs join at the last fraction.  Returns (machine,
+    prepared mdp, prepared start, cap used).
     """
     if decision is None:
         decision = decide(mdp, query)
@@ -973,7 +815,7 @@ def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
         raise SynthesisError(f"no witness: decision is {decision.answer} ({decision.failure})")
     w = decision.witness
     plan = phase1_strategy(w)
-    component_of, entries, _ = _witness_locals(w)
+    component_of, entries = _witness_locals(w)
 
     fallback = memoryless_wc_search(w.mdp, w.dims)
     if fallback is None:
@@ -982,26 +824,23 @@ def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
     # Per-component targets are the witnessed expectations shrunk by a
     # fraction of the slack; any total shrink below the slack keeps the
     # global sum strictly above nu, so the ladder trades per-component
-    # ambition for worst-case-friendlier supports.  The exact global
-    # check below stays authoritative either way.
+    # ambition for cheaper machines that win the worst case.  The exact
+    # global check below stays authoritative either way.
     slack = w.slack if w.slack else Fraction(1, 1000)
     thetas = (Fraction(1, 1000), Fraction(1, 4), Fraction(1, 2),
               Fraction(3, 4), Fraction(1023, 1024))
-    machines = None
+    ladders = [_Ladder(w.mdp, comp, locals_, w.dims) for comp, locals_, _ in entries]
     for theta in thetas:
-        attempt = []
-        for comp, mass, locals_, target in entries:
-            shrunk = [t - slack * theta for t in target]
-            cand = _component_machine(w.mdp, comp, locals_, shrunk, w.dims,
-                                      need_worstcase=True, search_cap=search_cap,
-                                      monitored=(theta == thetas[-1]))
+        machines = []
+        for ladder, (_, _, target) in zip(ladders, entries):
+            cand = ladder.first([t - slack * theta for t in target],
+                                monitored=theta == thetas[-1])
             if cand is None:
                 break
-            attempt.append(cand)
+            machines.append(cand)
         else:
-            machines = attempt
             break
-    if machines is None:
+    else:
         raise FallbackUnavailable("no verified machine for some winning component")
 
     caps = [cap] if cap is not None else _doubling(cap_limit)
@@ -1261,7 +1100,9 @@ class AdaptedMachine:
     Folds away the controller pre-state (its single forced edge is the
     first transition; the initial distribution absorbs its update) and
     gives harmless defaults at states the prepared instance dropped;
-    those are unreachable when playing from the designated start.
+    those are unreachable when playing from the designated start.  At the
+    prepared instance's states the wrapped machine answers, and its
+    errors propagate.
     """
 
     def __init__(self, machine, prepared: Mdp, original: Mdp, start: str):
@@ -1286,23 +1127,14 @@ class AdaptedMachine:
                 out[m2] = out.get(m2, Fraction(0)) + p * p2
         return out
 
-    def _known(self, state: str) -> bool:
-        return state in self.prepared.owner
-
     def output(self, state, mem):
-        if self._known(state):
-            try:
-                return self.machine.output(state, mem)
-            except KeyError:
-                pass
+        if state in self.prepared.owner:
+            return self.machine.output(state, mem)
         return {self.original.out_edges[state][0].eid: Fraction(1)}
 
     def update(self, state, mem):
-        if self._known(state):
-            try:
-                return self.machine.update(state, mem)
-            except KeyError:
-                pass
+        if state in self.prepared.owner:
+            return self.machine.update(state, mem)
         return {mem: Fraction(1)}
 
 
@@ -1317,14 +1149,13 @@ def adapt_to_original(machine, prepared: Mdp, original: Mdp, prepared_start: str
 
 
 def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
-                          decision: Optional[Decision] = None,
-                          monitor_scale: Fraction = Fraction(1, 2),
-                          search_cap: int = 64) -> BranchedInfiniteStrategy:
+                          decision: Optional[Decision] = None) -> BranchedInfiniteStrategy:
     """Infinite-memory strategy for a yes general beyond-worst-case decision.
 
-    Each positive-mass component runs its expectation machine under a
-    total-payoff monitor whose per-dimension floor rates default to half
-    the component's witnessed expectation; on a monitor trip the strategy
+    Each positive-mass component runs its expectation machine (the first
+    cycling combiner, dwell doubling up to DWELL_CAP, with a positive
+    expectation) under a total-payoff monitor whose per-dimension floor
+    rates are half that expectation; on a monitor trip the strategy
     switches permanently to the worst-case fallback.
     """
     if decision is None:
@@ -1333,7 +1164,7 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
         raise SynthesisError(f"no witness: decision is {decision.answer} ({decision.failure})")
     w = decision.witness
     plan = phase1_strategy(w)
-    component_of, entries, _ = _witness_locals(w)
+    component_of, entries = _witness_locals(w)
 
     fallback = memoryless_wc_search(w.mdp, w.dims)
     if fallback is None:
@@ -1341,24 +1172,20 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
 
     machines = []
     monitors = []
-    for comp, mass, locals_, target in entries:
+    for comp, locals_, _ in entries:
         sub = restrict(w.mdp, comp.states)
-        dwell = 1
-        cand = None
-        while dwell <= search_cap:
-            g = global_unichain(sub, EndComponent(comp.states, comp.edges), locals_, dwell)
-            exp = expected_mp(induced_chain(sub, g, min(comp.states, key=w.mdp.state_ids.index)))
+        start = min(comp.states, key=w.mdp.state_ids.index)
+        for dwell in _doubling(DWELL_CAP):
+            g = CyclingMachine(sub, EndComponent(comp.states, comp.edges), locals_, dwell)
+            exp = expected_mp(induced_chain(sub, g, start))
             if all(e > 0 for e in exp):
-                cand = (g, exp)
                 break
-            dwell *= 2
-        if cand is None:
+        else:
             raise FallbackUnavailable(
                 f"no positive-expectation machine for component {sorted(comp.states)}")
-        g, exp = cand
         machines.append(g)
-        monitors.append(TotalPayoffMonitorStrategy(
-            w.mdp, g, fallback, period, [e * monitor_scale for e in exp]))
+        monitors.append(TotalPayoffMonitorStrategy(w.mdp, g, fallback, period,
+                                                   [e / 2 for e in exp]))
 
     composed = ComposedStrategy(w.mdp, plan, component_of, machines)
     return BranchedInfiniteStrategy(w.mdp, w.start, composed, monitors, fallback, period)

@@ -450,8 +450,11 @@ def simulate_chain(chain: InducedChain, horizon: int, runs: int, seed: int,
     """Vectorized chain simulation with one stream per run.
 
     Draw layout: counter 0 picks the initial node, counter t+1 drives
-    step t.  Total payoffs are exact int64 sums.
+    step t.  Total payoffs are exact int64 sums; a horizon whose totals
+    could leave that range raises OverflowError.
     """
+    if horizon * chain.mdp.max_abs_weight >= 2**63:
+        raise OverflowError("simulated totals exceed int64 range")
     d = chain.mdp.dimension
     keys = rng.run_keys_array(seed, runs)
     init_nodes = sorted(chain.initial)

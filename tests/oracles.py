@@ -9,10 +9,14 @@ linear feasibility by vertex enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
+from bwcmdp.decomposition import EndComponent, restrict
 from bwcmdp.linsolve import EQ, GE, GT, LinearSystem
 from bwcmdp.model import Mdp
+from bwcmdp.synthesis import MonitoredMachine, _guaranteed_floor
 
 
 def brute_reachable(mdp: Mdp, start: str) -> set[str]:
@@ -231,3 +235,46 @@ def vertex_feasible(system: LinearSystem) -> bool:
         if satisfies(x):
             return True
     return False
+
+
+# Monitored alternation with the closed-form recovery length (the
+# synthesis ladder searches a small grid of its parameters instead).
+
+
+def recovery_length(period: int, max_weight: int, floor_min: Fraction,
+                    delta: Fraction, machine_size: int) -> int:
+    """Recovery length making monitored alternation safe.
+
+    ceil((2*period*(W + floor - delta) + size*(2W + 2*floor - delta)) / delta)
+    with ``size`` the worst-case machine's memory count times the number
+    of states.
+    """
+    num = 2 * period * (max_weight + floor_min - delta) \
+        + machine_size * (2 * max_weight + 2 * floor_min - delta)
+    return max(1, math.ceil(num / delta))
+
+
+def wec_combined(mdp: Mdp, wec: EndComponent, expectation_machine,
+                 worstcase_machine, period: int, delta: Fraction,
+                 dims: Optional[Sequence[int]] = None,
+                 wc_memory_size: int = 1,
+                 recovery: Optional[int] = None) -> MonitoredMachine:
+    """Monitored combination for a winning component.
+
+    The floor is the worst-case machine's guaranteed per-dimension cycle
+    mean inside the component; ``delta`` must stay below its smallest
+    monitored entry.  The recovery length defaults to the closed form of
+    ``recovery_length``; callers doing verified search may pass a shorter
+    one, the exact checks stay authoritative either way.
+    """
+    dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
+    sub = restrict(mdp, wec.states)
+    floor = _guaranteed_floor(sub, worstcase_machine, dims)
+    floor_min = min(floor[i] for i in dims)
+    if not (0 < delta < floor_min):
+        raise ValueError(f"delta must lie in (0, {floor_min}), got {delta}")
+    if recovery is None:
+        m = wc_memory_size * len(sub.state_ids)
+        recovery = recovery_length(period, sub.max_abs_weight, floor_min, delta, m)
+    return MonitoredMachine(sub, expectation_machine, worstcase_machine,
+                            period, recovery, floor, delta, dims)

@@ -15,8 +15,8 @@ from bwcmdp import linsolve
 from bwcmdp.decomposition import mecs
 from bwcmdp.machines import induced_chain
 from bwcmdp.model import ThresholdQuery, fixture, negate_weights, normalize
-from bwcmdp.synthesis import (adapt_to_original, bas_strategy, bwc_finite_strategy,
-                              bwc_infinite_strategy, global_unichain, local_strategies,
+from bwcmdp.synthesis import (CyclingMachine, adapt_to_original, bas_strategy,
+                              bwc_finite_strategy, bwc_infinite_strategy, local_strategies,
                               memoryless_wc_search)
 from bwcmdp.systems import decide, ec_expectation_system
 from bwcmdp.verification import (bscc_analysis, expected_mp, simulate,
@@ -100,10 +100,10 @@ def test_criterion_4_approximation_closed_form():
         out = linsolve.solve(ec_expectation_system(approx, ec, [F(1, 2), F(1, 2)]))
         locs = local_strategies(approx, ec, out.assignment)
         for a in (1, 3, 10):
-            chain = induced_chain(approx, global_unichain(approx, ec, locs, a), "s")
+            chain = induced_chain(approx, CyclingMachine(approx, ec, locs, a), "s")
             assert expected_mp(chain) == (F(a, 2 * a + 2), F(a, 2 * a + 2))
         for a in range(2, 13):
-            chain = induced_chain(approx, global_unichain(approx, ec, locs, a), "s")
+            chain = induced_chain(approx, CyclingMachine(approx, ec, locs, a), "s")
             assert len(bscc_analysis(chain)) == 1
 
 

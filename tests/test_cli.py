@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, JSON round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import bwcmdp
 from bwcmdp import jsonio
 from bwcmdp.cli import main
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, validate
@@ -109,6 +113,24 @@ def test_synthesize_verify_simulate_round_trip(capsys, bas_path, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["exceed_fraction"] == 1.0
+
+
+def test_strategy_file_independent_of_hash_seed(run_path, tmp_path):
+    # The RUN_EX bas strategy's memories hold frozensets of state ids,
+    # which repr in string-hash order: seed 1 wrote {'u', 't'}, others
+    # {'t', 'u'}.
+    src = os.path.dirname(os.path.dirname(bwcmdp.__file__))
+    files = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"strategy{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "bwcmdp.cli", "synthesize", "--mdp", run_path,
+                        "--mode", "bas", "--from", "s", "--mu=0,0", "--nu=0,9",
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+        files.append(out.read_bytes())
+    assert b"frozenset({'t', 'u'})" in files[0]
+    assert files[0] == files[1]
 
 
 def test_verify_worstcase_witness(capsys, run_path, tmp_path):

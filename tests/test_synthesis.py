@@ -7,15 +7,15 @@ import pytest
 from bwcmdp import linsolve
 from bwcmdp.decomposition import mecs, restrict
 from bwcmdp.machines import induced_chain, memoryless
-from bwcmdp.model import Mdp, ThresholdQuery
+from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
 from bwcmdp.systems import decide, ec_expectation_system
 from bwcmdp.synthesis import (AdaptedMachine, CyclingMachine, MonitoredMachine,
                               TotalPayoffMonitorStrategy, adapt_to_original,
                               bas_strategy, bwc_finite_strategy, bwc_infinite_strategy,
-                              global_unichain, local_strategies, memoryless_wc_search,
-                              phase1_strategy, recovery_length, wec_combined)
+                              local_strategies, memoryless_wc_search, phase1_strategy)
 from bwcmdp.verification import (bscc_analysis, expected_mp, simulate,
                                  verify_almost_sure, verify_worstcase)
+from oracles import recovery_length, wec_combined
 
 
 def _query(mode, mu, nu, start="s"):
@@ -84,7 +84,7 @@ def test_global_unichain_closed_form(approx_ex):
     ec = mecs(approx_ex)[0]
     locs = local_strategies(approx_ex, ec, _ec_solution(approx_ex, ec, [F(1, 2), F(1, 2)]))
     for a in (1, 3, 10):
-        g = global_unichain(approx_ex, ec, locs, a)
+        g = CyclingMachine(approx_ex, ec, locs, a)
         chain = induced_chain(approx_ex, g, "s")
         assert expected_mp(chain) == (F(a, 2 * a + 2), F(a, 2 * a + 2))
         assert len(bscc_analysis(chain)) == 1
@@ -94,14 +94,14 @@ def test_global_unichain_single_component(run_ex):
     ec = next(ec for ec in mecs(run_ex) if ec.states == frozenset({"t"}))
     locs = local_strategies(run_ex, ec, {"x[2]": F(1)})
     for a in (1, 4):
-        g = global_unichain(run_ex, ec, locs, a)
+        g = CyclingMachine(run_ex, ec, locs, a)
         assert expected_mp(induced_chain(run_ex, g, "t")) == (F(5), F(15))
 
 
 def test_global_unichain_deterministic_variant(approx_ex):
     ec = mecs(approx_ex)[0]
     locs = local_strategies(approx_ex, ec, _ec_solution(approx_ex, ec, [F(1, 2), F(1, 2)]))
-    g = global_unichain(approx_ex, ec, locs, 2, deterministic=True)
+    g = CyclingMachine(approx_ex, ec, locs, 2, deterministic=True)
     chain = induced_chain(approx_ex, g, "s")
     assert len(bscc_analysis(chain)) == 1
     assert all(len(row) == 1 for row in chain.transitions)  # pure machine
@@ -111,7 +111,7 @@ def test_global_unichain_rejects_bad_dwell(approx_ex):
     ec = mecs(approx_ex)[0]
     locs = local_strategies(approx_ex, ec, _ec_solution(approx_ex, ec, [F(1, 2), F(1, 2)]))
     with pytest.raises(ValueError):
-        global_unichain(approx_ex, ec, locs, 0)
+        CyclingMachine(approx_ex, ec, locs, 0)
 
 
 # -- monitored combiner ---------------------------------------------------------
@@ -128,7 +128,7 @@ def test_wec_combined_degenerate_loop(run_ex):
     ec = next(ec for ec in mecs(run_ex) if ec.states == frozenset({"t"}))
     locs = local_strategies(run_ex, ec, {"x[2]": F(1)})
     sub = restrict(run_ex, ec.states)
-    g = global_unichain(sub, ec, locs, 1)
+    g = CyclingMachine(sub, ec, locs, 1)
     fwc = memoryless(sub, {"t": 2})
     machine = wec_combined(run_ex, ec, g, fwc, period=3, delta=F(1))
     chain = induced_chain(sub, machine, "t")
@@ -141,8 +141,8 @@ def test_wec_combined_degenerate_loop(run_ex):
 def test_wec_combined_parameters(approx_ex):
     ec = mecs(approx_ex)[0]
     locs = local_strategies(approx_ex, ec, _ec_solution(approx_ex, ec, [F(1, 2), F(1, 2)]))
-    g = global_unichain(approx_ex, ec, locs, 1)
-    fwc = global_unichain(approx_ex, ec, locs, 1, deterministic=True)
+    g = CyclingMachine(approx_ex, ec, locs, 1)
+    fwc = CyclingMachine(approx_ex, ec, locs, 1, deterministic=True)
     machine = wec_combined(approx_ex, ec, g, fwc, period=100, delta=F(1, 8),
                            wc_memory_size=4)
     # The dwell-1 rotation guarantees floor 1/(2+2) per dimension; the
@@ -158,7 +158,7 @@ def test_wec_combined_rejects_large_delta(run_ex):
     ec = next(ec for ec in mecs(run_ex) if ec.states == frozenset({"t"}))
     locs = local_strategies(run_ex, ec, {"x[2]": F(1)})
     sub = restrict(run_ex, ec.states)
-    g = global_unichain(sub, ec, locs, 1)
+    g = CyclingMachine(sub, ec, locs, 1)
     fwc = memoryless(sub, {"t": 2})
     with pytest.raises(ValueError):
         wec_combined(run_ex, ec, g, fwc, period=2, delta=F(5))  # floor min is 5
@@ -173,7 +173,7 @@ def test_monitored_machine_recovers():
 
     ec = EndComponent(frozenset({"a"}), frozenset({0, 1}))
     locs = local_strategies(m, ec, {"x[0]": F(1, 2), "x[1]": F(1, 2)})
-    g = global_unichain(m, ec, locs, 1)
+    g = CyclingMachine(m, ec, locs, 1)
     fwc = memoryless(m, {"a": 0})
     machine = MonitoredMachine(m, g, fwc, period=1, recovery=3,
                                floor=[F(2)], delta=F(1), dims=(0,))
@@ -276,6 +276,33 @@ def test_bwc_finite_from_random_start(run_ex):
     assert verify_worstcase(run_ex, adapted, [F(0), F(0)], "v").ok
 
 
+# -- rungs of the bwc-fin ladder that some instance needs ------------------------
+
+def test_bwc_finite_task_ex_picks_monitored_rung():
+    # No memoryless table, cycling combiner or rotation wins both the
+    # worst case and the shrunk target here: only the combined strategy.
+    task = negate_weights(fixture("TASK_EX"), halve=True)
+    q = _query("bwc-fin", [F(-49, 8), F(-64)], [F(-49, 8), F(-29, 8)], start="0")
+    machine, _, _, _ = bwc_finite_strategy(task, q)
+    assert [type(m) for m in machine.machines] == [MonitoredMachine]
+
+
+def test_bwc_finite_picks_deterministic_rotation():
+    # All-controller instance whose one component is won by the dwell-1
+    # deterministic rotation of its local strategy, no earlier rung.
+    m = Mdp.build(2, [(f"q{i}", "controller") for i in range(4)],
+                  [(0, "q0", "q1", [2, 0]), (1, "q0", "q2", [0, 2]), (2, "q0", "q0", [-2, -1]),
+                   (3, "q1", "q0", [1, -3]), (4, "q1", "q3", [1, 3]), (5, "q1", "q3", [-1, 3]),
+                   (6, "q2", "q1", [0, 1]), (7, "q3", "q2", [1, 1]), (8, "q3", "q2", [-2, -2]),
+                   (9, "q3", "q3", [-2, -2])])
+    q = _query("bwc-fin", [F(-7, 3), F(-1, 3)], [0, -5], start="q0")
+    machine, prepared, start, _ = bwc_finite_strategy(m, q)
+    (rung,) = machine.machines
+    assert isinstance(rung, CyclingMachine) and rung.deterministic and rung.dwell == 1
+    adapted, origin = adapt_to_original(machine, prepared, m, start)
+    assert verify_worstcase(m, adapted, q.mu, origin).ok
+
+
 def test_adapted_machine_round_trip(run_ex_bas):
     q = _query("bas", [0, 0], [4, 4])
     machine, prepared, start = bas_strategy(run_ex_bas, q)
@@ -283,6 +310,34 @@ def test_adapted_machine_round_trip(run_ex_bas):
     assert origin == "s"
     exp = expected_mp(induced_chain(run_ex_bas, adapted, "s"))  # raises on a bad machine
     assert all(e > 4 for e in exp)
+
+
+class _Raises:
+    """A machine with no entry at any state."""
+
+    def initial_dist(self):
+        return {0: F(1)}
+
+    def output(self, state, mem):
+        raise KeyError(state)
+
+    def update(self, state, mem):
+        raise KeyError(state)
+
+
+def test_adapted_machine_surfaces_errors(run_ex):
+    # States the prepared MDP kept ask the machine, whose error surfaces;
+    # states it dropped get the default move.
+    prepared = restrict(run_ex, frozenset({"u", "v"}))
+    adapted = AdaptedMachine(_Raises(), prepared, run_ex, "u")
+    with pytest.raises(KeyError):
+        adapted.output("u", 0)
+    with pytest.raises(KeyError):
+        adapted.update("u", 0)
+    with pytest.raises(KeyError):
+        induced_chain(run_ex, adapted, "u")
+    assert adapted.output("s", 0) == {run_ex.out_edges["s"][0].eid: F(1)}
+    assert adapted.update("s", 0) == {0: F(1)}
 
 
 # -- the infinite-memory strategy ---------------------------------------------

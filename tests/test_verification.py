@@ -10,7 +10,7 @@ from bwcmdp.machines import (MachineError, TableMachine, induced_chain, memoryle
 from bwcmdp.model import Mdp
 from bwcmdp.verification import (WeightedGraph, bscc_analysis, expected_mp, karp_min_mean,
                                  mdp_graph, min_mean_cycle_witness, simulate,
-                                 verify_almost_sure, verify_worstcase)
+                                 simulate_chain, verify_almost_sure, verify_worstcase)
 from conftest import random_mdp
 from oracles import brute_min_cycle_mean
 
@@ -56,14 +56,14 @@ def test_bscc_two_branches(approx_ex):
 def test_bscc_cycle_uniform(approx_ex):
     # The 4-node cycle induced by the dwell-1 rotation: uniform stationary mass.
     from bwcmdp.decomposition import mecs
-    from bwcmdp.synthesis import global_unichain, local_strategies
+    from bwcmdp.synthesis import CyclingMachine, local_strategies
     from bwcmdp.systems import ec_expectation_system
     from bwcmdp import linsolve
 
     ec = mecs(approx_ex)[0]
     out = linsolve.solve(ec_expectation_system(approx_ex, ec, [F(1, 2), F(1, 2)]))
     locs = local_strategies(approx_ex, ec, out.assignment)
-    chain = induced_chain(approx_ex, global_unichain(approx_ex, ec, locs, 1), "s")
+    chain = induced_chain(approx_ex, CyclingMachine(approx_ex, ec, locs, 1), "s")
     (b,) = bscc_analysis(chain)
     assert len(b.nodes) == 4
     assert set(b.stationary.values()) == {F(1, 4)}
@@ -208,6 +208,16 @@ def test_simulate_seed_determinism(run_ex):
     assert a == b
     c = simulate(run_ex, uv_machine(run_ex), "s", horizon=500, runs=100, seed=10)
     assert a != c
+
+
+def test_simulate_chain_overflow():
+    # Sixteen steps of weight 2**60 leave int64; the totals used to wrap
+    # to a mean of 0.0.
+    m = Mdp.build(1, [("a", "controller")], [(0, "a", "a", [2**60])])
+    chain = induced_chain(m, memoryless(m, {"a": 0}), "a")
+    with pytest.raises(OverflowError):
+        simulate_chain(chain, horizon=16, runs=2, seed=0)
+    assert simulate_chain(chain, horizon=7, runs=2, seed=0).mean == (float(2**60),)
 
 
 def test_simulate_argument_validation(run_ex):
