@@ -8,10 +8,20 @@ strictly positive in every tracked dimension).  Memoryless adversaries
 suffice to spoil, so enumerating them is exact; the enumeration is capped
 and intended for desk-scale instances.
 
+Each one-player SCC is settled once per ``wc_winning_region`` call: its
+verdict is memoized by its internal edge ids, since many spoilers leave
+the same component.  Two exact cycle-mean tests on Karp's kernel settle
+most components without an LP: no flow is positive when some tracked
+dimension (or their sum) has maximum cycle mean <= 0, and one is when a
+maximum-mean cycle of some tracked dimension (or of their sum) has a
+positive total in every tracked dimension.  Only the components neither
+test settles go to the exact LP ``positive_multicycle``.
+
 The unidimensional case gets a pseudo-polynomial fast path: exact game
 values by finite-horizon value iteration with rational rounding, and a
 strict-win test via an energy-game progress measure (which also yields a
-positional winning strategy).
+positional winning strategy).  Its losing states take their spoilers
+from the same enumeration, stopped once each has one.
 """
 
 from __future__ import annotations
@@ -25,7 +35,8 @@ import numpy as np
 
 from bwcmdp import linsolve
 from bwcmdp.decomposition import EndComponent, mecs, reachable, restrict, restrict_states, sccs
-from bwcmdp.model import Mdp, ThresholdQuery, require_valid
+from bwcmdp.model import Edge, Mdp, ThresholdQuery, require_valid
+from bwcmdp.verification import _karp_scc, _tight_cycle
 
 DEFAULT_ADVERSARY_BUDGET = 1 << 20
 
@@ -113,29 +124,64 @@ def _adversary_choices(mdp: Mdp, budget: int):
         yield AdversaryChoice(tuple(zip(rand_states, combo)))
 
 
-def _winning_under(mdp: Mdp, sigma: AdversaryChoice,
-                   dims: tuple[int, ...]) -> set[str]:
+def _positive_component(mdp: Mdp, comp: set[str], internal: Sequence[Edge],
+                        dims: tuple[int, ...], memo: dict) -> bool:
+    """Whether one one-player SCC carries a positive multi-cycle.
+
+    ``internal`` holds the SCC's internal edges; the verdict is memoized
+    in ``memo`` by their ids.  Karp on negated weights gives each tracked
+    dimension's (and their sum's) maximum cycle mean: one <= 0 bounds
+    every flow's value by 0.  A maximum-mean cycle with a positive total
+    in every tracked dimension is a positive flow by itself.  Components
+    that neither settles go to ``positive_multicycle``.
+    """
+    key = frozenset(e.eid for e in internal)
+    if key not in memo:
+        memo[key] = _settle_component(mdp, comp, internal, dims)
+    return memo[key]
+
+
+def _settle_component(mdp: Mdp, comp: set[str], internal: Sequence[Edge],
+                      dims: tuple[int, ...]) -> bool:
+    order = [s for s in mdp.state_ids if s in comp]
+    # Column k < len(dims) is dimension dims[k] negated; the last is the
+    # negated sum of the tracked dimensions.
+    arcs = [(e.source, e.target,
+             tuple(-e.weight[i] for i in dims) + (-sum(e.weight[i] for i in dims),), e.eid)
+            for e in internal]
+    weight = {e.eid: e.weight for e in internal}
+    for k in range(len(dims) + 1):
+        mean = _karp_scc(order, arcs, k)
+        if mean >= 0:
+            return False
+        cycle = _tight_cycle(order, arcs, k, mean)
+        if all(sum(weight[eid][i] for eid in cycle) > 0 for i in dims):
+            return True
+    sub = Mdp(mdp.dimension, tuple((s, o) for s, o in mdp.states if s in comp),
+              tuple(internal), {}, None)
+    return positive_multicycle(sub, comp, dims) > 0
+
+
+def _winning_under(mdp: Mdp, sigma: AdversaryChoice, dims: tuple[int, ...],
+                   memo: dict) -> set[str]:
     """States from which the controller beats this fixed memoryless adversary."""
     chosen = dict(sigma.choice)
-    allowed = {e.eid for e in mdp.edges
-               if not mdp.is_random(e.source) or chosen[e.source] == e.eid}
+    allowed = [e for e in mdp.edges
+               if not mdp.is_random(e.source) or chosen[e.source] == e.eid]
+    comps = sccs(mdp, (e.eid for e in allowed))
+    comp_of = {s: c for c, comp in enumerate(comps) for s in comp}
+    internal: list[list[Edge]] = [[] for _ in comps]
+    for e in allowed:
+        if comp_of[e.source] == comp_of[e.target]:
+            internal[comp_of[e.source]].append(e)
     good: set[str] = set()
-    for comp in sccs(mdp, allowed):
-        internal = [e for e in mdp.edges
-                    if e.eid in allowed and e.source in comp and e.target in comp]
-        if not internal:
-            continue
-        sub = Mdp(mdp.dimension,
-                  tuple((s, o) for s, o in mdp.states if s in comp),
-                  tuple(internal), {}, None)
-        y = positive_multicycle(sub, comp, dims)
-        if y is not None and y > 0:
+    for comp, inner in zip(comps, internal):
+        if inner and _positive_component(mdp, comp, inner, dims, memo):
             good |= comp
     # Backward closure: states that can reach a good SCC along allowed edges.
     pred: dict[str, list[str]] = {s: [] for s in mdp.state_ids}
-    for e in mdp.edges:
-        if e.eid in allowed:
-            pred[e.target].append(e.source)
+    for e in allowed:
+        pred[e.target].append(e.source)
     frontier = list(good)
     win = set(good)
     while frontier:
@@ -152,43 +198,38 @@ def wc_winning_region(mdp: Mdp, dims: Optional[Sequence[int]] = None,
     """States satisfying the strict worst-case threshold MP > 0 on tracked dims.
 
     Expects a normalized MDP (mu = 0) with trivial dimensions already
-    dropped from ``dims``.  Losing states carry the first spoiling
-    adversary found as a certificate.
+    dropped from ``dims``.  Each losing state carries as its certificate
+    the first spoiler, in enumeration order, that beats it.  With one
+    tracked dimension the energy game decides the region, and spoilers
+    are enumerated only until every losing state has its certificate.
     """
     require_valid(mdp)
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
     if not dims:
         return WinningRegion(frozenset(mdp.state_ids), dims, {})
-    if len(dims) == 1:
-        win, _, _ = _energy_strict_win(mdp, dims[0])
-        certs = {s: _spoiler_for(mdp, s, dims) for s in mdp.state_ids if s not in win}
-        return WinningRegion(frozenset(win), dims, certs)
-
-    alive = set(mdp.state_ids)
+    one_dim = len(dims) == 1
+    win = _energy_strict_win(mdp, dims[0])[0] if one_dim else set()
+    pending = [s for s in mdp.state_ids if s not in win]
     certificates: dict[str, AdversaryChoice] = {}
-    for sigma in _adversary_choices(mdp, budget):
-        win = _winning_under(mdp, sigma, dims)
-        for s in list(alive):
-            if s not in win:
-                alive.discard(s)
+    memo: dict = {}
+    # Nothing pending (a 1-D game won everywhere): no enumeration, no budget.
+    for sigma in (_adversary_choices(mdp, budget) if pending else ()):
+        held = _winning_under(mdp, sigma, dims, memo)
+        for s in pending:
+            if s not in held:
                 certificates[s] = sigma
-        if not alive:
+        pending = [s for s in pending if s in held]
+        if not pending:
             break
-    return WinningRegion(frozenset(alive), dims, certificates)
-
-
-def _spoiler_for(mdp: Mdp, state: str, dims: tuple[int, ...],
-                 budget: int = DEFAULT_ADVERSARY_BUDGET) -> AdversaryChoice:
-    for sigma in _adversary_choices(mdp, budget):
-        if state not in _winning_under(mdp, sigma, dims):
-            return sigma
-    raise AssertionError(f"no spoiler found for losing state {state}")
+    if one_dim and pending:
+        raise AssertionError(f"no spoiler found for losing states {pending}")
+    return WinningRegion(frozenset(win if one_dim else pending), dims, certificates)
 
 
 def revalidate_certificate(mdp: Mdp, state: str, sigma: AdversaryChoice,
                            dims: Sequence[int]) -> bool:
     """Re-check that a stored spoiler indeed beats the state."""
-    return state not in _winning_under(mdp, sigma, tuple(dims))
+    return state not in _winning_under(mdp, sigma, tuple(dims), {})
 
 
 # ---------------------------------------------------------------------------

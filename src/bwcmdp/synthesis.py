@@ -339,50 +339,46 @@ def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None):
     energy progress measure (always succeeds on a pruned MDP).  Otherwise
     pure memoryless strategies are enumerated, then pure 2-memory ones,
     within ENUM_BUDGET candidates; each candidate is checked exactly.
-    Returns None when the budget is exhausted.
+    Raises FallbackUnavailable when none wins, saying whether the budget
+    or the candidates ran out and how many were checked.
     """
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
     mu = _check_vector(mdp, dims)
     if len(dims) == 1:
         choice = games.wc_positional_strategy_unidim(mdp, dims[0])
-        if choice is None:
-            return None
-        return memoryless(mdp, choice)
+        if choice is not None:
+            return memoryless(mdp, choice)
+        reason = "found no positional strategy winning from every state"
+    else:
+        spent = 0
+        for cand in _wc_candidates(mdp):
+            if spent == ENUM_BUDGET:
+                reason = f"exhausted its budget of {ENUM_BUDGET} candidates"
+                break
+            spent += 1
+            if _wc_everywhere(mdp, cand, mu):
+                return cand
+        else:
+            reason = (f"checked all {spent} memoryless and pure 2-memory machines, "
+                      f"and none wins from every state")
+    raise FallbackUnavailable(f"worst-case fallback search {reason}")
 
+
+def _wc_candidates(mdp: Mdp):
+    """Pure memoryless machines (when at most ENUM_BUDGET of them), then
+    pure 2-memory machines starting in memory 0."""
     ctrl = [s for s in mdp.state_ids if not mdp.is_random(s)]
     options = [[e.eid for e in mdp.out_edges[s]] for s in ctrl]
-    spent = 0
     if math.prod(len(o) for o in options) <= ENUM_BUDGET:
         for combo in itertools.product(*options):
-            spent += 1
-            cand = memoryless(mdp, dict(zip(ctrl, combo)))
-            if _wc_everywhere(mdp, cand, mu):
-                return cand
-
+            yield memoryless(mdp, dict(zip(ctrl, combo)))
     mems = (0, 1)
-    upd_options = list(itertools.product(mems, repeat=2 * len(mdp.state_ids)))
     out_options = list(itertools.product(*[o for o in options for _ in mems])) if ctrl else [()]
-    for upd in upd_options:
-        table_u = {}
-        k = 0
-        for s in mdp.state_ids:
-            for m in mems:
-                table_u[(s, m)] = upd[k]
-                k += 1
+    for upd in itertools.product(mems, repeat=2 * len(mdp.state_ids)):
+        table_u = dict(zip(((s, m) for s in mdp.state_ids for m in mems), upd))
         for outs in out_options:
-            spent += 1
-            if spent > ENUM_BUDGET:
-                return None
-            table_o = {}
-            k = 0
-            for s in ctrl:
-                for m in mems:
-                    table_o[(s, m)] = outs[k]
-                    k += 1
-            cand = _two_memory_machine(mdp, table_u, table_o)
-            if _wc_everywhere(mdp, cand, mu):
-                return cand
-    return None
+            table_o = dict(zip(((s, m) for s in ctrl for m in mems), outs))
+            yield _two_memory_machine(mdp, table_u, table_o)
 
 
 def _two_memory_machine(mdp: Mdp, upd: dict, out: dict):
@@ -519,8 +515,9 @@ def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], d
     """The paper's combined strategy: a cycling combiner alternating with
     a worst-case machine under a payoff monitor, over a small grid of
     periods, recovery lengths and dwells."""
-    fwc = memoryless_wc_search(sub, dims)
-    if fwc is None:
+    try:
+        fwc = memoryless_wc_search(sub, dims)
+    except FallbackUnavailable:
         return
     floor = _guaranteed_floor(sub, fwc, dims)
     floor_min = min((floor[i] for i in dims), default=Fraction(1))
@@ -818,8 +815,6 @@ def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
     component_of, entries = _witness_locals(w)
 
     fallback = memoryless_wc_search(w.mdp, w.dims)
-    if fallback is None:
-        raise FallbackUnavailable("worst-case fallback search exhausted its budget")
 
     # Per-component targets are the witnessed expectations shrunk by a
     # fraction of the slack; any total shrink below the slack keeps the
@@ -1167,8 +1162,6 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
     component_of, entries = _witness_locals(w)
 
     fallback = memoryless_wc_search(w.mdp, w.dims)
-    if fallback is None:
-        raise FallbackUnavailable("worst-case fallback search exhausted its budget")
 
     machines = []
     monitors = []

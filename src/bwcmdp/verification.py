@@ -217,23 +217,24 @@ def _karp_scc(comp: list[int], edges, dim: int) -> Fraction:
         prev = table[k - 1]
         ok = prev[src] < inf
         np.minimum.at(table[k], dst[ok], prev[src[ok]] + ws[ok])
-    D = [[None if x == inf else x for x in row] for row in table.tolist()]
-    best: Optional[Fraction] = None
+    D = table.tolist()
+    # Means as (numerator, length) pairs, compared by cross-multiplication.
+    best: Optional[tuple[int, int]] = None
     for v in range(m):
-        if D[m][v] is None:
+        if D[m][v] == inf:
             continue
-        worst: Optional[Fraction] = None
+        worst: Optional[tuple[int, int]] = None
         for k in range(m):
-            if D[k][v] is None:
+            if D[k][v] == inf:
                 continue
-            val = Fraction(D[m][v] - D[k][v], m - k)
-            if worst is None or val > worst:
+            val = (D[m][v] - D[k][v], m - k)
+            if worst is None or val[0] * worst[1] > worst[0] * val[1]:
                 worst = val
-        if worst is not None and (best is None or worst < best):
+        if worst is not None and (best is None or worst[0] * best[1] < best[0] * worst[1]):
             best = worst
     if best is None:
         raise AssertionError("SCC with edges must contain a cycle")
-    return best
+    return Fraction(*best)
 
 
 def karp_min_mean(graph: WeightedGraph, dim: int) -> Optional[Fraction]:
@@ -275,7 +276,7 @@ def _tight_cycle(comp: list[int], internal, dim: int, val: Fraction) -> list:
     p, q = val.numerator, val.denominator
     pos = {v: i for i, v in enumerate(comp)}
     m = len(comp)
-    dist = [Fraction(0)] * m
+    dist = [0] * m
     for _ in range(m):
         changed = False
         for u, v, w, _ in internal:
@@ -289,47 +290,26 @@ def _tight_cycle(comp: list[int], internal, dim: int, val: Fraction) -> list:
     for u, v, w, label in internal:
         if dist[pos[u]] + (w[dim] * q - p) == dist[pos[v]]:
             tight[pos[u]].append((pos[v], label))
-    color = [0] * m
-    path: list[tuple[int, object]] = []
-
-    def dfs(start: int) -> Optional[list]:
-        stack = [(start, iter(tight[start]))]
-        color[start] = 1
-        order = [start]
+    color = [0] * m  # 0 unseen, 1 on the DFS stack, 2 done
+    for root in range(m):
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, None, iter(tight[root]))]  # node, edge into it, successors
         while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w2, label in it:
+            v, _, succ = stack[-1]
+            for w2, label in succ:
                 if color[w2] == 1:
-                    # Found a cycle: slice the current path from w2.
-                    cyc = []
-                    recording = False
-                    for node, lab in path:
-                        if node == w2:
-                            recording = True
-                        if recording:
-                            cyc.append(lab)
-                    cyc.append(label)
-                    return cyc
+                    # A back edge closes a cycle: the stack's edges after w2, then it.
+                    at = next(i for i, entry in enumerate(stack) if entry[0] == w2)
+                    return [entry[1] for entry in stack[at + 1:]] + [label]
                 if color[w2] == 0:
                     color[w2] = 1
-                    path.append((w2, label))
-                    stack.append((w2, iter(tight[w2])))
-                    advanced = True
+                    stack.append((w2, label, iter(tight[w2])))
                     break
-            if not advanced:
+            else:
                 color[v] = 2
                 stack.pop()
-                if path and stack:
-                    path.pop()
-        return None
-
-    for v in range(m):
-        if color[v] == 0:
-            path = [(v, None)]
-            cyc = dfs(v)
-            if cyc is not None:
-                return [c for c in cyc if c is not None]
     raise AssertionError("tight subgraph of a min-mean SCC must contain a cycle")
 
 

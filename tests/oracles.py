@@ -143,6 +143,44 @@ def brute_game_value(mdp: Mdp, dim: int = 0) -> dict[str, Fraction]:
     return values
 
 
+def lp_positive_component(mdp: Mdp, comp, internal, dims: Sequence[int]) -> bool:
+    """The exact LP alone on one SCC given with its internal edges."""
+    from bwcmdp.games import positive_multicycle
+
+    sub = Mdp(mdp.dimension, tuple((s, o) for s, o in mdp.states if s in comp),
+              tuple(internal), {}, None)
+    return positive_multicycle(sub, comp, dims) > 0
+
+
+def brute_wc_region(mdp: Mdp, dims: Sequence[int]):
+    """Worst-case winning states and first spoilers by plain enumeration.
+
+    Every memoryless spoiler, in the order random states appear and their
+    edges are listed; under each, every SCC of the one-player graph gets
+    the exact LP ``positive_multicycle`` (no memo, no pre-filter), and a
+    state holds when it reaches a positive SCC.  Returns the states no
+    spoiler beats and, for every other state, the first spoiler's choice.
+    """
+    rand = [s for s in mdp.state_ids if mdp.is_random(s)]
+    options = [[e.eid for e in mdp.out_edges[s]] for s in rand]
+    certificates: dict[str, tuple] = {}
+    for combo in itertools.product(*options):
+        chosen = dict(zip(rand, combo))
+        allowed = [e for e in mdp.edges
+                   if not mdp.is_random(e.source) or chosen[e.source] == e.eid]
+        good: set[str] = set()
+        for comp in brute_sccs(mdp, {e.eid for e in allowed}):
+            internal = [e for e in allowed if e.source in comp and e.target in comp]
+            if internal and lp_positive_component(mdp, comp, internal, dims):
+                good |= comp
+        one_player = Mdp(mdp.dimension, mdp.states, tuple(allowed), {}, None)
+        held = {s for s in mdp.state_ids if brute_reachable(one_player, s) & good}
+        for s in mdp.state_ids:
+            if s not in held and s not in certificates:
+                certificates[s] = tuple(chosen.items())
+    return frozenset(mdp.state_ids) - set(certificates), certificates
+
+
 def brute_min_cycle_mean(nodes, edges, dim: int):
     """Exact minimum simple-cycle mean by DFS enumeration of simple cycles."""
     best = None

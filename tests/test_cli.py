@@ -302,3 +302,30 @@ def test_malformed_mdp_exits_2(capsys, tmp_path, mutate):
     code, out, err = run_cli(capsys, "decide", "--mdp", str(path), "--mode", "wc",
                              "--from", "s", "--mu", "0,0")
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["bwc-fin", "bwc-inf"])
+def test_fallback_search_failure_names_its_cause(capsys, tmp_path, mode):
+    # Corpus seed 9, instance 31: the decision is yes, but the pruned MDP
+    # (controller states q2, q3) is won only with more memory than the
+    # worst-case fallback search offers.  All 6 memoryless and 576 pure
+    # 2-memory machines are checked, far below the budget.
+    m = Mdp.build(3, [("q0", "controller"), ("q1", "controller"), ("q2", "controller"),
+                      ("q3", "controller"), ("q4", "random")],
+                  [(0, "q0", "q0", [3, -1, 0]), (1, "q1", "q2", [1, 1, 2]),
+                   (2, "q1", "q2", [-3, 2, 2]), (3, "q2", "q3", [-3, -1, -2]),
+                   (4, "q2", "q2", [-2, -3, 0]), (5, "q2", "q3", [-1, 2, 0]),
+                   (6, "q3", "q0", [0, 2, 2]), (7, "q3", "q2", [-2, -1, 0]),
+                   (8, "q3", "q3", [-2, 1, 3]), (9, "q4", "q0", [1, -1, -1]),
+                   (10, "q4", "q2", [0, 1, -2])],
+                  {9: F(1, 2), 10: F(1, 2)}, initial="q0")
+    path = tmp_path / "seed9_31.json"
+    jsonio.save_mdp(str(path), m)
+    query = ["--mdp", str(path), "--mode", mode, "--from", "q3",
+             "--mu=-2,1/3,5/3", "--nu=-7,-10,2/3"]
+    code, out, _ = run_cli(capsys, "decide", *query)
+    assert code == 0 and json.loads(out)["answer"] == "yes"
+    code, out, err = run_cli(capsys, "synthesize", *query)
+    assert code == 2 and out == ""
+    assert err == ("error: worst-case fallback search checked all 582 memoryless and "
+                   "pure 2-memory machines, and none wins from every state\n")

@@ -1,17 +1,19 @@
 """Worst-case game solving: multicycle certificates, regions, values, pruning."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from bwcmdp.decomposition import mecs, restrict
+from bwcmdp import games
+from bwcmdp.decomposition import mecs, restrict, sccs
 from bwcmdp.games import (AdversaryChoice, Unsatisfiable, mwecs, positive_multicycle,
                           prune, revalidate_certificate, wc_positional_strategy_unidim,
                           wc_value_unidim, wc_winning_region)
 from bwcmdp.model import Mdp
-from conftest import random_game
-from oracles import brute_game_value
+from conftest import random_game, random_mdp
+from oracles import brute_game_value, brute_wc_region, lp_positive_component
 
 
 def test_multicycle_single_loop(run_ex):
@@ -33,6 +35,98 @@ def test_multicycle_two_loops(approx_ex):
 def test_multicycle_no_edges(run_ex):
     sub = Mdp(2, (("s", "controller"),), (), {}, None)
     assert positive_multicycle(sub, {"s"}) is None
+
+
+def test_component_test_matches_lp():
+    # The cycle-mean tests with their LP fallback give the LP's verdict on
+    # every SCC and every set of tracked dimensions, also with weights past
+    # 2**62, where Karp's table leaves int64.
+    rng = random.Random(21)
+    verdicts = []
+    for trial in range(60):
+        mdp = random_mdp(rng)
+        if trial % 3 == 0:
+            mdp = mdp.replace_weights({e.eid: tuple(w * 2**62 + rng.randint(-3, 3)
+                                                    for w in e.weight) for e in mdp.edges})
+        for comp in sccs(mdp):
+            internal = [e for e in mdp.edges if e.source in comp and e.target in comp]
+            if not internal:
+                continue
+            for r in range(1, mdp.dimension + 1):
+                for dims in itertools.combinations(range(mdp.dimension), r):
+                    memo = {}
+                    got = games._positive_component(mdp, comp, internal, dims, memo)
+                    assert got == lp_positive_component(mdp, comp, internal, dims), (comp, dims)
+                    assert memo == {frozenset(e.eid for e in internal): got}
+                    verdicts.append(got)
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+def test_component_test_lp_fallback(approx_ex, run_ex, monkeypatch):
+    # APPROX_EX {s, t}: each dimension's max-mean cycle is one self-loop,
+    # (0,1) or (1,0), and so is the sum's, so neither test settles it; the
+    # LP finds the alternation, y = 1/2.  The memo answers the repeat.
+    real = positive_multicycle
+    values = []
+    monkeypatch.setattr(games, "positive_multicycle",
+                        lambda *args: values.append(real(*args)) or values[-1])
+    memo = {}
+    assert games._positive_component(approx_ex, {"s", "t"}, approx_ex.edges, (0, 1), memo)
+    assert games._positive_component(approx_ex, {"s", "t"}, approx_ex.edges, (0, 1), memo)
+    assert values == [F(1, 2)]
+    # A single positive loop is accepted, and a component without a
+    # positive cycle in dimension 1 rejected, without the LP.
+    t_loop = [run_ex.edge_by_id[2]]
+    assert games._positive_component(run_ex, {"t"}, t_loop, (0, 1), {})
+    uv_bad = [run_ex.edge_by_id[4], run_ex.edge_by_id[6]]
+    assert not games._positive_component(run_ex, {"u", "v"}, uv_bad, (0, 1), {})
+    assert values == [F(1, 2)]
+
+
+def _spoiler_game(rng: random.Random, dim: int, n: int = 7) -> Mdp:
+    """n states, 2 to 6 of them random, every state with two out-edges:
+    up to 64 memoryless spoilers."""
+    n_rand = rng.randint(2, 6)
+    owners = ["random"] * n_rand + ["controller"] * (n - n_rand)
+    rng.shuffle(owners)
+    edges, probs = [], {}
+    for i, owner in enumerate(owners):
+        for _ in range(2):
+            eid = len(edges)
+            edges.append((eid, f"q{i}", f"q{rng.randrange(n)}",
+                          [rng.randint(-3, 3) for _ in range(dim)]))
+            if owner == "random":
+                probs[eid] = F(1, 2)
+    return Mdp.build(dim, list(zip((f"q{i}" for i in range(n)), owners)), edges, probs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wc_region_matches_plain_enumeration(dim):
+    # States and first-found certificates equal plain enumeration's.
+    rng = random.Random(30 + dim)
+    for _ in range(12):
+        mdp = _spoiler_game(rng, dim)
+        dims = tuple(range(dim))
+        region = wc_winning_region(mdp, dims)
+        states, certificates = brute_wc_region(mdp, dims)
+        assert region.states == states
+        assert {s: c.choice for s, c in region.certificates.items()} == certificates
+
+
+def test_unidim_certificates_first_in_enumeration_order():
+    # Spoilers run (a: e0, b: e2), (a: e0, b: e3), (a: e1, b: e2), ...;
+    # the second is the first to beat b (its -1 loop), the third the first
+    # to beat a; c's +1 loop always wins.
+    m = Mdp.build(1, [("a", "random"), ("b", "random"), ("c", "controller")],
+                  [(0, "a", "c", [1]), (1, "a", "a", [-1]), (2, "b", "a", [0]),
+                   (3, "b", "b", [-1]), (4, "c", "c", [1])],
+                  {0: F(1, 2), 1: F(1, 2), 2: F(1, 2), 3: F(1, 2)})
+    region = wc_winning_region(m, dims=(0,))
+    assert region.states == {"c"}
+    assert region.certificates == {"a": AdversaryChoice((("a", 1), ("b", 2))),
+                                   "b": AdversaryChoice((("a", 0), ("b", 3)))}
+    for s, cert in region.certificates.items():
+        assert revalidate_certificate(m, s, cert, (0,))
 
 
 def test_wc_region_fixtures(run_ex, run_ex_bas):

@@ -160,6 +160,26 @@ def test_several_starts_union():
             assert karp_min_mean(graph, dim) == min(per_start, default=None)
 
 
+def test_witness_cycle_is_closed():
+    # The DFS over tight edges starts at node 0, whose tight edge enters
+    # the min-mean cycle 1 -> 2 -> 1: that entry edge is not on the cycle.
+    g = WeightedGraph((0, 1, 2), ((0, 1, (-1,), "ab"), (1, 2, (-1,), "bc"),
+                                  (2, 1, (-1,), "cb"), (2, 0, (5,), "ca")), (0,))
+    assert karp_min_mean(g, 0) == -1
+    assert min_mean_cycle_witness(g, 0, F(-1)) == ["bc", "cb"]
+    rng = random.Random(14)
+    for _ in range(40):
+        mdp = random_mdp(rng)
+        g = mdp_graph(mdp)
+        for dim in range(mdp.dimension):
+            cyc = min_mean_cycle_witness(g, dim, F(3))
+            if cyc is None:
+                continue
+            edges = [mdp.edge_by_id[eid] for eid in cyc]
+            assert all(a.target == b.source for a, b in zip(edges, edges[1:] + edges[:1]))
+            assert F(sum(e.weight[dim] for e in edges), len(edges)) == karp_min_mean(g, dim)
+
+
 def test_witness_cycle_mean_matches(run_ex):
     g = mdp_graph(run_ex, "s")
     cyc = min_mean_cycle_witness(g, 1, F(0))
