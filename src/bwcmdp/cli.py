@@ -103,7 +103,7 @@ def cmd_prune(args) -> int:
     dims = games.nontrivial_dims(q, mdp.max_abs_weight)
     nmdp, _ = normalize(mdp, q)
     region = games.wc_winning_region(nmdp, dims, args.budget)
-    result = games.prune(nmdp, args.frm, dims, args.budget)
+    result = games.prune_to_region(nmdp, args.frm, region)
     losing = {s: dict(c.choice) for s, c in region.certificates.items()}
     if isinstance(result, games.Unsatisfiable):
         _emit({"satisfiable": False, "losing_certificates": losing})

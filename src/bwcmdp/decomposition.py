@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Sequence
 from bwcmdp.model import Mdp, require_valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndComponent:
     """A set of states together with the internal edge ids connecting them.
 

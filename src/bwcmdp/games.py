@@ -17,11 +17,10 @@ maximum-mean cycle of some tracked dimension (or of their sum) has a
 positive total in every tracked dimension.  Only the components neither
 test settles go to the exact LP ``positive_multicycle``.
 
-The unidimensional case gets a pseudo-polynomial fast path: exact game
-values by finite-horizon value iteration with rational rounding, and a
-strict-win test via an energy-game progress measure (which also yields a
-positional winning strategy).  Its losing states take their spoilers
-from the same enumeration, stopped once each has one.
+The unidimensional case gets a pseudo-polynomial fast path: a strict-win
+test via an energy-game progress measure in exact integers (which also
+yields a positional winning strategy).  Its losing states take their
+spoilers from the same enumeration, stopped once each has one.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from bwcmdp import linsolve
 from bwcmdp.decomposition import EndComponent, mecs, reachable, restrict, restrict_states, sccs
@@ -45,7 +42,7 @@ class AdversaryBudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdversaryChoice:
     """One outgoing edge per random state: a memoryless spoiler candidate."""
 
@@ -233,16 +230,7 @@ def revalidate_certificate(mdp: Mdp, state: str, sigma: AdversaryChoice,
 
 
 # ---------------------------------------------------------------------------
-# Unidimensional machinery: energy progress measures and exact game values.
-
-
-def _graph_arrays(mdp: Mdp, dim: int, scale: int = 1, shift: int = 0):
-    idx = {s: i for i, s in enumerate(mdp.state_ids)}
-    src = np.array([idx[e.source] for e in mdp.edges], dtype=np.int64)
-    dst = np.array([idx[e.target] for e in mdp.edges], dtype=np.int64)
-    w = np.array([e.weight[dim] * scale - shift for e in mdp.edges], dtype=np.int64)
-    is_ctrl = np.array([not mdp.is_random(s) for s in mdp.state_ids], dtype=bool)
-    return idx, src, dst, w, is_ctrl
+# Unidimensional machinery: energy progress measures.
 
 
 def energy_progress_measure(mdp: Mdp, dim: int, scale: int, shift: int
@@ -329,51 +317,6 @@ def wc_positional_strategy_unidim(mdp: Mdp, dim: int) -> Optional[dict[str, int]
     return strategy
 
 
-def wc_value_unidim(mdp: Mdp, dim: Optional[int] = None,
-                    dims: Optional[Sequence[int]] = None) -> dict[str, Fraction]:
-    """Exact mean-payoff game values, one non-trivial dimension.
-
-    Finite-horizon value iteration: after k = 4*n^3*W steps the averaged
-    k-step optimum is within 1/(2n^2) of the game value, which is the
-    unique rational with denominator <= n in that window.  Iteration runs
-    in int64 (bounds checked), rounding is exact via limit_denominator.
-    """
-    require_valid(mdp)
-    if dim is None:
-        active = list(dims) if dims is not None else list(range(mdp.dimension))
-        if len(active) != 1:
-            raise ValueError(f"need exactly one non-trivial dimension, got {active}")
-        dim = active[0]
-
-    n = len(mdp.state_ids)
-    idx, src, dst, w, is_ctrl = _graph_arrays(mdp, dim)
-    W = int(np.max(np.abs(w))) if len(w) else 0
-    if W == 0:
-        return {s: Fraction(0) for s in mdp.state_ids}
-    k = 4 * n * n * n * W
-    if (k + 1) * W >= 2**62:
-        raise OverflowError("value-iteration horizon exceeds int64 range")
-
-    NEG = np.int64(-(2**62))
-    POS = np.int64(2**62)
-    v = np.zeros(n, dtype=np.int64)
-    order = np.argsort(src, kind="stable")
-    src_s, dst_s, w_s = src[order], dst[order], w[order]
-    ctrl_mask = is_ctrl[src_s]
-    for _ in range(k):
-        cand = v[dst_s] + w_s
-        up = np.full(n, NEG, dtype=np.int64)
-        np.maximum.at(up, src_s[ctrl_mask], cand[ctrl_mask])
-        down = np.full(n, POS, dtype=np.int64)
-        np.minimum.at(down, src_s[~ctrl_mask], cand[~ctrl_mask])
-        v = np.where(is_ctrl, up, down)
-    values = {}
-    for s, i in idx.items():
-        approx = Fraction(int(v[i]), k)
-        values[s] = approx.limit_denominator(n)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Trivial dimensions, MWEC decomposition, pruning.
 
@@ -431,7 +374,13 @@ def prune(mdp: Mdp, start: str, dims: Optional[Sequence[int]] = None,
     if start not in mdp.owner:
         raise KeyError(f"unknown state {start!r}")
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
-    region = wc_winning_region(mdp, dims, budget)
+    return prune_to_region(mdp, start, wc_winning_region(mdp, dims, budget))
+
+
+def prune_to_region(mdp: Mdp, start: str, region: WinningRegion):
+    """``prune`` with the worst-case winning region already solved."""
+    if start not in mdp.owner:
+        raise KeyError(f"unknown state {start!r}")
     if start not in region:
         return Unsatisfiable(start, region.certificates.get(start))
     sub = restrict_states(mdp, region.states)

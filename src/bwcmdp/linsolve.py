@@ -10,14 +10,18 @@ positive minimum margin, and conversely y* > 0 makes every strict row
 strict at once.
 
 Everything is computed in `fractions.Fraction`; no floating point touches
-a decision anywhere.
+a decision anywhere.  Tableau rows are sparse ``{column: entry}`` dicts
+of their nonzero entries, plain ``int`` where integral and ``Fraction``
+otherwise (``entry``).  A pivot updates only the rows with an entry in
+its column (``pivot``, through ``sub_row``), and
+``verification.solve_linear`` runs Gauss-Jordan on the same ``pivot``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from bwcmdp.rationals import format_rational
 
@@ -180,12 +184,39 @@ def maximize(variables: Sequence[str], nonneg_vars: set[str],
     return st, asg, val
 
 
+def entry(v: Fraction) -> Union[int, Fraction]:
+    """An exact row entry: integral values as plain ``int``, which multiply
+    and add many times faster than ``Fraction`` and compare equal to it."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def sub_row(target: dict, f, row: dict) -> None:
+    """``target -= f * row`` on sparse rows of exact entries (nonzero
+    ``int``/``Fraction`` values), deleting the entries that cancel."""
+    nf = -f
+    for j, a in row.items():
+        v = target.get(j)
+        if v is None:
+            v = nf * a
+        else:
+            v += nf * a
+            if not v:
+                del target[j]
+                continue
+        target[j] = v.numerator if v.denominator == 1 else v
+
+
 def _simplex(variables, nonneg, rows, objective):
     """Two-phase primal simplex on named variables.
 
     Free variables are split into positive and negative parts; weak
     inequalities get surplus variables.  Bland's anti-cycling rule is used
     in both phases, so termination is guaranteed.
+
+    The tableau rows, and the objective rows, are sparse ``{column:
+    entry}`` dicts (see ``entry``) holding their nonzero entries only,
+    with the rhs (and the objective value) under key ``total``; column
+    ``ncols + i`` is row i's phase-1 artificial.
     """
     cols: list[str] = []
     col_of: dict[str, int] = {}
@@ -232,54 +263,44 @@ def _simplex(variables, nonneg, rows, objective):
 
     ncols = len(cols)
     nrows = len(matrix)
-    tab = [[Fraction(0)] * ncols + [Fraction(0)] for _ in range(nrows)]
+    art0 = ncols
+    total = ncols + nrows
+    tab: list[dict] = []
     for i, row in enumerate(matrix):
         sign = 1 if rhs[i] >= 0 else -1
-        for j, a in row.items():
-            tab[i][j] = a * sign
-        tab[i][ncols] = rhs[i] * sign
+        t = {j: entry(a * sign) for j, a in row.items() if a}
+        t[art0 + i] = 1
+        if rhs[i]:
+            t[total] = entry(rhs[i] * sign)
+        tab.append(t)
 
     # Phase 1: artificial basis, minimize artificial mass.
-    art0 = ncols
-    for i in range(nrows):
-        for r in range(nrows):
-            tab[r].insert(ncols + i, Fraction(1) if r == i else Fraction(0))
-    total = ncols + nrows
     basis = [art0 + i for i in range(nrows)]
-
-    obj1 = [Fraction(0)] * (total + 1)
-    for j in range(art0, total):
-        obj1[j] = Fraction(-1)
+    obj1 = {j: -1 for j in range(art0, total)}
     _price_out(tab, obj1, basis)
-    _iterate(tab, obj1, basis, total, blocked=())
-    if obj1[total] != 0:
+    _iterate(tab, obj1, basis, total)
+    if obj1.get(total):
         return "infeasible", None, None
 
-    _evict_artificials(tab, basis, art0, total)
-    live = [i for i in range(len(tab)) if basis[i] < art0 or any(tab[i][j] != 0 for j in range(art0))]
-    keep = []
-    basis2 = []
-    for i, row in enumerate(tab):
+    # Evict what artificials can leave the basis, drop the rows whose
+    # artificial cannot (redundant all-zero rows), and the artificial
+    # columns, which phase 2 never enters.
+    for i in range(len(tab)):
         if basis[i] >= art0:
-            # Redundant all-zero row (after eviction attempts): drop it.
-            continue
-        keep.append(row)
-        basis2.append(basis[i])
-    tab = keep
-    basis = basis2
-    del live
+            pivot_col = min((j for j in tab[i] if j < art0), default=None)
+            if pivot_col is not None:
+                pivot(tab, None, basis, i, pivot_col)
+    kept = [i for i in range(len(tab)) if basis[i] < art0]
+    tab = [{j: a for j, a in tab[i].items() if not art0 <= j < total} for i in kept]
+    basis = [basis[i] for i in kept]
 
-    obj_expanded = expand(objective)
-    obj2 = [Fraction(0)] * (total + 1)
-    for j, a in obj_expanded.items():
-        obj2[j] = a
+    obj2 = {j: entry(a) for j, a in expand(objective).items()}
     _price_out(tab, obj2, basis)
-    status = _iterate(tab, obj2, basis, total, blocked=tuple(range(art0, total)))
+    status = _iterate(tab, obj2, basis, total)
 
     assignment = {v: Fraction(0) for v in cols}
     for i, bvar in enumerate(basis):
-        if bvar < art0:
-            assignment[cols[bvar]] = tab[i][total]
+        assignment[cols[bvar]] = Fraction(tab[i].get(total, 0))
     merged: dict[str, Fraction] = {}
     for v in variables:
         if v in split:
@@ -294,70 +315,47 @@ def _simplex(variables, nonneg, rows, objective):
 
 
 def _price_out(tab, obj, basis):
-    total = len(obj) - 1
     for i, bvar in enumerate(basis):
-        c = obj[bvar]
-        if c != 0:
-            row = tab[i]
-            for j in range(total + 1):
-                if row[j] != 0:
-                    obj[j] -= c * row[j]
+        c = obj.get(bvar)
+        if c:
+            sub_row(obj, c, tab[i])
 
 
-def _evict_artificials(tab, basis, art0, total):
-    for i in range(len(tab)):
-        if basis[i] < art0:
-            continue
-        row = tab[i]
-        pivot_col = next((j for j in range(art0) if row[j] != 0), None)
-        if pivot_col is not None:
-            _pivot(tab, None, basis, i, pivot_col)
-
-
-def _iterate(tab, obj, basis, total, blocked):
-    blocked_set = set(blocked)
+def _iterate(tab, obj, basis, total):
+    """Bland's rule: the lowest column with positive reduced cost enters;
+    ratio ties leave by the lowest basis index."""
     while True:
-        enter = None
-        for j in range(total):
-            if j in blocked_set:
-                continue
-            if obj[j] > 0:
-                enter = j
-                break
+        enter = min((j for j, c in obj.items() if c > 0 and j != total), default=None)
         if enter is None:
             return "optimal"
         leave = None
         best = None
         for i, row in enumerate(tab):
-            a = row[enter]
-            if a > 0:
-                ratio = row[total] / a
+            a = row.get(enter)
+            if a is not None and a > 0:
+                ratio = Fraction(row.get(total, 0), a)
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             return "unbounded"
-        _pivot(tab, obj, basis, leave, enter)
+        pivot(tab, obj, basis, leave, enter)
 
 
-def _pivot(tab, obj, basis, r, c):
-    total = len(tab[r]) - 1
+def pivot(tab, obj, basis, r, c):
+    """Pivot sparse rows on entry (r, c): scale row r to a 1 in column c,
+    clear column c from the other rows and from the objective row ``obj``
+    (if any) with ``sub_row``, and record c as row r's basic column."""
     row = tab[r]
     p = row[c]
     if p != 1:
-        inv = Fraction(1) / p
-        tab[r] = row = [x * inv for x in row]
+        inv = entry(Fraction(1) / p)
+        tab[r] = row = {j: entry(a * inv) for j, a in row.items()}
     for i, other in enumerate(tab):
-        if i == r:
-            continue
-        f = other[c]
-        if f != 0:
-            tab[i] = [x - f * y for x, y in zip(other, row)]
-    if obj is not None:
-        f = obj[c]
-        if f != 0:
-            for j in range(total + 1):
-                obj[j] -= f * row[j]
+        if i != r and c in other:
+            sub_row(other, other[c], row)
+    if obj is not None and c in obj:
+        sub_row(obj, obj[c], row)
     basis[r] = c
 
 

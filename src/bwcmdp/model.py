@@ -26,7 +26,7 @@ MODES = ("wc", "exp", "bas", "bwc-fin", "bwc-inf")
 _CLAMPING_MODES = frozenset({"bas", "bwc-fin", "bwc-inf"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     eid: int
     source: str
@@ -252,10 +252,11 @@ def normalize(mdp: Mdp, query: ThresholdQuery) -> tuple[Mdp, ThresholdQuery]:
     scale = [f.denominator for f in mu]
     shift = [f.numerator for f in mu]
 
-    new_weights = {}
-    for e in mdp.edges:
-        new_weights[e.eid] = tuple(e.weight[i] * scale[i] - shift[i] for i in range(d))
-    shifted = mdp.replace_weights(new_weights)
+    if any(shift) or any(b != 1 for b in scale):
+        shifted = mdp.replace_weights({
+            e.eid: tuple(e.weight[i] * scale[i] - shift[i] for i in range(d)) for e in mdp.edges})
+    else:
+        shifted = mdp  # mu = 0: the weights are already normalized
 
     nu2 = []
     for i in range(d):

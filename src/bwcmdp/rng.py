@@ -8,7 +8,10 @@ and lets the vectorized and scalar simulators agree exactly.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -38,11 +41,15 @@ def uniform(key: int, counter: int) -> float:
 
 
 def run_keys_array(seed: int, runs: int) -> np.ndarray:
+    import numpy as np
+
     return np.array([run_key(seed, r) for r in range(runs)], dtype=np.uint64)
 
 
 def uniform_array(keys: np.ndarray, counter: int) -> np.ndarray:
     """Vectorized `uniform` across run streams for one shared counter."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         x = keys ^ np.uint64((counter + 1) * _M1 & _MASK)
         z = x + np.uint64(_PHI)

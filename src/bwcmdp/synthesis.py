@@ -38,9 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from bwcmdp import games, rng
 from bwcmdp.decomposition import EndComponent, restrict, sccs
@@ -48,6 +46,9 @@ from bwcmdp.machines import MachineError, induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.systems import Decision, Witness, decide, xe, ye, ys
 from bwcmdp.verification import expected_mp, verify_almost_sure, verify_worstcase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEARCH_CAP = 1 << 16
 ENUM_BUDGET = 1 << 20  # memoryless_wc_search candidates
@@ -947,6 +948,8 @@ class BranchedInfiniteStrategy:
         Monitor comparisons run in int64; magnitudes are bounded and
         checked on entry.
         """
+        import numpy as np
+
         from bwcmdp.verification import _chain_arrays
 
         origin = self.start
@@ -1081,6 +1084,8 @@ class BranchedInfiniteStrategy:
 def _reported_weights(chain, mdp: Mdp, shape) -> np.ndarray:
     """``mdp``'s weight of every chain transition, laid out as in
     ``_chain_arrays``; the edge out of a pre-state weighs 0."""
+    import numpy as np
+
     out = np.zeros(shape, dtype=np.int64)
     for i, row in enumerate(chain.transitions):
         if chain.nodes[i][0] in mdp.owner:

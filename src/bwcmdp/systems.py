@@ -250,13 +250,14 @@ def ec_expectation_system(mdp: Mdp, ec: EndComponent, nu: Sequence[Fraction],
 # Decisions.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """Everything synthesis needs from a yes-decision.
 
     ``mdp`` is the prepared instance the assignment refers to: normalized,
     pruned (bwc modes), restricted to the reachable part, and with a
     controller pre-state inserted when the start state was random.
+    ``assignment`` holds the nonzero variables only; the rest are 0.
     """
 
     mdp: Mdp
@@ -268,7 +269,7 @@ class Witness:
     slack: Optional[Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     answer: bool
     mode: str
@@ -281,7 +282,7 @@ class Decision:
         if self.witness is not None:
             out["witness"] = {
                 "assignment": {k: format_rational(v)
-                               for k, v in sorted(self.witness.assignment.items()) if v != 0},
+                               for k, v in sorted(self.witness.assignment.items()) if v},
                 "decomposition": [sorted(c.states) for c in self.witness.components],
                 "slack": format_rational(self.witness.slack) if self.witness.slack is not None else None,
             }
@@ -358,6 +359,7 @@ def decide(mdp: Mdp, query: ThresholdQuery,
     if not outcome.strict_feasible:
         return Decision(False, query.mode, failure="threshold system infeasible")
     witness = Witness(mdp=base, start=start2, nu=tuple(nquery.nu), dims=dims,
-                      components=tuple(comps), assignment=outcome.assignment,
+                      components=tuple(comps),
+                      assignment={k: v for k, v in outcome.assignment.items() if v},
                       slack=outcome.slack)
     return Decision(True, query.mode, witness=witness)

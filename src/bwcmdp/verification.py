@@ -1,12 +1,15 @@
 """Exact verification of finite-memory strategies, plus seeded simulation.
 
 Exact side: bottom-SCC analysis of induced chains with rational reach
-probabilities and stationary distributions; minimum cycle means by Karp's
-algorithm on support products (worst case); BSCC expectations (almost
-sure / expectation).  Every verdict is computed in exact arithmetic.
+probabilities and stationary distributions (Gauss-Jordan on the
+simplex's sparse rows); minimum cycle means by Karp's algorithm in
+Python integers on support products (worst case); BSCC expectations
+(almost sure / expectation).  Every verdict is computed in exact
+arithmetic.
 
 Simulation side: seeded Monte Carlo over the induced chain with one
-deterministic stream per run.  Floating point appears only in reported
+deterministic stream per run, vectorized in NumPy, which only the
+simulation functions import.  Floating point appears only in reported
 statistics, never in verdicts.
 """
 
@@ -14,38 +17,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from bwcmdp import rng
 from bwcmdp.decomposition import index_reachable, index_sccs
+from bwcmdp.linsolve import entry, pivot
 from bwcmdp.machines import InducedChain, induced_chain, support_product
 from bwcmdp.model import Mdp
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (small dense systems over Fraction).
+# Exact linear algebra: Gauss-Jordan on the simplex's sparse rows.
 
 
 def solve_linear(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gaussian elimination with exact rationals; rhs holds columns to solve for."""
+    """Solve ``matrix @ X = rhs`` exactly; rhs holds the columns to solve for.
+
+    Gauss-Jordan with ``linsolve.pivot`` on sparse rows of exact entries
+    (``linsolve.entry``), the rhs columns after the matrix's.
+    """
     n = len(matrix)
     k = len(rhs[0]) if rhs else 0
-    a = [row[:] + r[:] for row, r in zip(matrix, rhs)]
-    cols = n + k
+    rows = [{j: entry(Fraction(v)) for j, v in enumerate([*row, *r]) if v}
+            for row, r in zip(matrix, rhs)]
+    basis = list(range(n))
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if col in rows[r]), None)
         if piv is None:
             raise ArithmeticError("singular matrix in exact solve")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:cols] for row in a]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot(rows, None, basis, col, col)
+    return [[Fraction(row.get(j, 0)) for j in range(n, n + k)] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -194,44 +199,40 @@ def _cycle_sccs(graph: WeightedGraph) -> list[tuple[list[int], list]]:
     return [(comp, internal) for comp, internal in comps if internal]
 
 
-# Karp's table runs in int64 with this as infinity while every path sum
-# stays strictly inside (-INF, INF), in Python ints otherwise.
-_KARP_INF = 2**62
-
-
 def _karp_scc(comp: list[int], edges, dim: int) -> Fraction:
     """Minimum cycle mean of one SCC (assumed to contain an edge cycle)."""
     pos = {v: i for i, v in enumerate(comp)}
     m = len(comp)
     arcs = [(pos[u], pos[v], w[dim]) for u, v, w, _ in edges]
-    # int64 while every path sum stays below the infinity; exact Python
-    # ints (object dtype) beyond it.
-    inf = max(_KARP_INF, m * max(abs(w) for _, _, w in arcs) + 1)
-    dtype = np.int64 if inf == _KARP_INF else object
-    src = np.array([u for u, _, _ in arcs], dtype=np.int64)
-    dst = np.array([v for _, v, _ in arcs], dtype=np.int64)
-    ws = np.array([w for _, _, w in arcs], dtype=dtype)
-    table = np.full((m + 1, m), inf, dtype=dtype)
-    table[0][0] = 0
+    # D[k][v]: least weight of a k-edge walk from node 0 to v, None if none.
+    D: list[list[Optional[int]]] = [[None] * m for _ in range(m + 1)]
+    D[0][0] = 0
     for k in range(1, m + 1):
-        prev = table[k - 1]
-        ok = prev[src] < inf
-        np.minimum.at(table[k], dst[ok], prev[src[ok]] + ws[ok])
-    D = table.tolist()
+        prev, cur = D[k - 1], D[k]
+        for u, v, w in arcs:
+            if prev[u] is not None:
+                x = prev[u] + w
+                if cur[v] is None or x < cur[v]:
+                    cur[v] = x
     # Means as (numerator, length) pairs, compared by cross-multiplication.
+    # A node stops being scanned once its running maximum reaches the best
+    # minimum so far: it can no longer lower it.
     best: Optional[tuple[int, int]] = None
     for v in range(m):
-        if D[m][v] == inf:
+        if D[m][v] is None:
             continue
         worst: Optional[tuple[int, int]] = None
         for k in range(m):
-            if D[k][v] == inf:
+            if D[k][v] is None:
                 continue
             val = (D[m][v] - D[k][v], m - k)
             if worst is None or val[0] * worst[1] > worst[0] * val[1]:
                 worst = val
-        if worst is not None and (best is None or worst[0] * best[1] < best[0] * worst[1]):
-            best = worst
+                if best is not None and worst[0] * best[1] >= best[0] * worst[1]:
+                    break
+        else:
+            if worst is not None:
+                best = worst
     if best is None:
         raise AssertionError("SCC with edges must contain a cycle")
     return Fraction(*best)
@@ -406,6 +407,8 @@ class SimReport:
 
 
 def _chain_arrays(chain: InducedChain):
+    import numpy as np
+
     n = chain.node_count()
     fan = max((len(row) for row in chain.transitions), default=1)
     d = chain.mdp.dimension
@@ -433,6 +436,8 @@ def simulate_chain(chain: InducedChain, horizon: int, runs: int, seed: int,
     step t.  Total payoffs are exact int64 sums; a horizon whose totals
     could leave that range raises OverflowError.
     """
+    import numpy as np
+
     if horizon * chain.mdp.max_abs_weight >= 2**63:
         raise OverflowError("simulated totals exceed int64 range")
     d = chain.mdp.dimension
@@ -459,6 +464,8 @@ def simulate_chain(chain: InducedChain, horizon: int, runs: int, seed: int,
 
 def _report_from_tp(tp: np.ndarray, horizon: int, runs: int, seed: int,
                     mu, monitor_violations: int) -> SimReport:
+    import numpy as np
+
     mp = tp / float(horizon)
     exceed = None
     if mu is not None:

@@ -3,7 +3,9 @@
 These deliberately avoid the production algorithms: reachability by path
 closure, end components by subset enumeration, game values by exhaustive
 memoryless strategy pairs, cycle means by simple-cycle enumeration, and
-linear feasibility by vertex enumeration.
+linear feasibility by vertex enumeration.  It also holds the helpers that
+only tests use: game values by value iteration, and the dense simplex the
+sparse one must reproduce.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from bwcmdp.decomposition import EndComponent, restrict
 from bwcmdp.linsolve import EQ, GE, GT, LinearSystem
-from bwcmdp.model import Mdp
+from bwcmdp.model import Mdp, require_valid
 from bwcmdp.synthesis import MonitoredMachine, _guaranteed_floor
 
 
@@ -204,6 +208,24 @@ def brute_min_cycle_mean(nodes, edges, dim: int):
     return best
 
 
+def karp_formula(comp, edges, dim: int) -> Fraction:
+    """Karp's theorem as written: min over v of max over k of
+    (D_m(v) - D_k(v)) / (m - k), every term a Fraction, nothing pruned."""
+    m = len(comp)
+    pos = {v: i for i, v in enumerate(comp)}
+    D = [[None] * m for _ in range(m + 1)]
+    D[0][0] = 0
+    for k in range(1, m + 1):
+        for u, v, w, _ in edges:
+            u, v = pos[u], pos[v]
+            if D[k - 1][u] is not None:
+                x = D[k - 1][u] + w[dim]
+                if D[k][v] is None or x < D[k][v]:
+                    D[k][v] = x
+    return min(max(Fraction(D[m][v] - D[k][v], m - k) for k in range(m) if D[k][v] is not None)
+               for v in range(m) if D[m][v] is not None)
+
+
 def vertex_feasible(system: LinearSystem) -> bool:
     """Feasibility by vertex enumeration (weak relaxation of strict rows).
 
@@ -316,3 +338,248 @@ def wec_combined(mdp: Mdp, wec: EndComponent, expectation_machine,
         recovery = recovery_length(period, sub.max_abs_weight, floor_min, delta, m)
     return MonitoredMachine(sub, expectation_machine, worstcase_machine,
                             period, recovery, floor, delta, dims)
+
+
+# ---------------------------------------------------------------------------
+# Exact unidimensional game values by finite-horizon value iteration.
+
+
+def _graph_arrays(mdp: Mdp, dim: int, scale: int = 1, shift: int = 0):
+    idx = {s: i for i, s in enumerate(mdp.state_ids)}
+    src = np.array([idx[e.source] for e in mdp.edges], dtype=np.int64)
+    dst = np.array([idx[e.target] for e in mdp.edges], dtype=np.int64)
+    w = np.array([e.weight[dim] * scale - shift for e in mdp.edges], dtype=np.int64)
+    is_ctrl = np.array([not mdp.is_random(s) for s in mdp.state_ids], dtype=bool)
+    return idx, src, dst, w, is_ctrl
+
+
+def wc_value_unidim(mdp: Mdp, dim: Optional[int] = None,
+                    dims: Optional[Sequence[int]] = None) -> dict[str, Fraction]:
+    """Exact mean-payoff game values, one non-trivial dimension.
+
+    Finite-horizon value iteration: after k = 4*n^3*W steps the averaged
+    k-step optimum is within 1/(2n^2) of the game value, which is the
+    unique rational with denominator <= n in that window.  Iteration runs
+    in int64 (bounds checked), rounding is exact via limit_denominator.
+    """
+    require_valid(mdp)
+    if dim is None:
+        active = list(dims) if dims is not None else list(range(mdp.dimension))
+        if len(active) != 1:
+            raise ValueError(f"need exactly one non-trivial dimension, got {active}")
+        dim = active[0]
+
+    n = len(mdp.state_ids)
+    idx, src, dst, w, is_ctrl = _graph_arrays(mdp, dim)
+    W = int(np.max(np.abs(w))) if len(w) else 0
+    if W == 0:
+        return {s: Fraction(0) for s in mdp.state_ids}
+    k = 4 * n * n * n * W
+    if (k + 1) * W >= 2**62:
+        raise OverflowError("value-iteration horizon exceeds int64 range")
+
+    NEG = np.int64(-(2**62))
+    POS = np.int64(2**62)
+    v = np.zeros(n, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    src_s, dst_s, w_s = src[order], dst[order], w[order]
+    ctrl_mask = is_ctrl[src_s]
+    for _ in range(k):
+        cand = v[dst_s] + w_s
+        up = np.full(n, NEG, dtype=np.int64)
+        np.maximum.at(up, src_s[ctrl_mask], cand[ctrl_mask])
+        down = np.full(n, POS, dtype=np.int64)
+        np.minimum.at(down, src_s[~ctrl_mask], cand[~ctrl_mask])
+        v = np.where(is_ctrl, up, down)
+    values = {}
+    for s, i in idx.items():
+        approx = Fraction(int(v[i]), k)
+        values[s] = approx.limit_denominator(n)
+    return values
+
+
+# ---------------------------------------------------------------------------
+# The dense Fraction tableau simplex that ``linsolve._simplex`` replaced,
+# kept verbatim as the reference its sparse rows must reproduce pivot for
+# pivot.
+
+
+def dense_simplex(variables, nonneg, rows, objective):
+    """Two-phase primal simplex on named variables.
+
+    Free variables are split into positive and negative parts; weak
+    inequalities get surplus variables.  Bland's anti-cycling rule is used
+    in both phases, so termination is guaranteed.
+    """
+    cols: list[str] = []
+    col_of: dict[str, int] = {}
+
+    def add_col(name):
+        col_of[name] = len(cols)
+        cols.append(name)
+
+    split: dict[str, tuple[str, str]] = {}
+    for v in variables:
+        if v in nonneg:
+            add_col(v)
+        else:
+            split[v] = (v + "⁺", v + "⁻")
+            add_col(split[v][0])
+            add_col(split[v][1])
+
+    def expand(coeffs):
+        out: dict[int, Fraction] = {}
+        for v, a in coeffs.items():
+            a = Fraction(a)
+            if a == 0:
+                continue
+            if v in split:
+                p, n = split[v]
+                out[col_of[p]] = out.get(col_of[p], Fraction(0)) + a
+                out[col_of[n]] = out.get(col_of[n], Fraction(0)) - a
+            else:
+                out[col_of[v]] = out.get(col_of[v], Fraction(0)) + a
+        return out
+
+    matrix: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    for i, (coeffs, rel, b) in enumerate(rows):
+        row = expand(coeffs)
+        if rel == GE:
+            name = f"__s{i}"
+            add_col(name)
+            row[col_of[name]] = Fraction(-1)
+        elif rel != EQ:
+            raise ValueError(f"unsupported relation {rel!r} at simplex level")
+        matrix.append(row)
+        rhs.append(Fraction(b))
+
+    ncols = len(cols)
+    nrows = len(matrix)
+    tab = [[Fraction(0)] * ncols + [Fraction(0)] for _ in range(nrows)]
+    for i, row in enumerate(matrix):
+        sign = 1 if rhs[i] >= 0 else -1
+        for j, a in row.items():
+            tab[i][j] = a * sign
+        tab[i][ncols] = rhs[i] * sign
+
+    # Phase 1: artificial basis, minimize artificial mass.
+    art0 = ncols
+    for i in range(nrows):
+        for r in range(nrows):
+            tab[r].insert(ncols + i, Fraction(1) if r == i else Fraction(0))
+    total = ncols + nrows
+    basis = [art0 + i for i in range(nrows)]
+
+    obj1 = [Fraction(0)] * (total + 1)
+    for j in range(art0, total):
+        obj1[j] = Fraction(-1)
+    _price_out(tab, obj1, basis)
+    _iterate(tab, obj1, basis, total, blocked=())
+    if obj1[total] != 0:
+        return "infeasible", None, None
+
+    _evict_artificials(tab, basis, art0, total)
+    live = [i for i in range(len(tab)) if basis[i] < art0 or any(tab[i][j] != 0 for j in range(art0))]
+    keep = []
+    basis2 = []
+    for i, row in enumerate(tab):
+        if basis[i] >= art0:
+            # Redundant all-zero row (after eviction attempts): drop it.
+            continue
+        keep.append(row)
+        basis2.append(basis[i])
+    tab = keep
+    basis = basis2
+    del live
+
+    obj_expanded = expand(objective)
+    obj2 = [Fraction(0)] * (total + 1)
+    for j, a in obj_expanded.items():
+        obj2[j] = a
+    _price_out(tab, obj2, basis)
+    status = _iterate(tab, obj2, basis, total, blocked=tuple(range(art0, total)))
+
+    assignment = {v: Fraction(0) for v in cols}
+    for i, bvar in enumerate(basis):
+        if bvar < art0:
+            assignment[cols[bvar]] = tab[i][total]
+    merged: dict[str, Fraction] = {}
+    for v in variables:
+        if v in split:
+            p, n = split[v]
+            merged[v] = assignment[p] - assignment[n]
+        else:
+            merged[v] = assignment[v]
+    value = sum((Fraction(a) * merged[v] for v, a in objective.items()), Fraction(0))
+    if status == "unbounded":
+        return "unbounded", merged, None
+    return "optimal", merged, value
+
+
+def _price_out(tab, obj, basis):
+    total = len(obj) - 1
+    for i, bvar in enumerate(basis):
+        c = obj[bvar]
+        if c != 0:
+            row = tab[i]
+            for j in range(total + 1):
+                if row[j] != 0:
+                    obj[j] -= c * row[j]
+
+
+def _evict_artificials(tab, basis, art0, total):
+    for i in range(len(tab)):
+        if basis[i] < art0:
+            continue
+        row = tab[i]
+        pivot_col = next((j for j in range(art0) if row[j] != 0), None)
+        if pivot_col is not None:
+            _pivot(tab, None, basis, i, pivot_col)
+
+
+def _iterate(tab, obj, basis, total, blocked):
+    blocked_set = set(blocked)
+    while True:
+        enter = None
+        for j in range(total):
+            if j in blocked_set:
+                continue
+            if obj[j] > 0:
+                enter = j
+                break
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[total] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        _pivot(tab, obj, basis, leave, enter)
+
+
+def _pivot(tab, obj, basis, r, c):
+    total = len(tab[r]) - 1
+    row = tab[r]
+    p = row[c]
+    if p != 1:
+        inv = Fraction(1) / p
+        tab[r] = row = [x * inv for x in row]
+    for i, other in enumerate(tab):
+        if i == r:
+            continue
+        f = other[c]
+        if f != 0:
+            tab[i] = [x - f * y for x, y in zip(other, row)]
+    if obj is not None:
+        f = obj[c]
+        if f != 0:
+            for j in range(total + 1):
+                obj[j] -= f * row[j]
+    basis[r] = c

@@ -22,7 +22,7 @@ from bwcmdp.systems import decide, ec_expectation_system
 from bwcmdp.verification import (bscc_analysis, expected_mp, simulate,
                                  verify_almost_sure, verify_worstcase)
 from conftest import random_game, random_mdp, random_query
-from oracles import brute_game_value, vertex_feasible
+from oracles import brute_game_value, vertex_feasible, wc_value_unidim
 
 
 @contextmanager
@@ -177,7 +177,7 @@ def test_criterion_5_property_suite(corpus):
 
 
 def test_criterion_6_game_oracle_equivalence():
-    from bwcmdp.games import wc_value_unidim, wc_winning_region
+    from bwcmdp.games import wc_winning_region
 
     with criterion(6, "game values and regions match brute-force max-min on 100 games"):
         rng = random.Random(999)

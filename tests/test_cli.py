@@ -89,6 +89,75 @@ def test_prune_exit(capsys, bas_path):
     assert code == 1 and not json.loads(out)["satisfiable"]
 
 
+def test_prune_solves_the_game_once(capsys, bas_path, monkeypatch):
+    from bwcmdp import games
+
+    calls = []
+    solve = games.wc_winning_region
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(games, "wc_winning_region", counted)
+    code, out, _ = run_cli(capsys, "prune", "--mdp", bas_path, "--from", "s")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out) == {"satisfiable": True, "states": ["s", "t"], "edges": [0, 2],
+                               "losing_certificates": {"u": {"v": 6}, "v": {"v": 6}}}
+
+
+_NO_NUMPY = """
+import io, json, sys
+from contextlib import redirect_stdout
+import bwcmdp.cli, bwcmdp.synthesis
+from bwcmdp import jsonio
+from bwcmdp.model import fixture
+
+run, bas, fin, sb = sys.argv[1:5]
+jsonio.save_mdp(run, fixture("RUN_EX"))
+jsonio.save_mdp(bas, fixture("RUN_EX_BAS"))
+
+def cli(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = bwcmdp.cli.main(list(argv))
+    return code, out.getvalue()
+
+codes = [cli("decide", "--mdp", run, "--mode", mode, "--from", "s", "--mu=0,0",
+             "--nu=0,9")[0] for mode in ("wc", "exp", "bas", "bwc-fin", "bwc-inf")]
+codes.append(cli("synthesize", "--mdp", run, "--mode", "bwc-fin", "--from", "s",
+                 "--mu=0,0", "--nu=0,9", "--out", fin)[0])
+codes.append(cli("synthesize", "--mdp", bas, "--mode", "bas", "--from", "s",
+                 "--mu=0,0", "--nu=99/10,99/10", "--out", sb)[0])
+codes.append(cli("verify", "--mdp", run, "--strategy", fin, "--from", "s", "--check", "wc",
+                 "--mu=0,0")[0])
+before = "numpy" in sys.modules
+code, report = cli("simulate", "--mdp", bas, "--strategy", sb, "--from", "s", "--runs", "200",
+                   "--horizon", "300", "--seed", "11", "--mu=0,0")
+print(json.dumps({"codes": codes + [code], "numpy_before": before,
+                  "numpy_after": "numpy" in sys.modules, "report": json.loads(report)}))
+"""
+
+
+def test_decide_path_never_imports_numpy(tmp_path):
+    # Importing NumPy costs about 14 MB of RSS and 0.1 s: decide, synthesize
+    # and verify never load it, simulate does.
+    src = os.path.dirname(os.path.dirname(bwcmdp.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    paths = [str(tmp_path / name) for name in ("run.json", "bas.json", "fin.json", "bas_s.json")]
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY, *paths], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    got = json.loads(done.stdout)
+    assert got["codes"] == [0] * 9
+    assert not got["numpy_before"] and got["numpy_after"]
+    assert got["report"] == {
+        "exceed_fraction": 0.985, "horizon": 300, "max": [14.9, 14.95],
+        "mean": [10.140000000000022, 9.901000000000016],
+        "min": [4.983333333333333, -1.3333333333333333], "monitor_violations": 0,
+        "runs": 200, "seed": 11, "stddev": [4.966797632979243, 5.212217651056762]}
+
+
 def test_synthesize_verify_simulate_round_trip(capsys, bas_path, tmp_path):
     strat = str(tmp_path / "strategy.json")
     code, out, _ = run_cli(capsys, "synthesize", "--mdp", bas_path, "--mode", "bas",

@@ -10,10 +10,10 @@ from bwcmdp import games
 from bwcmdp.decomposition import mecs, restrict, sccs
 from bwcmdp.games import (AdversaryChoice, Unsatisfiable, mwecs, positive_multicycle,
                           prune, revalidate_certificate, wc_positional_strategy_unidim,
-                          wc_value_unidim, wc_winning_region)
+                          wc_winning_region)
 from bwcmdp.model import Mdp
 from conftest import random_game, random_mdp
-from oracles import brute_game_value, brute_wc_region, lp_positive_component
+from oracles import brute_game_value, brute_wc_region, lp_positive_component, wc_value_unidim
 
 
 def test_multicycle_single_loop(run_ex):
@@ -241,3 +241,10 @@ def test_prune(run_ex, run_ex_bas):
     result = prune(run_ex_bas, "u")
     assert isinstance(result, Unsatisfiable)
     assert isinstance(result.certificate, AdversaryChoice)
+
+
+def test_prune_unknown_start_solves_nothing(run_ex, monkeypatch):
+    # The start is checked before the game is solved.
+    monkeypatch.setattr(games, "wc_winning_region", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(KeyError):
+        prune(run_ex, "nowhere")

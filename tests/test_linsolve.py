@@ -96,3 +96,77 @@ def test_dump_text():
     s.add({"x": 1, "y": F(-1, 2)}, ">", F(3))
     text = s.dump_text()
     assert "x" in text and "> 3" in text and "1/2*y" in text
+
+
+def _random_rows(rng: random.Random):
+    """A random `_simplex` input: some free variables, =/>= rows, and an
+    objective that is sometimes empty."""
+    nvars = rng.randint(1, 5)
+    variables = [f"v{i}" for i in range(nvars)]
+    nonneg = {v for v in variables if rng.random() < 0.7}
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {v: F(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+                  for v in variables if rng.random() < 0.7}
+        rows.append((coeffs, rng.choice(["=", ">=", ">="]), F(rng.randint(-4, 4), rng.choice([1, 2]))))
+    objective = {v: F(rng.randint(-2, 2)) for v in variables if rng.random() < 0.5}
+    return variables, nonneg, rows, objective
+
+
+def _redundant_rows(rng: random.Random):
+    """Equalities plus a combination of two of them: after phase 1 the
+    combination's artificial stays basic on an all-zero row."""
+    variables, nonneg, rows, objective = _random_rows(rng)
+    eqs = [(c, F(rng.randint(0, 4))) for c, _, _ in rows[:2]]
+    rows = [(c, "=", b) for c, b in eqs] + rows[2:]
+    (c1, b1), (c2, b2) = eqs[0], eqs[-1]
+    combo = {v: c1.get(v, 0) + 2 * c2.get(v, 0) for v in set(c1) | set(c2)}
+    rows.append((combo, "=", b1 + 2 * b2))
+    return variables, nonneg, rows, objective
+
+
+def _same_as_dense(variables, nonneg, rows, objective, sparse=None):
+    import copy
+
+    from bwcmdp import linsolve
+    from oracles import dense_simplex
+
+    got = (sparse or linsolve._simplex)(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
+    want = dense_simplex(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
+    assert got == want
+    if got[1] is not None:
+        assert all(type(v) is F for v in got[1].values())
+    return got[0]
+
+
+def test_sparse_simplex_matches_dense_tableau(monkeypatch):
+    from bwcmdp import linsolve
+    from bwcmdp.decomposition import mecs
+    from bwcmdp.systems import _flow_system, ensure_controller_start
+    from conftest import random_mdp
+
+    rng = random.Random(808)
+    statuses = []
+    for _ in range(400):
+        statuses.append(_same_as_dense(*_random_rows(rng)))
+    for _ in range(100):
+        statuses.append(_same_as_dense(*_redundant_rows(rng)))
+    assert all(statuses.count(s) >= 50 for s in ("optimal", "infeasible", "unbounded"))
+
+    # Flow systems, solved through `solve` (strict rows, slack, capped re-solve).
+    real = linsolve._simplex
+
+    def both(*args):
+        _same_as_dense(*args, sparse=real)
+        return real(*args)
+
+    monkeypatch.setattr(linsolve, "_simplex", both)
+    solved = 0
+    for _ in range(40):
+        mdp = random_mdp(rng)
+        mdp, start = ensure_controller_start(mdp, rng.choice(mdp.state_ids))
+        nu = [F(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(mdp.dimension)]
+        for positivity in (False, True):
+            linsolve.solve(_flow_system(mdp, start, nu, mecs(mdp), positivity, positivity))
+            solved += 1
+    assert solved == 80

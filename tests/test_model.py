@@ -98,6 +98,7 @@ def test_normalize_identity(run_ex):
     q = _q("bwc-fin", [0, 0], [0, 9])
     m2, q2 = normalize(run_ex, q)
     assert [e.weight for e in m2.edges] == [e.weight for e in run_ex.edges]
+    assert m2 is run_ex  # mu = 0: nothing to copy
     assert q2.mu == (F(0), F(0)) and q2.nu == (F(0), F(9))
 
 
@@ -120,6 +121,7 @@ def test_normalize_exp_mode_unclamped():
     m = Mdp.build(1, [("a", "controller")], [(0, "a", "a", [-1])])
     m2, q2 = normalize(m, _q("exp", [F(-1)], [F(-2)], "a"))
     assert m2.edges[0].weight == (-1,)
+    assert m2 is m
     assert q2.nu == (F(-2),)
 
 
@@ -128,6 +130,7 @@ def test_normalize_idempotent(run_ex):
     m1, q1 = normalize(run_ex, q)
     m2, q2 = normalize(m1, q1)
     assert [e.weight for e in m2.edges] == [e.weight for e in m1.edges]
+    assert m2 is m1
     assert q2 == q1
 
 

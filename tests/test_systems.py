@@ -1,5 +1,6 @@
 """Threshold-system builders and the decision procedures."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from bwcmdp.linsolve import residuals
 from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.systems import (decide, ec_expectation_system, ensure_controller_start,
                             finite_memory_system, general_system, xe, ye, ys)
+from conftest import random_mdp, random_query
 
 
 def _satisfies_strictly(system, assignment) -> bool:
@@ -168,3 +170,25 @@ def test_decision_json(run_ex):
     data = dec.to_json()
     assert data["answer"] == "yes" and data["mode"] == "bwc-fin"
     assert data["witness"]["decomposition"] == [["t"]]
+
+
+def test_witness_holds_nonzero_entries_only(run_ex):
+    rng = random.Random(88)
+    witnesses = 0
+    for _ in range(40):
+        mdp = random_mdp(rng)
+        for mode in ("exp", "bas", "bwc-fin", "bwc-inf"):
+            dec = decide(mdp, random_query(rng, mdp, mode))
+            if dec.witness is not None:
+                witnesses += 1
+                assert dec.witness.assignment and all(dec.witness.assignment.values())
+                assert set(dec.to_json()["witness"]["assignment"]) == set(dec.witness.assignment)
+    assert witnesses >= 20
+    # The printed witness is the one the complete assignment gave.
+    dec = decide(run_ex, ThresholdQuery.build("exp", "s", [0, 0], [0, 9]))
+    assert dec.to_json() == {
+        "answer": "yes", "mode": "exp",
+        "witness": {"assignment": {"x[2]": "19/20", "x[4]": "1/40", "x[5]": "1/80",
+                                   "x[6]": "1/80", "y[t]": "19/20", "y[u]": "1/20",
+                                   "ye[0]": "19/20", "ye[1]": "1/20"},
+                    "decomposition": [["t"], ["u", "v"]], "slack": "11/2"}}

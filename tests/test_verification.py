@@ -8,11 +8,11 @@ import pytest
 from bwcmdp.machines import (MachineError, TableMachine, induced_chain, memoryless,
                              support_product)
 from bwcmdp.model import Mdp
-from bwcmdp.verification import (WeightedGraph, bscc_analysis, expected_mp, karp_min_mean,
-                                 mdp_graph, min_mean_cycle_witness, simulate,
+from bwcmdp.verification import (WeightedGraph, _karp_scc, bscc_analysis, expected_mp,
+                                 karp_min_mean, mdp_graph, min_mean_cycle_witness, simulate,
                                  simulate_chain, verify_almost_sure, verify_worstcase)
 from conftest import random_mdp
-from oracles import brute_min_cycle_mean
+from oracles import brute_min_cycle_mean, karp_formula
 
 
 def t_loop_machine(run_ex):
@@ -131,6 +131,26 @@ def test_karp_large_weights_match_cycle_enumeration():
         g = mdp_graph(scaled)
         g = WeightedGraph(g.nodes, g.edges, tuple(range(len(g.nodes))))
         assert karp_min_mean(g, 0) == brute_min_cycle_mean(g.nodes, g.edges, 0)
+
+
+def test_karp_matches_the_formula_on_large_sccs():
+    # Strongly connected graphs of 20 to 120 nodes: a ring plus random
+    # chords.  In every other graph the ring has even length and each
+    # chord an odd offset, so every cycle is even and half of the walk
+    # table stays empty.
+    rng = random.Random(17)
+    for trial in range(24):
+        bipartite = trial % 2 == 1
+        m = rng.randint(10, 60) * 2
+        edges = [(i, (i + 1) % m, (rng.randint(-9, 9),), i) for i in range(m)]
+        for j in range(m // 2):
+            u = rng.randrange(m)
+            v = (u + 2 * rng.randrange(m // 2) + 1) % m if bipartite else rng.randrange(m)
+            edges.append((u, v, (rng.randint(-9, 9),), m + j))
+        comp = list(range(m))
+        want = karp_formula(comp, edges, 0)
+        assert _karp_scc(comp, edges, 0) == want
+        assert karp_min_mean(WeightedGraph(tuple(comp), tuple(edges), (0,)), 0) == want
 
 
 def test_several_starts_union():
@@ -288,3 +308,29 @@ def test_walk_rejects_bad_distributions(run_ex, dist):
     bad.update_table[("t", 0)] = {0: F(1, 2)}
     with pytest.raises(MachineError, match="sum"):
         induced_chain(run_ex, bad, "s")
+
+
+def test_solve_linear_solves_random_systems():
+    from bwcmdp.verification import solve_linear
+
+    rng = random.Random(31)
+    solved = 0
+    while solved < 60:
+        n, k = rng.randint(1, 6), rng.randint(1, 3)
+        ints = solved % 2 == 0  # plain ints half of the time
+        def entry():
+            v = rng.choice([0, 0, rng.randint(-5, 5)])
+            return v if ints else F(v, rng.randint(1, 4))
+        a = [[entry() for _ in range(n)] for _ in range(n)]
+        b = [[entry() for _ in range(k)] for _ in range(n)]
+        try:
+            x = solve_linear(a, b)
+        except ArithmeticError:
+            continue  # singular
+        solved += 1
+        assert all(type(v) is F for row in x for v in row)
+        for i in range(n):
+            for j in range(k):
+                assert sum(a[i][m] * x[m][j] for m in range(n)) == b[i][j]
+    with pytest.raises(ArithmeticError):
+        solve_linear([[1, 2], [2, 4]], [[1], [2]])
