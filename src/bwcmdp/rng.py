@@ -2,8 +2,10 @@
 
 Every run gets its own stream derived from (seed, run index); the draw for
 step t of a run is a pure function of (seed, run, t).  This keeps reports
-bit-identical for a fixed seed regardless of execution order or batching,
-and lets the vectorized and scalar simulators agree exactly.
+bit-identical for a fixed seed regardless of execution order or batching:
+a block of steps is drawn at once, for every run, and each step still gets
+the number a one-run, one-step walk would draw for it (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 """
 
 from __future__ import annotations
@@ -30,30 +32,32 @@ def run_key(seed: int, run: int) -> int:
     return splitmix64(splitmix64(seed & _MASK) ^ ((run + 1) * _PHI & _MASK))
 
 
-def draw(key: int, counter: int) -> int:
-    """64-bit draw number `counter` of a stream."""
-    return splitmix64(key ^ ((counter + 1) * _M1 & _MASK))
-
-
-def uniform(key: int, counter: int) -> float:
-    """Uniform in [0, 1) with 53-bit resolution."""
-    return (draw(key, counter) >> 11) / float(1 << 53)
-
-
 def run_keys_array(seed: int, runs: int) -> np.ndarray:
     import numpy as np
 
     return np.array([run_key(seed, r) for r in range(runs)], dtype=np.uint64)
 
 
-def uniform_array(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Vectorized `uniform` across run streams for one shared counter."""
+def uniform_block(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
+    """Uniforms in [0, 1) with 53-bit resolution, shape ``(count, runs)``:
+    row i holds draw number ``counter + i`` of every run stream."""
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        x = keys ^ np.uint64((counter + 1) * _M1 & _MASK)
-        z = x + np.uint64(_PHI)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    # Unsigned array arithmetic wraps modulo 2**64, as the masks do above.
+    c = np.arange(counter + 1, counter + count + 1, dtype=np.uint64) * np.uint64(_M1)
+    z = keys[None, :] ^ c[:, None]
+    z += np.uint64(_PHI)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_M2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u /= float(1 << 53)
+    return u
+
+
+def uniform_array(keys: np.ndarray, counter: int) -> np.ndarray:
+    """Draw number ``counter`` of every run stream."""
+    return uniform_block(keys, counter, 1)[0]

@@ -860,14 +860,6 @@ def _doubling(limit: int):
 # The infinite-memory strategy: total-payoff monitor over two modes.
 
 
-@dataclass
-class MonitorState:
-    mode: str  # "expectation" | "worst-case"
-    phase: int
-    step_in_phase: int
-    total: tuple[int, ...]
-
-
 class TotalPayoffMonitorStrategy:
     """Procedural strategy: expectation mode with a growing payoff floor.
 
@@ -877,7 +869,8 @@ class TotalPayoffMonitorStrategy:
     (checked every step); at the end of each phase it must strictly exceed
     2 * floor_{i+1}.  Either failure switches permanently to the
     worst-case machine.  Memory is genuinely unbounded (the integer total),
-    so this object is simulate-only and never serialized as a machine.
+    so this object is simulate-only and never serialized as a machine;
+    ``BranchedInfiniteStrategy.simulate_runs`` plays it.
     """
 
     kind = "total-payoff-monitor"
@@ -889,32 +882,6 @@ class TotalPayoffMonitorStrategy:
         self.fwc = worstcase_machine
         self.period = period
         self.monitor = tuple(Fraction(x) for x in monitor)
-
-    def floor(self, phase: int) -> tuple[Fraction, ...]:
-        return tuple(m * phase * self.period / 2 for m in self.monitor)
-
-    def fresh(self) -> MonitorState:
-        return MonitorState("expectation", 0, 0, (0,) * self.mdp.dimension)
-
-    def observe(self, state: MonitorState, weight: tuple[int, ...]) -> MonitorState:
-        """Advance the monitor by one traversed edge; may switch modes."""
-        total = tuple(a + b for a, b in zip(state.total, weight))
-        if state.mode == "worst-case":
-            return MonitorState("worst-case", state.phase, state.step_in_phase + 1, total)
-        step = state.step_in_phase + 1
-        phase = state.phase
-        mode = "expectation"
-        if phase >= 1 and not self._above(total, self.floor(phase)):
-            mode = "worst-case"
-        if step == self.period:
-            if mode == "expectation" and not self._above(total, tuple(2 * f for f in self.floor(phase + 1))):
-                mode = "worst-case"
-            phase += 1
-            step = 0
-        return MonitorState(mode, phase, step, total)
-
-    def _above(self, total, floor) -> bool:
-        return all(Fraction(t) > f for t, f in zip(total, floor))
 
 
 @dataclass
@@ -938,19 +905,21 @@ class BranchedInfiniteStrategy:
     branch_map: Optional[dict] = None
 
     def simulate_runs(self, mdp: Mdp, start: str, horizon: int, runs: int, seed: int):
-        """Vectorized simulation; returns (total payoffs, monitor violations).
+        """Seeded simulation; returns the total payoffs, one row per run.
 
         ``mdp`` is the instance the query was posed on and ``start`` the
         state the strategy was synthesized from.  The monitors run on the
         prepared (normalized) weights; the reported totals are on
-        ``mdp``'s weights.  Draw layout matches the chain simulator:
-        counter 0 seeds the initial node, counter t+1 drives step t.
-        Monitor comparisons run in int64; magnitudes are bounded and
-        checked on entry.
+        ``mdp``'s weights.  Runs walk one union chain with
+        ``step_blocks``: the composed chain's nodes, then the fallback
+        chain's; a monitor trip jumps to the fallback node of the same
+        state.  Draw layout matches the chain simulator.  Monitor
+        comparisons run in int64; magnitudes are bounded and checked on
+        entry.
         """
         import numpy as np
 
-        from bwcmdp.verification import _chain_arrays
+        from bwcmdp.verification import _chain_arrays, _initial_nodes, step_blocks
 
         origin = self.start
         if origin not in mdp.owner:  # a pre-state stands for its one target
@@ -959,11 +928,12 @@ class BranchedInfiniteStrategy:
             raise ValueError(f"the strategy plays from {origin!r}, not from {start!r}")
 
         chain = induced_chain(self.mdp, self.composed, self.start, node_limit=100_000)
-        cum, tgt, wgt = _chain_arrays(chain)
-        uwgt = _reported_weights(chain, mdp, wgt.shape)
-        nnodes = chain.node_count()
-        # Branch id per node (-1 transient), and game state per node.
-        branch = np.full(nnodes, -1, dtype=np.int64)
+        fchain = induced_chain(self.mdp, self.fwc, self.mdp.state_ids)
+        cols, base, target, weight = _chain_arrays(chain, fchain)
+        reported = _reported_weights(mdp, chain, fchain)
+        n1 = chain.node_count()
+        # Branch id per union node: -1 off the components and on the fallback.
+        branch = np.full(n1 + fchain.node_count(), -1, dtype=np.int64)
         for i, (s, mem) in enumerate(chain.nodes):
             if self.branch_map is not None:
                 b = self.branch_map.get(mem)
@@ -971,18 +941,11 @@ class BranchedInfiniteStrategy:
                     branch[i] = int(b)
             elif isinstance(mem, tuple) and mem and mem[0] == "in":
                 branch[i] = mem[1]
-
-        fchain = induced_chain(self.mdp, self.fwc, self.mdp.state_ids)
-        fcum, ftgt, fwgt = _chain_arrays(fchain)
-        fuwgt = _reported_weights(fchain, mdp, fwgt.shape)
-        # Equal for mu = 0; the second gather per step would then cost
-        # about a sixth of the simulation for nothing.
-        shifted = not (np.array_equal(uwgt, wgt) and np.array_equal(fuwgt, fwgt))
+        # A trip jumps to the fallback's node of the same state; the
+        # fallback's own nodes stay put.
         f0 = _single_initial(self.fwc)
-        fnode_by_stateidx = np.array(
-            [fchain.index[(s, f0)] for s in self.mdp.state_ids], dtype=np.int64)
-        state_pos = {s: i for i, s in enumerate(self.mdp.state_ids)}
-        node_state_idx = np.array([state_pos[s] for s, _ in chain.nodes], dtype=np.int64)
+        jump = np.arange(len(branch), dtype=np.int64)
+        jump[:n1] = [n1 + fchain.index[(s, f0)] for s, _ in chain.nodes]
 
         d = self.mdp.dimension
         K = self.period
@@ -996,102 +959,76 @@ class BranchedInfiniteStrategy:
         if bound >= 2**62:
             raise OverflowError("monitor arithmetic exceeds int64 range")
 
+        # Per run, in phase i of its monitor: x = 2*den*(payoff since the
+        # lock), which must stay above floor = num*i*K (MIN in phase 0),
+        # and end = the step count t+1 that closes the phase.  Before the
+        # lock and after a trip, den2 = 0 (so x is 0 at the lock), floor =
+        # MIN and end = NEVER: neither test can fail.
+        MIN, NEVER = np.iinfo(np.int64).min, horizon + 1
+        x = np.zeros((runs, d), dtype=np.int64)
+        den2 = np.zeros((runs, d), dtype=np.int64)
+        rate = np.zeros((runs, d), dtype=np.int64)
+        floor = np.full((runs, d), MIN, dtype=np.int64)
+        t_lock = np.zeros(runs, dtype=np.int64)
+        end = np.full(runs, NEVER, dtype=np.int64)
+        lock = np.full(runs, -1, dtype=np.int64)  # -1, then past every branch id
+        unlocked, soonest = runs, NEVER
+
+        def lock_new(node, t):
+            # Runs arriving at a component start its monitor there.
+            nonlocal unlocked, soonest
+            new = branch.take(node) > lock
+            if new.any():
+                b = branch[node[new]]
+                lock[new] = len(self.monitors)
+                unlocked -= int(np.count_nonzero(new))
+                den2[new] = 2 * mon_den[b]
+                rate[new] = mon_num[b]
+                t_lock[new] = t
+                end[new] = t + K
+                soonest = min(soonest, t + K)
+
+        def monitor(t, e, node):
+            nonlocal soonest
+            x[:] += weight.take(e, axis=0) * den2
+            # floor_i = monitor*i*K/2, strict: tp*2*den > num*i*K
+            low = x <= floor
+            trip = low.any(axis=1) if low.any() else None
+            if t + 1 == soonest:
+                # end of phase i: tp > monitor*(i+1)*K = monitor*steps
+                ends = end == soonest
+                steps = (soonest - t_lock)[:, None]
+                missed = ends & (x <= 2 * rate * steps).any(axis=1)
+                trip = missed if trip is None else trip | missed
+                floor[ends] = (rate * steps)[ends]
+                end[ends] += K
+            if trip is not None:
+                node = np.where(trip, jump.take(node), node)
+                den2[trip] = 0
+                floor[trip] = MIN
+                end[trip] = NEVER
+            if t + 1 == soonest:
+                soonest = int(end.min())
+            if unlocked:
+                lock_new(node, t + 1)
+            return node
+
         keys = rng.run_keys_array(seed, runs)
-        init_nodes = sorted(chain.initial)
-        init_cum = np.cumsum([float(chain.initial[i]) for i in init_nodes])
-        init_cum[-1] = 1.0
-        u0 = rng.uniform_array(keys, 0)
-        pick = (u0[:, None] >= init_cum[None, :]).sum(axis=1)
-        node = np.array(init_nodes, dtype=np.int64)[pick]
-
-        tp = np.zeros((runs, d), dtype=np.int64)          # reported payoff, on mdp
-        tp_lock = np.zeros((runs, d), dtype=np.int64)     # payoff since lock
-        steps_lock = np.zeros(runs, dtype=np.int64)
-        run_branch = np.full(runs, -1, dtype=np.int64)
-        in_wc = np.zeros(runs, dtype=bool)
-        violations = 0
-
-        b0 = branch[node]
-        fresh = b0 >= 0
-        run_branch[fresh] = b0[fresh]
-
-        for t in range(horizon):
-            u = rng.uniform_array(keys, t + 1)
-            locked = (run_branch >= 0) & ~in_wc
-            wsel = in_wc
-            csel = ~in_wc
-            step_w = np.zeros((runs, d), dtype=np.int64)
-            step_u = np.zeros((runs, d), dtype=np.int64) if shifted else step_w
-            if np.any(csel):
-                c = cum[node[csel]]
-                choice = np.minimum((u[csel, None] >= c).sum(axis=1), c.shape[1] - 1)
-                step_w[csel] = wgt[node[csel], choice]
-                if shifted:
-                    step_u[csel] = uwgt[node[csel], choice]
-                node[csel] = tgt[node[csel], choice]
-            if np.any(wsel):
-                c = fcum[node[wsel]]
-                choice = np.minimum((u[wsel, None] >= c).sum(axis=1), c.shape[1] - 1)
-                step_w[wsel] = fwgt[node[wsel], choice]
-                if shifted:
-                    step_u[wsel] = fuwgt[node[wsel], choice]
-                node[wsel] = ftgt[node[wsel], choice]
-            tp += step_u
-            tp_lock[locked] += step_w[locked]
-            steps_lock[locked] += 1
-
-            # Monitor checks for locked expectation-mode runs.
-            if np.any(locked):
-                idx = np.where(locked)[0]
-                br = run_branch[idx]
-                cur_phase = (steps_lock[idx] - 1) // K
-                switch = np.zeros(len(idx), dtype=bool)
-                active = cur_phase >= 1
-                if np.any(active):
-                    # floor_i = monitor*i*K/2, strict: tp*2*den > num*i*K
-                    for i in range(d):
-                        lhs = tp_lock[idx, i] * (2 * mon_den[br, i])
-                        rhs = mon_num[br, i] * (cur_phase * K)
-                        switch |= active & ~(lhs > rhs)
-                boundary = steps_lock[idx] % K == 0
-                if np.any(boundary):
-                    # end of phase i: tp > monitor*(i+1)*K = monitor*steps
-                    for i in range(d):
-                        lhs = tp_lock[idx, i] * mon_den[br, i]
-                        rhs = mon_num[br, i] * steps_lock[idx]
-                        switch |= boundary & ~(lhs > rhs)
-                if np.any(switch):
-                    sw = idx[switch]
-                    in_wc[sw] = True
-                    node[sw] = fnode_by_stateidx[node_state_idx[node[sw]]]
-                # Invariant: every run still in expectation mode with
-                # phase >= 1 sits strictly above its floor.
-                still = ~switch & active
-                if np.any(still):
-                    for i in range(d):
-                        lhs = tp_lock[idx, i] * (2 * mon_den[br, i])
-                        rhs = mon_num[br, i] * (cur_phase * K)
-                        violations += int(np.count_nonzero(still & ~(lhs > rhs)))
-            # Newly locked runs start their monitor at the lock state.
-            newly = (run_branch < 0) & (branch[node] >= 0) & ~in_wc
-            if np.any(newly):
-                run_branch[newly] = branch[node[newly]]
-                steps_lock[newly] = 0
-                tp_lock[newly] = 0
-        return tp, violations
+        node = _initial_nodes(chain, keys)
+        lock_new(node, 0)
+        return step_blocks((cols, base, target), reported, node, keys, horizon, monitor)
 
 
-def _reported_weights(chain, mdp: Mdp, shape) -> np.ndarray:
-    """``mdp``'s weight of every chain transition, laid out as in
+def _reported_weights(mdp: Mdp, *chains) -> np.ndarray:
+    """``mdp``'s weight of every transition of ``chains``, laid out as in
     ``_chain_arrays``; the edge out of a pre-state weighs 0."""
     import numpy as np
 
-    out = np.zeros(shape, dtype=np.int64)
-    for i, row in enumerate(chain.transitions):
-        if chain.nodes[i][0] in mdp.owner:
-            for k, (_, _, _, eid) in enumerate(row):
-                out[i, k, :] = mdp.edge_by_id[eid].weight
-    return out
+    zero = (0,) * mdp.dimension
+    out = [mdp.edge_by_id[eid].weight if s in mdp.owner else zero
+           for chain in chains for (s, _), row in zip(chain.nodes, chain.transitions)
+           for _, _, _, eid in row]
+    return np.array(out, dtype=np.int64).reshape(len(out), mdp.dimension)
 
 
 class AdaptedMachine:

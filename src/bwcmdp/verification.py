@@ -8,9 +8,10 @@ Python integers on support products (worst case); BSCC expectations
 arithmetic.
 
 Simulation side: seeded Monte Carlo over the induced chain with one
-deterministic stream per run, vectorized in NumPy, which only the
-simulation functions import.  Floating point appears only in reported
-statistics, never in verdicts.
+deterministic stream per run, stepped by one loop (``step_blocks``) that
+is vectorized across runs in NumPy and draws a block of steps at a time;
+only the simulation functions import NumPy.  Floating point appears only
+in reported statistics, never in verdicts.
 """
 
 from __future__ import annotations
@@ -372,6 +373,11 @@ def verify_almost_sure(mdp: Mdp, machine, mu: Sequence[Fraction],
 # ---------------------------------------------------------------------------
 # Seeded Monte Carlo simulation.
 
+# Steps per block of draws and of buffered transitions.  At 1,000 runs,
+# blocks of 16 to 64 steps simulate equally fast (8 is slower); the block
+# buffers, a few BLOCK * runs arrays of 8-byte numbers, grow with it.
+BLOCK = 16
+
 
 @dataclass(frozen=True)
 class SimReport:
@@ -379,7 +385,10 @@ class SimReport:
 
     All floating-point fields are approximate by construction and never
     feed decisions; `exceed_fraction` is computed from exact integer
-    total payoffs against the rational threshold.
+    total payoffs against the rational threshold.  `monitor_violations`
+    counts monitored runs left in expectation mode at or below their
+    floor; the monitor switches at the first step where a floor would be
+    breached, so it is 0.
     """
 
     runs: int
@@ -406,64 +415,100 @@ class SimReport:
         }
 
 
-def _chain_arrays(chain: InducedChain):
+def _chain_arrays(*chains: InducedChain):
+    """Flat step tables of the disjoint union of ``chains``; the node ids
+    of each chain come after those of the chains before it.
+
+    Returns ``(cols, base, target, weight)``.  ``cols[k, v]`` is node v's
+    cumulative probability of its choices 0..k, for every choice but the
+    last (1.0 past them); ``base[v]`` is the flat index of v's first
+    transition; ``target[e]`` and ``weight[e]`` are flat transition e's
+    node and weight vector.  With draw u, node v takes transition
+    ``base[v] + #{k : u >= cols[k, v]}``.
+    """
     import numpy as np
 
-    n = chain.node_count()
-    fan = max((len(row) for row in chain.transitions), default=1)
-    d = chain.mdp.dimension
-    cum = np.ones((n, fan), dtype=np.float64)
-    tgt = np.zeros((n, fan), dtype=np.int64)
-    wgt = np.zeros((n, fan, d), dtype=np.int64)
-    for i, row in enumerate(chain.transitions):
+    rows = []
+    for chain in chains:
+        off = len(rows)
+        rows += [[(j + off, p, w) for j, p, w, _ in row] for row in chain.transitions]
+    cols = np.ones((max(map(len, rows)) - 1, len(rows)), dtype=np.float64)
+    base = np.zeros(len(rows), dtype=np.int64)
+    target, weight = [], []
+    for v, row in enumerate(rows):
+        base[v] = len(target)
         acc = 0.0
-        for k, (j, p, w, _) in enumerate(row):
+        for k, (j, p, w) in enumerate(row[:-1]):
             acc += float(p)
-            cum[i, k] = acc
-            tgt[i, k] = j
-            wgt[i, k, :] = w
-        cum[i, len(row) - 1] = 1.0  # guard against float drift
-        for k in range(len(row), fan):
-            tgt[i, k] = tgt[i, len(row) - 1]
-    return cum, tgt, wgt
+            cols[k, v] = acc
+        target += [j for j, _, _ in row]
+        weight += [w for _, _, w in row]
+    weight = np.array(weight, dtype=np.int64).reshape(len(target), chains[0].mdp.dimension)
+    return cols, base, np.array(target, dtype=np.int64), weight
+
+
+def _initial_nodes(chain: InducedChain, keys: np.ndarray) -> np.ndarray:
+    """Every run's first node, picked by draw 0 of its stream."""
+    import numpy as np
+
+    init_nodes = sorted(chain.initial)
+    init_cum = np.cumsum([float(chain.initial[i]) for i in init_nodes])
+    init_cum[-1] = 1.0
+    pick = (rng.uniform_array(keys, 0)[:, None] >= init_cum[None, :]).sum(axis=1)
+    return np.array(init_nodes, dtype=np.int64)[pick]
+
+
+def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
+                horizon: int, on_step=None) -> np.ndarray:
+    """The simulation loop: every run walks ``horizon`` steps from ``node``.
+
+    ``tables`` are ``_chain_arrays``' first three.  Step t of run r uses
+    draw t + 1 of r's stream.  The draws of BLOCK steps are made at once,
+    and the transitions taken are buffered; at the end of each block the
+    flat table ``weight`` is summed over them.  Returns those per-run
+    sums, exact in int64.  ``on_step(t, e, node)``, if given, sees the
+    transitions ``e`` taken at step t and the nodes reached, and returns
+    the nodes to go on from.
+    """
+    import numpy as np
+
+    cols, base, target = tables
+    total = np.zeros((len(node), weight.shape[1]), dtype=np.int64)
+    taken = np.empty((BLOCK, len(node)), dtype=np.int64)
+    for t0 in range(0, horizon, BLOCK):
+        b = min(BLOCK, horizon - t0)
+        draws = rng.uniform_block(keys, t0 + 1, b)
+        for i in range(b):
+            u = draws[i]
+            e = base.take(node)
+            for col in cols:
+                e += u >= col.take(node)
+            node = target.take(e)
+            taken[i] = e
+            if on_step is not None:
+                node = on_step(t0 + i, e, node)
+        for k in range(weight.shape[1]):  # one BLOCK * runs temporary at a time
+            total[:, k] += weight[:, k].take(taken[:b]).sum(axis=0)
+    return total
 
 
 def simulate_chain(chain: InducedChain, horizon: int, runs: int, seed: int,
                    mu: Optional[Sequence[Fraction]] = None) -> SimReport:
-    """Vectorized chain simulation with one stream per run.
+    """Chain simulation with one stream per run.
 
     Draw layout: counter 0 picks the initial node, counter t+1 drives
     step t.  Total payoffs are exact int64 sums; a horizon whose totals
     could leave that range raises OverflowError.
     """
-    import numpy as np
-
     if horizon * chain.mdp.max_abs_weight >= 2**63:
         raise OverflowError("simulated totals exceed int64 range")
-    d = chain.mdp.dimension
     keys = rng.run_keys_array(seed, runs)
-    init_nodes = sorted(chain.initial)
-    init_cum = np.cumsum([float(chain.initial[i]) for i in init_nodes])
-    init_cum[-1] = 1.0
-    u0 = rng.uniform_array(keys, 0)
-    pick = (u0[:, None] >= init_cum[None, :]).sum(axis=1)
-    node = np.array(init_nodes, dtype=np.int64)[pick]
-
-    cum, tgt, wgt = _chain_arrays(chain)
-    tp = np.zeros((runs, d), dtype=np.int64)
-    rows = np.arange(runs)
-    for t in range(horizon):
-        u = rng.uniform_array(keys, t + 1)
-        c = cum[node]
-        choice = (u[:, None] >= c).sum(axis=1)
-        choice = np.minimum(choice, c.shape[1] - 1)
-        tp += wgt[node, choice]
-        node = tgt[node, choice]
-    return _report_from_tp(tp, horizon, runs, seed, mu, 0)
+    cols, base, target, weight = _chain_arrays(chain)
+    tp = step_blocks((cols, base, target), weight, _initial_nodes(chain, keys), keys, horizon)
+    return _report_from_tp(tp, horizon, runs, seed, mu)
 
 
-def _report_from_tp(tp: np.ndarray, horizon: int, runs: int, seed: int,
-                    mu, monitor_violations: int) -> SimReport:
+def _report_from_tp(tp: np.ndarray, horizon: int, runs: int, seed: int, mu) -> SimReport:
     import numpy as np
 
     mp = tp / float(horizon)
@@ -482,7 +527,7 @@ def _report_from_tp(tp: np.ndarray, horizon: int, runs: int, seed: int,
         max=tuple(float(x) for x in mp.max(axis=0)),
         stddev=tuple(float(x) for x in mp.std(axis=0, ddof=1)) if runs > 1 else tuple(0.0 for _ in range(mp.shape[1])),
         exceed_fraction=exceed,
-        monitor_violations=monitor_violations,
+        monitor_violations=0,
     )
 
 
@@ -490,14 +535,14 @@ def simulate(mdp: Mdp, strategy, start: str, horizon: int, runs: int, seed: int,
              mu: Optional[Sequence[Fraction]] = None) -> SimReport:
     """Simulate a finite machine or a procedural strategy.
 
-    Finite machines are compiled to their induced chain and stepped
-    vectorized; procedural strategies provide their own vectorized
-    simulator through the `simulate_runs` hook (same RNG discipline).
+    Finite machines are compiled to their induced chain; procedural
+    strategies return their total payoffs through the `simulate_runs`
+    hook.  Both walk their chains with ``step_blocks``.
     """
     if horizon < 1 or runs < 1:
         raise ValueError("horizon and runs must be >= 1")
     if hasattr(strategy, "simulate_runs"):
-        tp, violations = strategy.simulate_runs(mdp, start, horizon, runs, seed)
-        return _report_from_tp(tp, horizon, runs, seed, mu, violations)
+        tp = strategy.simulate_runs(mdp, start, horizon, runs, seed)
+        return _report_from_tp(tp, horizon, runs, seed, mu)
     chain = induced_chain(mdp, strategy, start)
     return simulate_chain(chain, horizon, runs, seed, mu)

@@ -4,22 +4,27 @@ These deliberately avoid the production algorithms: reachability by path
 closure, end components by subset enumeration, game values by exhaustive
 memoryless strategy pairs, cycle means by simple-cycle enumeration, and
 linear feasibility by vertex enumeration.  It also holds the helpers that
-only tests use: game values by value iteration, and the dense simplex the
-sparse one must reproduce.
+only tests use: game values by value iteration, the dense simplex the
+sparse one must reproduce, and scalar simulators, one run and one step at
+a time, that the block-stepped simulation kernel must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from bwcmdp import synthesis
 from bwcmdp.decomposition import EndComponent, restrict
 from bwcmdp.linsolve import EQ, GE, GT, LinearSystem
+from bwcmdp.machines import InducedChain, induced_chain
 from bwcmdp.model import Mdp, require_valid
+from bwcmdp.rng import _M1, _MASK, run_key, splitmix64
 from bwcmdp.synthesis import MonitoredMachine, _guaranteed_floor
 
 
@@ -583,3 +588,141 @@ def _pivot(tab, obj, basis, r, c):
             for j in range(total + 1):
                 obj[j] -= f * row[j]
     basis[r] = c
+
+
+# ---------------------------------------------------------------------------
+# Scalar simulation: one run and one step at a time, with scalar draws.
+
+
+def draw(key: int, counter: int) -> int:
+    """64-bit draw number `counter` of a stream."""
+    return splitmix64(key ^ ((counter + 1) * _M1 & _MASK))
+
+
+def uniform(key: int, counter: int) -> float:
+    """Uniform in [0, 1) with 53-bit resolution."""
+    return (draw(key, counter) >> 11) / float(1 << 53)
+
+
+def _pick(probs, u: float) -> int:
+    """Index of the choice a draw u selects: the number of running float
+    sums of ``probs`` at or below u, the last sum counted as 1.0."""
+    acc, k = 0.0, 0
+    for p in probs[:-1]:
+        acc += float(p)
+        k += u >= acc
+    return k
+
+
+def _first_node(chain: InducedChain, key: int) -> int:
+    nodes = sorted(chain.initial)
+    return nodes[_pick([chain.initial[v] for v in nodes], uniform(key, 0))]
+
+
+def _step(chain: InducedChain, node: int, u: float):
+    """(target, prepared weight, edge id) of the transition u selects."""
+    row = chain.transitions[node]
+    j, _, w, eid = row[_pick([p for _, p, _, _ in row], u)]
+    return j, w, eid
+
+
+def scalar_chain_totals(chain: InducedChain, horizon: int, runs: int, seed: int) -> list:
+    """Total payoff of every run: draw 0 picks the first node, draw t+1
+    drives step t."""
+    out = []
+    for r in range(runs):
+        key = run_key(seed, r)
+        node = _first_node(chain, key)
+        total = [0] * chain.mdp.dimension
+        for t in range(horizon):
+            node, w, _ = _step(chain, node, uniform(key, t + 1))
+            total = [a + b for a, b in zip(total, w)]
+        out.append(total)
+    return out
+
+
+@dataclass
+class MonitorState:
+    mode: str  # "expectation" | "worst-case"
+    phase: int
+    step_in_phase: int
+    total: tuple[int, ...]
+
+
+class TotalPayoffMonitorStrategy(synthesis.TotalPayoffMonitorStrategy):
+    """The monitor record with its one-step semantics, ``observe``."""
+
+    def floor(self, phase: int) -> tuple[Fraction, ...]:
+        return tuple(m * phase * self.period / 2 for m in self.monitor)
+
+    def fresh(self) -> MonitorState:
+        return MonitorState("expectation", 0, 0, (0,) * self.mdp.dimension)
+
+    def observe(self, state: MonitorState, weight: tuple[int, ...]) -> MonitorState:
+        """Advance the monitor by one traversed edge; may switch modes."""
+        total = tuple(a + b for a, b in zip(state.total, weight))
+        if state.mode == "worst-case":
+            return MonitorState("worst-case", state.phase, state.step_in_phase + 1, total)
+        step = state.step_in_phase + 1
+        phase = state.phase
+        mode = "expectation"
+        if phase >= 1 and not self._above(total, self.floor(phase)):
+            mode = "worst-case"
+        if step == self.period:
+            if mode == "expectation" and not self._above(total, tuple(2 * f for f in self.floor(phase + 1))):
+                mode = "worst-case"
+            phase += 1
+            step = 0
+        return MonitorState(mode, phase, step, total)
+
+    def _above(self, total, floor) -> bool:
+        return all(Fraction(t) > f for t, f in zip(total, floor))
+
+
+def scalar_monitor_totals(strategy, mdp: Mdp, horizon: int, runs: int, seed: int):
+    """Replay a ``BranchedInfiniteStrategy`` run by run with ``observe``.
+
+    Returns the total payoffs on ``mdp``'s weights, the number of runs
+    that tripped, and the number of steps after which a run stayed in
+    expectation mode at or below the floor of the phase it was in.
+    """
+    chain = induced_chain(strategy.mdp, strategy.composed, strategy.start, node_limit=100_000)
+    fchain = induced_chain(strategy.mdp, strategy.fwc, strategy.mdp.state_ids)
+    (f0,) = strategy.fwc.initial_dist()
+    monitors = [TotalPayoffMonitorStrategy(m.mdp, m.g, m.fwc, m.period, m.monitor)
+                for m in strategy.monitors]
+
+    def branch(node):
+        mem = chain.nodes[node][1]
+        if strategy.branch_map is not None:
+            return strategy.branch_map.get(mem)
+        return mem[1] if isinstance(mem, tuple) and mem and mem[0] == "in" else None
+
+    totals, trips, breaches = [], 0, 0
+    for r in range(runs):
+        key = run_key(seed, r)
+        cur, node = chain, _first_node(chain, key)
+        b = branch(node)
+        monitor = None if b is None else monitors[b]
+        st = None if monitor is None else monitor.fresh()
+        total = [0] * mdp.dimension
+        for t in range(horizon):
+            state = cur.nodes[node][0]
+            node, w, eid = _step(cur, node, uniform(key, t + 1))
+            if state in mdp.owner:
+                total = [a + b for a, b in zip(total, mdp.edge_by_id[eid].weight)]
+            if st is None:
+                b = branch(node)
+                if b is not None:
+                    monitor = monitors[b]
+                    st = monitor.fresh()
+            elif st.mode == "expectation":
+                phase = st.phase
+                st = monitor.observe(st, w)
+                if st.mode == "worst-case":
+                    trips += 1
+                    cur, node = fchain, fchain.index[(chain.nodes[node][0], f0)]
+                elif phase >= 1 and not monitor._above(st.total, monitor.floor(phase)):
+                    breaches += 1
+        totals.append(total)
+    return totals, trips, breaches

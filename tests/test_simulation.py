@@ -1,0 +1,139 @@
+"""The block-stepped simulation kernel against scalar one-run replays."""
+
+import importlib.util
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bwcmdp import jsonio, rng
+from bwcmdp.cli import main
+from bwcmdp.machines import induced_chain, memoryless
+from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
+from bwcmdp.synthesis import bas_strategy, bwc_finite_strategy, bwc_infinite_strategy
+from bwcmdp.systems import decide
+from bwcmdp.verification import BLOCK, _chain_arrays, _initial_nodes, simulate, step_blocks
+from conftest import random_mdp
+from oracles import scalar_chain_totals, scalar_monitor_totals, uniform
+
+HORIZONS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+def kernel_chain_totals(chain, horizon, runs, seed):
+    keys = rng.run_keys_array(seed, runs)
+    cols, base, target, weight = _chain_arrays(chain)
+    return step_blocks((cols, base, target), weight, _initial_nodes(chain, keys), keys,
+                       horizon).tolist()
+
+
+def test_uniform_block_rows_are_the_scalar_draws():
+    keys = rng.run_keys_array(3, 7)
+    block = rng.uniform_block(keys, 5, 2 * BLOCK)
+    assert block.shape == (2 * BLOCK, 7)
+    for i in range(2 * BLOCK):
+        assert np.array_equal(block[i], rng.uniform_array(keys, 5 + i))
+        assert block[i].tolist() == [uniform(int(k), 5 + i) for k in keys]
+
+
+def _chains():
+    run, bas = fixture("RUN_EX"), fixture("RUN_EX_BAS")
+    task = negate_weights(fixture("TASK_EX"), halve=True)
+    out = [induced_chain(run, memoryless(run, {"s": 1, "u": 4, "t": 2}), "s")]
+    for mdp, mode, start, mu, nu in (
+            (run, "bwc-fin", "s", [0, 0], [0, 9]),
+            (bas, "bas", "s", [0, 0], [F(99, 10), F(99, 10)]),
+            (task, "bwc-fin", "0", [F(-49, 8), F(-64)], [F(-49, 8), F(-29, 8)])):
+        strategy = (bas_strategy if mode == "bas" else bwc_finite_strategy)(
+            mdp, ThresholdQuery.build(mode, start, mu, nu))
+        machine, prepared, pstart = strategy[:3]
+        out.append(induced_chain(prepared, machine, pstart))
+    gen = random.Random(20150430)
+    for dim in (1, 2, 3):
+        for _ in range(3):
+            mdp = random_mdp(gen, max_dim=dim)
+            while mdp.dimension != dim:
+                mdp = random_mdp(gen, max_dim=dim)
+            choices = {}
+            for s in mdp.state_ids:
+                if not mdp.is_random(s):
+                    parts = [gen.randint(1, 3) for _ in mdp.out_edges[s]]
+                    choices[s] = {e.eid: F(p, sum(parts))
+                                  for e, p in zip(mdp.out_edges[s], parts)}
+            out.append(induced_chain(mdp, memoryless(mdp, choices), mdp.state_ids))
+    return out
+
+
+def test_chain_kernel_matches_scalar_walk():
+    chains = _chains()
+    assert max(len(row) for c in chains for row in c.transitions) >= 3
+    for k, chain in enumerate(chains):
+        for horizon in HORIZONS:
+            for runs in (1, 7):
+                assert kernel_chain_totals(chain, horizon, runs, seed=k) == \
+                    scalar_chain_totals(chain, horizon, runs, seed=k), (k, horizon, runs)
+
+
+def _candidate_corpus():
+    """The bwc-inf yes-instances among the benchmark's synth-sim candidates."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = []
+    for mdp, q in gen.corpus(1504_08211, 48):
+        query = ThresholdQuery("bwc-inf", q.start, q.mu, q.nu)
+        if len(out) < 4 and decide(mdp, query).answer:
+            out.append((mdp, query))
+    return out
+
+
+def test_monitor_kernel_matches_scalar_replay():
+    run = fixture("RUN_EX")
+    instances = [(run, ThresholdQuery.build("bwc-inf", "s", [0, 0],
+                                            [F(99, 10), F(99, 10)]))]
+    instances += _candidate_corpus()
+    assert len(instances) == 5
+    cases = [(mdp, query, (5, BLOCK), k) for k, (mdp, query) in enumerate(instances)]
+    # A gamble, +12 or -4 on a fair coin, against a safe loop of 1: its runs
+    # also fall to the running floor inside a phase, and land on either
+    # floor exactly.
+    gamble = Mdp.build(1, [("a", "controller"), ("r", "random")],
+                       [(0, "a", "a", [1]), (1, "a", "r", [0]), (2, "r", "a", [12]),
+                        (3, "r", "a", [-4])], {2: F(1, 2), 3: F(1, 2)}, initial="a")
+    cases.append((gamble, ThresholdQuery.build("bwc-inf", "a", [0], [F(3, 2)]), (8, 16), 3))
+    trips = 0
+    for mdp, query, periods, seed in cases:
+        for period in periods:
+            strategy = bwc_infinite_strategy(mdp, query, period=period)
+            for horizon in HORIZONS:
+                for runs in (1, 7):
+                    want, tripped, breaches = scalar_monitor_totals(strategy, mdp, horizon,
+                                                                    runs, seed)
+                    got = strategy.simulate_runs(mdp, query.start, horizon, runs, seed)
+                    assert got.tolist() == want, (seed, period, horizon, runs)
+                    assert breaches == 0
+                    trips += tripped
+    assert trips > 0  # the trip jump is exercised
+
+
+def test_monitor_overflow(tmp_path, capsys):
+    # Weights of 2**56 with floor rate 2**55: the monitor's int64
+    # comparisons fit for 7 steps and not for 64, where simulation refuses
+    # instead of wrapping.
+    mdp = Mdp.build(1, [("a", "controller")], [(0, "a", "a", [2**56])])
+    strategy = bwc_infinite_strategy(mdp, ThresholdQuery.build("bwc-inf", "a", [0], [1]),
+                                     period=8)
+    assert simulate(mdp, strategy, "a", horizon=7, runs=2, seed=0).mean == (float(2**56),)
+    with pytest.raises(OverflowError):
+        simulate(mdp, strategy, "a", horizon=64, runs=2, seed=0)
+    path, out = str(tmp_path / "mdp.json"), str(tmp_path / "proc.json")
+    jsonio.save_mdp(path, mdp)
+    assert main(["synthesize", "--mdp", path, "--mode", "bwc-inf", "--from", "a",
+                 "--mu", "0", "--nu", "1", "--period", "8", "--out", out]) == 0
+    capsys.readouterr()
+    code = main(["simulate", "--mdp", path, "--strategy", out, "--from", "a",
+                 "--runs", "2", "--horizon", "64"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "int64" in captured.err

@@ -10,12 +10,12 @@ from bwcmdp.machines import induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
 from bwcmdp.systems import decide, ec_expectation_system
 from bwcmdp.synthesis import (AdaptedMachine, CyclingMachine, MonitoredMachine,
-                              TotalPayoffMonitorStrategy, adapt_to_original,
-                              bas_strategy, bwc_finite_strategy, bwc_infinite_strategy,
-                              local_strategies, memoryless_wc_search, phase1_strategy)
+                              adapt_to_original, bas_strategy, bwc_finite_strategy,
+                              bwc_infinite_strategy, local_strategies,
+                              memoryless_wc_search, phase1_strategy)
 from bwcmdp.verification import (bscc_analysis, expected_mp, simulate,
                                  verify_almost_sure, verify_worstcase)
-from oracles import recovery_length, wec_combined
+from oracles import TotalPayoffMonitorStrategy, recovery_length, wec_combined
 
 
 def _query(mode, mu, nu, start="s"):
