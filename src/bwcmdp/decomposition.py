@@ -209,7 +209,7 @@ def restrict(mdp: Mdp, states: Iterable[str]) -> Mdp:
         if not any(mdp.edge_by_id[eid].source == s for eid in internal):
             raise ValueError(f"not an end component: {s} has no internal successor")
 
-    sub_states = tuple((s, o) for s, o in mdp.states if s in sset)
+    sub_states = tuple(so for so in mdp.states if so[0] in sset)
     sub_edges = tuple(e for e in mdp.edges if e.eid in internal)
     probs = {e.eid: mdp.probabilities[e.eid] for e in sub_edges if e.eid in mdp.probabilities}
     init = mdp.initial if mdp.initial in sset else None
@@ -230,7 +230,7 @@ def restrict_states(mdp: Mdp, states: Iterable[str]) -> Mdp:
                 if e.target not in sset:
                     raise ValueError(f"random state {s} has a successor outside the set")
     keep = {e.eid for e in mdp.edges if e.source in sset and e.target in sset}
-    sub_states = tuple((s, o) for s, o in mdp.states if s in sset)
+    sub_states = tuple(so for so in mdp.states if so[0] in sset)
     sub_edges = tuple(e for e in mdp.edges if e.eid in keep)
     for s in sset:
         if not any(e.source == s for e in sub_edges):

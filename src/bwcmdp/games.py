@@ -109,16 +109,16 @@ def positive_multicycle(mdp: Mdp, component: Iterable[str],
 
 
 def _adversary_choices(mdp: Mdp, budget: int):
-    rand_states = [s for s in mdp.state_ids if mdp.is_random(s)]
-    options = [[e.eid for e in mdp.out_edges[s]] for s in rand_states]
+    options = [[(s, e.eid) for e in mdp.out_edges[s]] for s in mdp.state_ids if mdp.is_random(s)]
     count = 1
     for opt in options:
         count *= len(opt)
         if count > budget:
             raise AdversaryBudgetExceeded(
                 f"adversary enumeration needs {count}+ strategies, budget is {budget}")
+    # Spoilers share the (state, edge) pairs of ``options``, not copies.
     for combo in itertools.product(*options):
-        yield AdversaryChoice(tuple(zip(rand_states, combo)))
+        yield AdversaryChoice(combo)
 
 
 def _positive_component(mdp: Mdp, comp: set[str], internal: Sequence[Edge],

@@ -9,19 +9,20 @@ a single shared slack suffices because any fully strict solution has a
 positive minimum margin, and conversely y* > 0 makes every strict row
 strict at once.
 
-Everything is computed in `fractions.Fraction`; no floating point touches
-a decision anywhere.  Tableau rows are sparse ``{column: entry}`` dicts
-of their nonzero entries, plain ``int`` where integral and ``Fraction``
-otherwise (``entry``).  A pivot updates only the rows with an entry in
-its column (``pivot``, through ``sub_row``), and
-``verification.solve_linear`` runs Gauss-Jordan on the same ``pivot``.
+Everything is exact; no floating point touches a decision anywhere.  A
+tableau row is a sparse ``{column: int}`` dict over one positive ``int``
+denominator, and a pivot eliminates fraction-free in the rows with an
+entry in its column (``pivot``); ``Fraction`` appears only where values
+enter (``int_row``) and leave the tableau.  ``verification.solve_linear``
+runs Gauss-Jordan on the same ``pivot``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 from bwcmdp.rationals import format_rational
 
@@ -155,8 +156,7 @@ def solve(system: LinearSystem) -> LpOutcome:
         return LpOutcome("feasible", assignment, None)
     if status == "unbounded":
         # Re-solve with the slack pinned at 1 to hand back a concrete witness.
-        capped = [(dict(c), r, b) for c, r, b in rows]
-        capped.append(({_SLACK: Fraction(1)}, EQ, Fraction(1)))
+        capped = [*rows, ({_SLACK: Fraction(1)}, EQ, Fraction(1))]
         st2, asg2, _ = _simplex(variables, nonneg, capped, {})
         if st2 != "optimal":
             raise AssertionError("unbounded slack but capped system infeasible")
@@ -175,35 +175,17 @@ def maximize(variables: Sequence[str], nonneg_vars: set[str],
     {"optimal", "infeasible", "unbounded"}; on "unbounded" the assignment
     is a feasible point from which the objective ray leaves.
     """
-    rows = [(dict((k, Fraction(v)) for k, v in c.items()), r, Fraction(b))
-            for c, r, b in constraints]
-    obj = {k: Fraction(v) for k, v in objective.items()}
-    st, asg, val = _simplex(list(variables), set(nonneg_vars), rows, obj)
+    st, asg, val = _simplex(list(variables), set(nonneg_vars), constraints, objective)
     if st == "infeasible":
         return "infeasible", None, None
     return st, asg, val
 
 
-def entry(v: Fraction) -> Union[int, Fraction]:
-    """An exact row entry: integral values as plain ``int``, which multiply
-    and add many times faster than ``Fraction`` and compare equal to it."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def sub_row(target: dict, f, row: dict) -> None:
-    """``target -= f * row`` on sparse rows of exact entries (nonzero
-    ``int``/``Fraction`` values), deleting the entries that cancel."""
-    nf = -f
-    for j, a in row.items():
-        v = target.get(j)
-        if v is None:
-            v = nf * a
-        else:
-            v += nf * a
-            if not v:
-                del target[j]
-                continue
-        target[j] = v.numerator if v.denominator == 1 else v
+def int_row(values: dict) -> tuple[dict, int]:
+    """A row ``{column: rational}`` as its nonzero entries times their least
+    common denominator, and that denominator (see ``pivot``)."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}, den
 
 
 def _simplex(variables, nonneg, rows, objective):
@@ -213,10 +195,8 @@ def _simplex(variables, nonneg, rows, objective):
     inequalities get surplus variables.  Bland's anti-cycling rule is used
     in both phases, so termination is guaranteed.
 
-    The tableau rows, and the objective rows, are sparse ``{column:
-    entry}`` dicts (see ``entry``) holding their nonzero entries only,
-    with the rhs (and the objective value) under key ``total``; column
-    ``ncols + i`` is row i's phase-1 artificial.
+    Row i is ``tab[i] / dens[i]`` (see ``pivot``) with its rhs under key
+    ``total``; column ``ncols + i`` is row i's phase-1 artificial.
     """
     cols: list[str] = []
     col_of: dict[str, int] = {}
@@ -265,20 +245,17 @@ def _simplex(variables, nonneg, rows, objective):
     nrows = len(matrix)
     art0 = ncols
     total = ncols + nrows
-    tab: list[dict] = []
+    tab, dens = [], []
     for i, row in enumerate(matrix):
-        sign = 1 if rhs[i] >= 0 else -1
-        t = {j: entry(a * sign) for j, a in row.items() if a}
-        t[art0 + i] = 1
-        if rhs[i]:
-            t[total] = entry(rhs[i] * sign)
+        row[total] = rhs[i]
+        t, den = int_row(row if rhs[i] >= 0 else {j: -a for j, a in row.items()})
+        t[art0 + i] = den
         tab.append(t)
+        dens.append(den)
 
     # Phase 1: artificial basis, minimize artificial mass.
     basis = [art0 + i for i in range(nrows)]
-    obj1 = {j: -1 for j in range(art0, total)}
-    _price_out(tab, obj1, basis)
-    _iterate(tab, obj1, basis, total)
+    _, obj1 = _optimize(tab, dens, basis, total, {j: -1 for j in range(art0, total)}, 1)
     if obj1.get(total):
         return "infeasible", None, None
 
@@ -289,18 +266,18 @@ def _simplex(variables, nonneg, rows, objective):
         if basis[i] >= art0:
             pivot_col = min((j for j in tab[i] if j < art0), default=None)
             if pivot_col is not None:
-                pivot(tab, None, basis, i, pivot_col)
+                pivot(tab, dens, basis, i, pivot_col)
     kept = [i for i in range(len(tab)) if basis[i] < art0]
-    tab = [{j: a for j, a in tab[i].items() if not art0 <= j < total} for i in kept]
+    reduced = [_lowest({j: a for j, a in tab[i].items() if not art0 <= j < total}, dens[i])
+               for i in kept]
+    tab, dens = [t for t, _ in reduced], [den for _, den in reduced]
     basis = [basis[i] for i in kept]
 
-    obj2 = {j: entry(a) for j, a in expand(objective).items()}
-    _price_out(tab, obj2, basis)
-    status = _iterate(tab, obj2, basis, total)
+    status = _optimize(tab, dens, basis, total, *int_row(expand(objective)))[0]
 
     assignment = {v: Fraction(0) for v in cols}
     for i, bvar in enumerate(basis):
-        assignment[cols[bvar]] = Fraction(tab[i].get(total, 0))
+        assignment[cols[bvar]] = Fraction(tab[i].get(total, 0), dens[i])
     merged: dict[str, Fraction] = {}
     for v in variables:
         if v in split:
@@ -314,49 +291,80 @@ def _simplex(variables, nonneg, rows, objective):
     return "optimal", merged, value
 
 
-def _price_out(tab, obj, basis):
+def _optimize(tab, dens, basis, total, obj, den):
+    """Price the basic columns out of the objective row ``obj / den`` and
+    iterate with it as the last row; return the status and that row."""
+    tab.append(obj)
+    dens.append(den)
     for i, bvar in enumerate(basis):
-        c = obj.get(bvar)
-        if c:
-            sub_row(obj, c, tab[i])
+        if bvar in tab[-1]:
+            tab[-1], dens[-1] = _eliminate(tab[-1], dens[-1], tab[-1][bvar], tab[i], dens[i])
+    status = _iterate(tab, dens, basis, total)
+    dens.pop()
+    return status, tab.pop()
 
 
-def _iterate(tab, obj, basis, total):
+def _iterate(tab, dens, basis, total):
     """Bland's rule: the lowest column with positive reduced cost enters;
-    ratio ties leave by the lowest basis index."""
+    ratio ties leave by the lowest basis index.  Denominators are positive:
+    signs are the integers' signs, ratios are compared cross-multiplied."""
     while True:
-        enter = min((j for j, c in obj.items() if c > 0 and j != total), default=None)
+        enter = min((j for j, c in tab[-1].items() if c > 0 and j != total), default=None)
         if enter is None:
             return "optimal"
         leave = None
-        best = None
-        for i, row in enumerate(tab):
-            a = row.get(enter)
+        for i in range(len(basis)):
+            a = tab[i].get(enter)
             if a is not None and a > 0:
-                ratio = Fraction(row.get(total, 0), a)
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                t = tab[i].get(total, 0)
+                if leave is None or t * best_a < best_t * a or (
+                        t * best_a == best_t * a and basis[i] < basis[leave]):
+                    leave, best_t, best_a = i, t, a
         if leave is None:
             return "unbounded"
-        pivot(tab, obj, basis, leave, enter)
+        pivot(tab, dens, basis, leave, enter)
 
 
-def pivot(tab, obj, basis, r, c):
-    """Pivot sparse rows on entry (r, c): scale row r to a 1 in column c,
-    clear column c from the other rows and from the objective row ``obj``
-    (if any) with ``sub_row``, and record c as row r's basic column."""
+def pivot(tab, dens, basis, r, c):
+    """Pivot on entry (r, c) and record c as row r's basic column.
+
+    Row i is ``tab[i] / dens[i]``: sparse integer entries over a positive
+    denominator sharing no factor with all of them.  Row r, ``R / d`` with
+    ``R[c] = p``, becomes ``R / p`` (negated if p < 0), reduced; every
+    other row of ``tab``, objective rows included, loses its column c
+    entry by exact integer elimination."""
     row = tab[r]
     p = row[c]
-    if p != 1:
-        inv = entry(Fraction(1) / p)
-        tab[r] = row = {j: entry(a * inv) for j, a in row.items()}
+    if p < 0:
+        row, p = {j: -a for j, a in row.items()}, -p
+    tab[r], dens[r] = row, p = _lowest(row, p)
     for i, other in enumerate(tab):
         if i != r and c in other:
-            sub_row(other, other[c], row)
-    if obj is not None and c in obj:
-        sub_row(obj, obj[c], row)
+            tab[i], dens[i] = _eliminate(other, dens[i], other[c], row, p)
     basis[r] = c
+
+
+def _eliminate(row, den, a, prow, p):
+    """``row/den - (a/den) * prow/p``, where the pivot row ``prow/p`` is 1
+    in the column where ``row`` holds ``a``: ``(row*p - a*prow) / (den*p)``
+    with gcd(a, p) divided out first, reduced; ``row`` may be updated."""
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    if p != 1:
+        row, den = {j: v * p for j, v in row.items()}, den * p
+    for j, v in prow.items():
+        x = row.get(j, 0) - a * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return _lowest(row, den) if den != 1 else (row, den)
+
+
+def _lowest(row, den):
+    """Divide out the factor common to a row's entries and denominator."""
+    g = gcd(den, *row.values())
+    return (row, den) if g == 1 else ({j: v // g for j, v in row.items()}, den // g)
 
 
 def residuals(system: LinearSystem, assignment: dict[str, Fraction]) -> list[Fraction]:

@@ -131,10 +131,10 @@ class Mdp:
     def replace_weights(self, weights: dict[int, tuple[int, ...]]) -> "Mdp":
         es = tuple(Edge(e.eid, e.source, e.target, weights.get(e.eid, e.weight))
                    for e in self.edges)
-        return Mdp(self.dimension, self.states, es, dict(self.probabilities), self.initial)
+        return Mdp(self.dimension, self.states, es, self.probabilities, self.initial)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdQuery:
     """A threshold query: mode, start state, worst-case vector mu, expectation vector nu.
 

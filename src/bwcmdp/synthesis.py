@@ -543,11 +543,10 @@ class _Ladder:
 
     def __init__(self, mdp: Mdp, comp: EndComponent, locals_: list[LocalStrategy], dims):
         self.sub = restrict(mdp, comp.states)
-        ec = EndComponent(comp.states, comp.edges)
         self.mu = _check_vector(self.sub, dims)
         self.start = min(comp.states, key=mdp.state_ids.index)
-        self._sources = (_plain_rungs(self.sub, ec, locals_),
-                         _monitored_rungs(self.sub, ec, locals_, dims))
+        self._sources = (_plain_rungs(self.sub, comp, locals_),
+                         _monitored_rungs(self.sub, comp, locals_, dims))
         self._rungs = ([], [])  # per source: [machine, expectation or None, wins wc or None]
 
     def first(self, target: Sequence[Fraction], monitored: bool):
@@ -777,8 +776,7 @@ def bas_strategy(mdp: Mdp, query: ThresholdQuery,
     component_of, entries = _witness_locals(w)
 
     for dwell in _doubling(search_cap):
-        machines = [CyclingMachine(restrict(w.mdp, comp.states),
-                                   EndComponent(comp.states, comp.edges), locals_, dwell)
+        machines = [CyclingMachine(restrict(w.mdp, comp.states), comp, locals_, dwell)
                     for comp, locals_, _ in entries]
         composed = ComposedStrategy(w.mdp, plan, component_of, machines)
         exp = expected_mp(induced_chain(w.mdp, composed, w.start))
@@ -955,7 +953,7 @@ class BranchedInfiniteStrategy:
                             for m in self.monitors], dtype=np.int64)
         wmax = max(self.mdp.max_abs_weight, mdp.max_abs_weight)
         bound = (horizon * wmax + 1) * 2 * int(mon_den.max())
-        bound = max(bound, int(mon_num.max()) * (horizon + K))
+        bound = max(bound, max(abs(int(v)) for v in mon_num.flat) * (horizon + K))
         if bound >= 2**62:
             raise OverflowError("monitor arithmetic exceeds int64 range")
 
@@ -1111,7 +1109,7 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
         sub = restrict(w.mdp, comp.states)
         start = min(comp.states, key=w.mdp.state_ids.index)
         for dwell in _doubling(DWELL_CAP):
-            g = CyclingMachine(sub, EndComponent(comp.states, comp.edges), locals_, dwell)
+            g = CyclingMachine(sub, comp, locals_, dwell)
             exp = expected_mp(induced_chain(sub, g, start))
             if all(e > 0 for e in exp):
                 break

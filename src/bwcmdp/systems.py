@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from sys import intern
 from typing import Optional, Sequence
 
 from bwcmdp import games, linsolve
@@ -48,16 +50,17 @@ from bwcmdp.model import Edge, Mdp, ThresholdQuery, normalize, require_valid
 from bwcmdp.rationals import format_rational
 
 
+# Variable names are interned: the witnesses that decisions keep share them.
 def ys(s: str) -> str:
-    return f"y[{s}]"
+    return intern(f"y[{s}]")
 
 
 def ye(eid: int) -> str:
-    return f"ye[{eid}]"
+    return intern(f"ye[{eid}]")
 
 
 def xe(eid: int) -> str:
-    return f"x[{eid}]"
+    return intern(f"x[{eid}]")
 
 
 def ensure_controller_start(mdp: Mdp, start: str) -> tuple[Mdp, str]:
@@ -75,7 +78,7 @@ def ensure_controller_start(mdp: Mdp, start: str) -> tuple[Mdp, str]:
     eid = max((e.eid for e in mdp.edges), default=-1) + 1
     states = mdp.states + ((name, "controller"),)
     edges = mdp.edges + (Edge(eid, name, start, tuple(0 for _ in range(mdp.dimension))),)
-    return Mdp(mdp.dimension, states, edges, dict(mdp.probabilities), mdp.initial), name
+    return Mdp(mdp.dimension, states, edges, mdp.probabilities, mdp.initial), name
 
 
 def _flow_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
@@ -255,18 +258,40 @@ class Witness:
     """Everything synthesis needs from a yes-decision.
 
     ``mdp`` is the prepared instance the assignment refers to: normalized,
-    pruned (bwc modes), restricted to the reachable part, and with a
-    controller pre-state inserted when the start state was random.
-    ``assignment`` holds the nonzero variables only; the rest are 0.
+    pruned (bwc modes), restricted to the reachable part (the states
+    ``kept``), and with a controller pre-state inserted when the start
+    state was random; ``nu`` is the normalized expectation threshold.
+    Both are rebuilt on first use from the decided ``source`` and
+    ``query``, so a kept Decision pins no prepared edge or index.
+    ``components`` hold their states and edges as tuples, in the order of
+    the sets that deciding found.  ``assignment`` holds the nonzero
+    variables only; the rest are 0.
     """
 
-    mdp: Mdp
+    source: Mdp
+    query: ThresholdQuery
+    kept: tuple[str, ...]
     start: str
-    nu: tuple[Fraction, ...]
     dims: tuple[int, ...]
     components: tuple[EndComponent, ...]
     assignment: dict[str, Fraction]
     slack: Optional[Fraction]
+    _prepared: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @property
+    def mdp(self) -> Mdp:
+        return self._prepare()[0]
+
+    @property
+    def nu(self) -> tuple[Fraction, ...]:
+        return self._prepare()[1]
+
+    def _prepare(self) -> tuple[Mdp, tuple[Fraction, ...]]:
+        if self._prepared is None:
+            nmdp, nquery = normalize(self.source, self.query)
+            object.__setattr__(self, "_prepared", (ensure_controller_start(
+                restrict_states(nmdp, self.kept), nquery.start)[0], tuple(nquery.nu)))
+        return self._prepared
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,6 +316,12 @@ class Decision:
         if self.certificate is not None:
             out["spoiler"] = {s: e for s, e in self.certificate.choice}
         return out
+
+
+@cache
+def _verdict(answer: bool, mode: str, failure: Optional[str] = None) -> Decision:
+    """A Decision without witness or certificate; immutable, so shared."""
+    return Decision(answer, mode, failure=failure)
 
 
 def decide(mdp: Mdp, query: ThresholdQuery,
@@ -318,10 +349,10 @@ def decide(mdp: Mdp, query: ThresholdQuery,
 
     if query.mode == "wc":
         if not dims:
-            return Decision(True, "wc")
+            return _verdict(True, "wc")
         region = games.wc_winning_region(nmdp, dims, budget)
         if start in region:
-            return Decision(True, "wc")
+            return _verdict(True, "wc")
         return Decision(False, "wc", failure="worst-case objective fails at the start state",
                         certificate=region.certificates.get(start))
 
@@ -335,31 +366,33 @@ def decide(mdp: Mdp, query: ThresholdQuery,
         keep = reachable(nmdp, start)
         base = restrict_states(nmdp, keep) if keep != set(nmdp.state_ids) else nmdp
 
+    kept = base.state_ids
     base, start2 = ensure_controller_start(base, start)
 
     if query.mode == "bwc-fin":
         comps = [c for c in games.mwecs(base, dims, budget) if positively_winnable(base, c)]
         if not comps:
-            return Decision(False, query.mode, failure="no maximal winning end component")
+            return _verdict(False, query.mode, "no maximal winning end component")
         system = finite_memory_system(base, start2, nquery.nu, comps)
     elif query.mode == "exp":
         comps = mecs(base)
         if not comps:
-            return Decision(False, query.mode, failure="no maximal end component")
+            return _verdict(False, query.mode, "no maximal end component")
         system = general_system(base, start2, nquery.nu, comps, local_positivity=False)
     else:
         comps = [c for c in mecs(base) if positively_winnable(base, c)]
         if not comps:
-            return Decision(False, query.mode, failure="no positively winnable end component")
+            return _verdict(False, query.mode, "no positively winnable end component")
         system = general_system(base, start2, nquery.nu, comps)
 
     if dump_lp is not None:
         dump_lp(system)
     outcome = linsolve.solve(system)
     if not outcome.strict_feasible:
-        return Decision(False, query.mode, failure="threshold system infeasible")
-    witness = Witness(mdp=base, start=start2, nu=tuple(nquery.nu), dims=dims,
-                      components=tuple(comps),
+        return _verdict(False, query.mode, "threshold system infeasible")
+    witness = Witness(source=mdp, query=query, kept=kept, start=start2, dims=dims,
+                      components=tuple(EndComponent(tuple(c.states), tuple(c.edges))
+                                       for c in comps),
                       assignment={k: v for k, v in outcome.assignment.items() if v},
                       slack=outcome.slack)
     return Decision(True, query.mode, witness=witness)

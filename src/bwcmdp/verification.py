@@ -2,7 +2,7 @@
 
 Exact side: bottom-SCC analysis of induced chains with rational reach
 probabilities and stationary distributions (Gauss-Jordan on the
-simplex's sparse rows); minimum cycle means by Karp's algorithm in
+simplex's sparse integer rows); minimum cycle means by Karp's algorithm in
 Python integers on support products (worst case); BSCC expectations
 (almost sure / expectation).  Every verdict is computed in exact
 arithmetic.
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from bwcmdp import rng
 from bwcmdp.decomposition import index_reachable, index_sccs
-from bwcmdp.linsolve import entry, pivot
+from bwcmdp.linsolve import int_row, pivot
 from bwcmdp.machines import InducedChain, induced_chain, support_product
 from bwcmdp.model import Mdp
 
@@ -37,21 +37,22 @@ if TYPE_CHECKING:
 def solve_linear(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
     """Solve ``matrix @ X = rhs`` exactly; rhs holds the columns to solve for.
 
-    Gauss-Jordan with ``linsolve.pivot`` on sparse rows of exact entries
-    (``linsolve.entry``), the rhs columns after the matrix's.
+    Gauss-Jordan with ``linsolve.pivot`` on the simplex's sparse integer
+    rows (``linsolve.int_row``), the rhs columns after the matrix's.
     """
     n = len(matrix)
     k = len(rhs[0]) if rhs else 0
-    rows = [{j: entry(Fraction(v)) for j, v in enumerate([*row, *r]) if v}
-            for row, r in zip(matrix, rhs)]
+    pairs = [int_row(dict(enumerate([*row, *r]))) for row, r in zip(matrix, rhs)]
+    rows, dens = [t for t, _ in pairs], [den for _, den in pairs]
     basis = list(range(n))
     for col in range(n):
         piv = next((r for r in range(col, n) if col in rows[r]), None)
         if piv is None:
             raise ArithmeticError("singular matrix in exact solve")
         rows[col], rows[piv] = rows[piv], rows[col]
-        pivot(rows, None, basis, col, col)
-    return [[Fraction(row.get(j, 0)) for j in range(n, n + k)] for row in rows]
+        dens[col], dens[piv] = dens[piv], dens[col]
+        pivot(rows, dens, basis, col, col)
+    return [[Fraction(row.get(j, 0), den) for j in range(n, n + k)] for row, den in zip(rows, dens)]
 
 
 # ---------------------------------------------------------------------------

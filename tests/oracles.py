@@ -4,9 +4,10 @@ These deliberately avoid the production algorithms: reachability by path
 closure, end components by subset enumeration, game values by exhaustive
 memoryless strategy pairs, cycle means by simple-cycle enumeration, and
 linear feasibility by vertex enumeration.  It also holds the helpers that
-only tests use: game values by value iteration, the dense simplex the
-sparse one must reproduce, and scalar simulators, one run and one step at
-a time, that the block-stepped simulation kernel must reproduce.
+only tests use: game values by value iteration, the dense simplex and the
+sparse Fraction-row simplex and Gauss-Jordan that the integer-row kernel
+must reproduce, and scalar simulators, one run and one step at a time,
+that the block-stepped simulation kernel must reproduce.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -588,6 +589,207 @@ def _pivot(tab, obj, basis, r, c):
             for j in range(total + 1):
                 obj[j] -= f * row[j]
     basis[r] = c
+
+
+# ---------------------------------------------------------------------------
+# The sparse Fraction-row simplex and Gauss-Jordan that the integer-row
+# kernel of ``linsolve`` replaced, kept verbatim (helpers renamed) as the
+# reference its pivots must reproduce, basis for basis.
+
+
+def entry(v: Fraction) -> Union[int, Fraction]:
+    """An exact row entry: integral values as plain ``int``, which multiply
+    and add many times faster than ``Fraction`` and compare equal to it."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def sub_row(target: dict, f, row: dict) -> None:
+    """``target -= f * row`` on sparse rows of exact entries (nonzero
+    ``int``/``Fraction`` values), deleting the entries that cancel."""
+    nf = -f
+    for j, a in row.items():
+        v = target.get(j)
+        if v is None:
+            v = nf * a
+        else:
+            v += nf * a
+            if not v:
+                del target[j]
+                continue
+        target[j] = v.numerator if v.denominator == 1 else v
+
+
+def fraction_simplex(variables, nonneg, rows, objective):
+    """Two-phase primal simplex on named variables.
+
+    Free variables are split into positive and negative parts; weak
+    inequalities get surplus variables.  Bland's anti-cycling rule is used
+    in both phases, so termination is guaranteed.
+
+    The tableau rows, and the objective rows, are sparse ``{column:
+    entry}`` dicts (see ``entry``) holding their nonzero entries only,
+    with the rhs (and the objective value) under key ``total``; column
+    ``ncols + i`` is row i's phase-1 artificial.
+    """
+    cols: list[str] = []
+    col_of: dict[str, int] = {}
+
+    def add_col(name):
+        col_of[name] = len(cols)
+        cols.append(name)
+
+    split: dict[str, tuple[str, str]] = {}
+    for v in variables:
+        if v in nonneg:
+            add_col(v)
+        else:
+            split[v] = (v + "⁺", v + "⁻")
+            add_col(split[v][0])
+            add_col(split[v][1])
+
+    def expand(coeffs):
+        out: dict[int, Fraction] = {}
+        for v, a in coeffs.items():
+            a = Fraction(a)
+            if a == 0:
+                continue
+            if v in split:
+                p, n = split[v]
+                out[col_of[p]] = out.get(col_of[p], Fraction(0)) + a
+                out[col_of[n]] = out.get(col_of[n], Fraction(0)) - a
+            else:
+                out[col_of[v]] = out.get(col_of[v], Fraction(0)) + a
+        return out
+
+    matrix: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    for i, (coeffs, rel, b) in enumerate(rows):
+        row = expand(coeffs)
+        if rel == GE:
+            name = f"__s{i}"
+            add_col(name)
+            row[col_of[name]] = Fraction(-1)
+        elif rel != EQ:
+            raise ValueError(f"unsupported relation {rel!r} at simplex level")
+        matrix.append(row)
+        rhs.append(Fraction(b))
+
+    ncols = len(cols)
+    nrows = len(matrix)
+    art0 = ncols
+    total = ncols + nrows
+    tab: list[dict] = []
+    for i, row in enumerate(matrix):
+        sign = 1 if rhs[i] >= 0 else -1
+        t = {j: entry(a * sign) for j, a in row.items() if a}
+        t[art0 + i] = 1
+        if rhs[i]:
+            t[total] = entry(rhs[i] * sign)
+        tab.append(t)
+
+    # Phase 1: artificial basis, minimize artificial mass.
+    basis = [art0 + i for i in range(nrows)]
+    obj1 = {j: -1 for j in range(art0, total)}
+    _fraction_price_out(tab, obj1, basis)
+    _fraction_iterate(tab, obj1, basis, total)
+    if obj1.get(total):
+        return "infeasible", None, None
+
+    # Evict what artificials can leave the basis, drop the rows whose
+    # artificial cannot (redundant all-zero rows), and the artificial
+    # columns, which phase 2 never enters.
+    for i in range(len(tab)):
+        if basis[i] >= art0:
+            pivot_col = min((j for j in tab[i] if j < art0), default=None)
+            if pivot_col is not None:
+                fraction_pivot(tab, None, basis, i, pivot_col)
+    kept = [i for i in range(len(tab)) if basis[i] < art0]
+    tab = [{j: a for j, a in tab[i].items() if not art0 <= j < total} for i in kept]
+    basis = [basis[i] for i in kept]
+
+    obj2 = {j: entry(a) for j, a in expand(objective).items()}
+    _fraction_price_out(tab, obj2, basis)
+    status = _fraction_iterate(tab, obj2, basis, total)
+
+    assignment = {v: Fraction(0) for v in cols}
+    for i, bvar in enumerate(basis):
+        assignment[cols[bvar]] = Fraction(tab[i].get(total, 0))
+    merged: dict[str, Fraction] = {}
+    for v in variables:
+        if v in split:
+            p, n = split[v]
+            merged[v] = assignment[p] - assignment[n]
+        else:
+            merged[v] = assignment[v]
+    value = sum((Fraction(a) * merged[v] for v, a in objective.items()), Fraction(0))
+    if status == "unbounded":
+        return "unbounded", merged, None
+    return "optimal", merged, value
+
+
+def _fraction_price_out(tab, obj, basis):
+    for i, bvar in enumerate(basis):
+        c = obj.get(bvar)
+        if c:
+            sub_row(obj, c, tab[i])
+
+
+def _fraction_iterate(tab, obj, basis, total):
+    """Bland's rule: the lowest column with positive reduced cost enters;
+    ratio ties leave by the lowest basis index."""
+    while True:
+        enter = min((j for j, c in obj.items() if c > 0 and j != total), default=None)
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for i, row in enumerate(tab):
+            a = row.get(enter)
+            if a is not None and a > 0:
+                ratio = Fraction(row.get(total, 0), a)
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        fraction_pivot(tab, obj, basis, leave, enter)
+
+
+def fraction_pivot(tab, obj, basis, r, c):
+    """Pivot sparse rows on entry (r, c): scale row r to a 1 in column c,
+    clear column c from the other rows and from the objective row ``obj``
+    (if any) with ``sub_row``, and record c as row r's basic column."""
+    row = tab[r]
+    p = row[c]
+    if p != 1:
+        inv = entry(Fraction(1) / p)
+        tab[r] = row = {j: entry(a * inv) for j, a in row.items()}
+    for i, other in enumerate(tab):
+        if i != r and c in other:
+            sub_row(other, other[c], row)
+    if obj is not None and c in obj:
+        sub_row(obj, obj[c], row)
+    basis[r] = c
+
+
+def fraction_solve_linear(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve ``matrix @ X = rhs`` exactly; rhs holds the columns to solve for.
+
+    Gauss-Jordan with ``fraction_pivot`` on sparse rows of exact entries
+    (``entry``), the rhs columns after the matrix's.
+    """
+    n = len(matrix)
+    k = len(rhs[0]) if rhs else 0
+    rows = [{j: entry(Fraction(v)) for j, v in enumerate([*row, *r]) if v}
+            for row, r in zip(matrix, rhs)]
+    basis = list(range(n))
+    for col in range(n):
+        piv = next((r for r in range(col, n) if col in rows[r]), None)
+        if piv is None:
+            raise ArithmeticError("singular matrix in exact solve")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        fraction_pivot(rows, None, basis, col, col)
+    return [[Fraction(row.get(j, 0)) for j in range(n, n + k)] for row in rows]
 
 
 # ---------------------------------------------------------------------------

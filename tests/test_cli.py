@@ -334,7 +334,10 @@ def _reprob(data):
     (lambda data: data["edges"].pop(3), None, "s", "edge 3"),
     (None, lambda rec: rec.pop("mdp"), "s", "re-synthesize"),
     (None, None, "t", "plays from 's'"),
-], ids=["probabilities", "missing-edge", "no-mdp", "other-start"])
+    # Floors num*i*K of a rate -3*2**56 wrap int64 (to +2**62 at K = 64).
+    (None, lambda rec: rec.update(monitors=[[str(-3 * 2**56)] * 2 for _ in rec["monitors"]]),
+     "s", "int64"),
+], ids=["probabilities", "missing-edge", "no-mdp", "other-start", "negative-rate-overflow"])
 def test_bwc_inf_strategy_file_mismatch_exits_2(capsys, tmp_path, run_path, mutate_mdp,
                                                 mutate_file, frm, message):
     strat = str(tmp_path / "proc.json")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bwcmdp.decomposition import mecs, reachable, restrict, sccs
+from bwcmdp.decomposition import mecs, reachable, restrict, restrict_states, sccs
 from conftest import random_mdp
 from oracles import brute_is_ec, brute_mecs, brute_reachable, brute_sccs, is_trivial_scc
 
@@ -98,3 +98,7 @@ def test_restrict(run_ex):
     assert len(single.edges) == 1 and single.edges[0].weight == (5, 15)
     with pytest.raises(ValueError):
         restrict(run_ex, {"s", "t"})
+    # Sub-MDPs share their parent's (state, owner) records.
+    for sub in (restrict(run_ex, {"u", "v"}), restrict_states(run_ex, {"s", "t", "u", "v"})):
+        parent = dict(zip(run_ex.state_ids, run_ex.states))
+        assert sub.states and all(so is parent[so[0]] for so in sub.states)

@@ -1,7 +1,9 @@
 """Exact simplex tests: examples, resubstitution, and the vertex oracle."""
 
+import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -131,12 +133,44 @@ def _same_as_dense(variables, nonneg, rows, objective, sparse=None):
     from bwcmdp import linsolve
     from oracles import dense_simplex
 
-    got = (sparse or linsolve._simplex)(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
+    got = _same_as_fraction_rows(sparse or linsolve._simplex, variables, nonneg, rows, objective)
     want = dense_simplex(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
     assert got == want
     if got[1] is not None:
         assert all(type(v) is F for v in got[1].values())
     return got[0]
+
+
+def _same_as_fraction_rows(simplex, variables, nonneg, rows, objective):
+    """Run ``simplex`` and the Fraction-row reference on one input: the
+    same result and the same basis after every pivot, and every integer
+    row, the objective's too, over a positive denominator that shares no
+    factor with all its entries."""
+    import copy
+
+    import oracles
+    from bwcmdp import linsolve
+
+    got_bases, want_bases = [], []
+    int_pivot, fraction_pivot = linsolve.pivot, oracles.fraction_pivot
+
+    def checked(tab, dens, basis, r, c):
+        int_pivot(tab, dens, basis, r, c)
+        assert len(tab) == len(dens)
+        assert all(den > 0 and math.gcd(den, *row.values()) == 1 for row, den in zip(tab, dens))
+        got_bases.append(list(basis))
+
+    def recorded(tab, obj, basis, r, c):
+        fraction_pivot(tab, obj, basis, r, c)
+        want_bases.append(list(basis))
+
+    with mock.patch.object(linsolve, "pivot", checked), \
+            mock.patch.object(oracles, "fraction_pivot", recorded):
+        got = simplex(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
+        want = oracles.fraction_simplex(list(variables), set(nonneg), copy.deepcopy(rows),
+                                        dict(objective))
+    assert got == want and got_bases == want_bases
+    return got
 
 
 def test_sparse_simplex_matches_dense_tableau(monkeypatch):

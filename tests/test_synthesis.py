@@ -34,6 +34,27 @@ def test_phase1_trivial_witness(run_ex):
     assert len(plan.edge_distribution("u")) == 1
 
 
+def test_lean_witness_synthesizes_the_same_file(run_ex, tmp_path, capsys):
+    import hashlib
+
+    from bwcmdp import jsonio
+    from bwcmdp.cli import main
+
+    # A decision pins no prepared MDP; the witness rebuilds it once, on use.
+    w = decide(run_ex, _query("bwc-fin", [0, 0], [0, 9])).witness
+    assert w._prepared is None
+    assert w.mdp is w.mdp and w.mdp.states == run_ex.states and w.nu == (0, 9)
+    # `synthesize` from such a decision writes the file it wrote when the
+    # witness kept the prepared MDP that deciding built (its sha256 then).
+    mdp, strat = str(tmp_path / "run_ex.json"), str(tmp_path / "strat.json")
+    jsonio.save_mdp(mdp, run_ex)
+    assert main(["synthesize", "--mdp", mdp, "--mode", "bwc-fin", "--from", "s",
+                 "--mu", "0,0", "--nu", "0,9", "--out", strat]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(open(strat, "rb").read()).hexdigest() == (
+        "e8cff918a3f063b4f7e1e53fb373088d0a898a818518ee9b00b879a097be8409")
+
+
 def test_phase1_balanced_witness(run_ex):
     dec = decide(run_ex, _query("bwc-inf", [0, 0], [F(99, 10), F(99, 10)]))
     plan = phase1_strategy(dec.witness)

@@ -312,6 +312,7 @@ def test_walk_rejects_bad_distributions(run_ex, dist):
 
 def test_solve_linear_solves_random_systems():
     from bwcmdp.verification import solve_linear
+    from oracles import fraction_solve_linear
 
     rng = random.Random(31)
     solved = 0
@@ -326,8 +327,11 @@ def test_solve_linear_solves_random_systems():
         try:
             x = solve_linear(a, b)
         except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                fraction_solve_linear(a, b)
             continue  # singular
         solved += 1
+        assert x == fraction_solve_linear(a, b)
         assert all(type(v) is F for row in x for v in row)
         for i in range(n):
             for j in range(k):
