@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from bwcmdp import games, jsonio, linsolve
 from bwcmdp.decomposition import mecs, sccs
@@ -214,7 +215,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call: ``parse_args`` fills a fresh namespace each time, and
+    no option has a mutable default."""
     p = argparse.ArgumentParser(prog="bwcmdp",
                                 description="Multidimensional mean-payoff MDP toolkit")
     sub = p.add_subparsers(dest="command", required=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from bwcmdp.model import Mdp, require_valid
+from bwcmdp.model import Mdp
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +133,6 @@ def mecs(mdp: Mdp) -> list[EndComponent]:
     non-trivial components are the MECs.  Output order follows the first
     state of each component in declaration order.
     """
-    require_valid(mdp)
     alive_states = set(mdp.state_ids)
     alive_edges = {e.eid for e in mdp.edges}
 

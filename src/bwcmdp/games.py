@@ -8,8 +8,17 @@ strictly positive in every tracked dimension).  Memoryless adversaries
 suffice to spoil, so enumerating them is exact; the enumeration is capped
 and intended for desk-scale instances.
 
+One integer-indexed kernel (``_SpoilerKernel``) serves every spoiler of a
+``wc_winning_region`` call.  It indexes the states and edges once, shares
+the controller states' successor lists among all spoilers (a spoiler
+swaps in only its random states' chosen arcs), and builds each edge's
+Karp arc once.  ``index_sccs`` lists the one-player graph's SCCs in
+reverse topological order, so one pass marks the winning ones: an SCC
+wins if it has an arc into a winning SCC or carries a positive
+multi-cycle.
+
 Each one-player SCC is settled once per ``wc_winning_region`` call: its
-verdict is memoized by its internal edge ids, since many spoilers leave
+verdict is memoized by its internal edges, since many spoilers leave
 the same component.  Two exact cycle-mean tests on Karp's kernel settle
 most components without an LP: no flow is positive when some tracked
 dimension (or their sum) has maximum cycle mean <= 0, and one is when a
@@ -31,8 +40,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from bwcmdp import linsolve
-from bwcmdp.decomposition import EndComponent, mecs, reachable, restrict, restrict_states, sccs
-from bwcmdp.model import Edge, Mdp, ThresholdQuery, require_valid
+from bwcmdp.decomposition import (EndComponent, index_sccs, mecs, reachable, restrict,
+                                  restrict_states)
+from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.verification import _karp_scc, _tight_cycle
 
 DEFAULT_ADVERSARY_BUDGET = 1 << 20
@@ -121,112 +131,132 @@ def _adversary_choices(mdp: Mdp, budget: int):
         yield AdversaryChoice(combo)
 
 
-def _positive_component(mdp: Mdp, comp: set[str], internal: Sequence[Edge],
-                        dims: tuple[int, ...], memo: dict) -> bool:
-    """Whether one one-player SCC carries a positive multi-cycle.
+class _SpoilerKernel:
+    """One region call's spoiler-independent work (see the module notes).
 
-    ``internal`` holds the SCC's internal edges; the verdict is memoized
-    in ``memo`` by their ids.  Karp on negated weights gives each tracked
-    dimension's (and their sum's) maximum cycle mean: one <= 0 bounds
-    every flow's value by 0.  A maximum-mean cycle with a positive total
-    in every tracked dimension is a positive flow by itself.  Components
-    that neither settles go to ``positive_multicycle``.
+    States are indexed in declaration order and edges by their position
+    in ``mdp.edges``; ``memo`` maps an SCC's sorted internal edge
+    positions to its verdict.
     """
-    key = frozenset(e.eid for e in internal)
-    if key not in memo:
-        memo[key] = _settle_component(mdp, comp, internal, dims)
-    return memo[key]
 
+    def __init__(self, mdp: Mdp, dims: tuple[int, ...]):
+        self.mdp, self.dims = mdp, dims
+        self.index = {s: i for i, s in enumerate(mdp.state_ids)}
+        index = self.index
+        self.target = [index[e.target] for e in mdp.edges]
+        # Column c < len(dims) is dimension dims[c] negated; the last is
+        # the negated sum of the tracked dimensions.
+        self.arcs = [(index[e.source], index[e.target],
+                      tuple(-e.weight[i] for i in dims) + (-sum(e.weight[i] for i in dims),), k)
+                     for k, e in enumerate(mdp.edges)]
+        self.outs: list[Sequence[int]] = [[] for _ in index]
+        for k, e in enumerate(mdp.edges):
+            self.outs[index[e.source]].append(k)
+        self.succ = [[self.target[k] for k in ks] for ks in self.outs]
+        # A spoiler's (state, edge id) pair -> the random state's index and
+        # its one-arc edge and successor lists.
+        self.pick = {(e.source, e.eid): (index[e.source], (k,), (self.target[k],))
+                     for k, e in enumerate(mdp.edges) if mdp.is_random(e.source)}
+        self.memo: dict[tuple[int, ...], bool] = {}
 
-def _settle_component(mdp: Mdp, comp: set[str], internal: Sequence[Edge],
-                      dims: tuple[int, ...]) -> bool:
-    order = [s for s in mdp.state_ids if s in comp]
-    # Column k < len(dims) is dimension dims[k] negated; the last is the
-    # negated sum of the tracked dimensions.
-    arcs = [(e.source, e.target,
-             tuple(-e.weight[i] for i in dims) + (-sum(e.weight[i] for i in dims),), e.eid)
-            for e in internal]
-    weight = {e.eid: e.weight for e in internal}
-    for k in range(len(dims) + 1):
-        mean = _karp_scc(order, arcs, k)
-        if mean >= 0:
-            return False
-        cycle = _tight_cycle(order, arcs, k, mean)
-        if all(sum(weight[eid][i] for eid in cycle) > 0 for i in dims):
-            return True
-    sub = Mdp(mdp.dimension, tuple((s, o) for s, o in mdp.states if s in comp),
-              tuple(internal), {}, None)
-    return positive_multicycle(sub, comp, dims) > 0
+    def winning(self, sigma: AdversaryChoice) -> list[bool]:
+        """Per state index, whether the controller beats this spoiler.
 
+        Every arc between two SCCs points to an earlier one in
+        ``index_sccs``'s order, so a component's successors are marked
+        before it is.
+        """
+        outs, succ = self.outs[:], self.succ[:]
+        for pair in sigma.choice:
+            i, out, nxt = self.pick[pair]
+            outs[i], succ[i] = out, nxt
+        comps = index_sccs(succ)
+        comp_of = [0] * len(succ)
+        for c, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = c
+        target = self.target
+        won = [False] * len(comps)
+        for c, comp in enumerate(comps):
+            if any(won[comp_of[w]] for v in comp for w in succ[v]):
+                won[c] = True
+                continue
+            inner = sorted(k for v in comp for k in outs[v] if comp_of[target[k]] == c)
+            if inner:
+                won[c] = self.positive(comp, inner)
+        return [won[c] for c in comp_of]
 
-def _winning_under(mdp: Mdp, sigma: AdversaryChoice, dims: tuple[int, ...],
-                   memo: dict) -> set[str]:
-    """States from which the controller beats this fixed memoryless adversary."""
-    chosen = dict(sigma.choice)
-    allowed = [e for e in mdp.edges
-               if not mdp.is_random(e.source) or chosen[e.source] == e.eid]
-    comps = sccs(mdp, (e.eid for e in allowed))
-    comp_of = {s: c for c, comp in enumerate(comps) for s in comp}
-    internal: list[list[Edge]] = [[] for _ in comps]
-    for e in allowed:
-        if comp_of[e.source] == comp_of[e.target]:
-            internal[comp_of[e.source]].append(e)
-    good: set[str] = set()
-    for comp, inner in zip(comps, internal):
-        if inner and _positive_component(mdp, comp, inner, dims, memo):
-            good |= comp
-    # Backward closure: states that can reach a good SCC along allowed edges.
-    pred: dict[str, list[str]] = {s: [] for s in mdp.state_ids}
-    for e in allowed:
-        pred[e.target].append(e.source)
-    frontier = list(good)
-    win = set(good)
-    while frontier:
-        s = frontier.pop()
-        for p in pred[s]:
-            if p not in win:
-                win.add(p)
-                frontier.append(p)
-    return win
+    def positive(self, comp: list[int], inner: list[int]) -> bool:
+        """Whether one one-player SCC carries a positive multi-cycle.
+
+        ``comp`` holds the SCC's state indices and ``inner`` its internal
+        edges' positions, both sorted.  Karp on the negated weights gives
+        each tracked dimension's (and their sum's) maximum cycle mean: one
+        <= 0 bounds every flow's value by 0.  A maximum-mean cycle with a
+        positive total in every tracked dimension is a positive flow by
+        itself.  Components that neither settles go to
+        ``positive_multicycle``.
+        """
+        key = tuple(inner)
+        verdict = self.memo.get(key)
+        if verdict is None:
+            verdict = self.memo[key] = self._settle(comp, inner)
+        return verdict
+
+    def _settle(self, comp: list[int], inner: list[int]) -> bool:
+        mdp, dims = self.mdp, self.dims
+        arcs = [self.arcs[k] for k in inner]
+        for col in range(len(dims) + 1):
+            mean = _karp_scc(comp, arcs, col)
+            if mean >= 0:
+                return False
+            cycle = _tight_cycle(comp, arcs, col, mean)
+            if all(sum(mdp.edges[k].weight[i] for k in cycle) > 0 for i in dims):
+                return True
+        sub = Mdp(mdp.dimension, tuple(mdp.states[v] for v in comp),
+                  tuple(mdp.edges[k] for k in inner), {}, None)
+        return positive_multicycle(sub, {mdp.state_ids[v] for v in comp}, dims) > 0
 
 
 def wc_winning_region(mdp: Mdp, dims: Optional[Sequence[int]] = None,
                       budget: int = DEFAULT_ADVERSARY_BUDGET) -> WinningRegion:
     """States satisfying the strict worst-case threshold MP > 0 on tracked dims.
 
-    Expects a normalized MDP (mu = 0) with trivial dimensions already
-    dropped from ``dims``.  Each losing state carries as its certificate
+    Expects a valid normalized MDP (mu = 0) with trivial dimensions
+    already dropped from ``dims``.  Each losing state carries as its certificate
     the first spoiler, in enumeration order, that beats it.  With one
     tracked dimension the energy game decides the region, and spoilers
     are enumerated only until every losing state has its certificate.
     """
-    require_valid(mdp)
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
     if not dims:
         return WinningRegion(frozenset(mdp.state_ids), dims, {})
     one_dim = len(dims) == 1
     win = _energy_strict_win(mdp, dims[0])[0] if one_dim else set()
-    pending = [s for s in mdp.state_ids if s not in win]
+    ids = mdp.state_ids
+    pending = [v for v, s in enumerate(ids) if s not in win]
     certificates: dict[str, AdversaryChoice] = {}
-    memo: dict = {}
+    kernel = _SpoilerKernel(mdp, dims)
     # Nothing pending (a 1-D game won everywhere): no enumeration, no budget.
     for sigma in (_adversary_choices(mdp, budget) if pending else ()):
-        held = _winning_under(mdp, sigma, dims, memo)
-        for s in pending:
-            if s not in held:
-                certificates[s] = sigma
-        pending = [s for s in pending if s in held]
+        held = kernel.winning(sigma)
+        for v in pending:
+            if not held[v]:
+                certificates[ids[v]] = sigma
+        pending = [v for v in pending if held[v]]
         if not pending:
             break
     if one_dim and pending:
-        raise AssertionError(f"no spoiler found for losing states {pending}")
-    return WinningRegion(frozenset(win if one_dim else pending), dims, certificates)
+        raise AssertionError(f"no spoiler found for losing states {[ids[v] for v in pending]}")
+    return WinningRegion(frozenset(win if one_dim else (ids[v] for v in pending)), dims,
+                         certificates)
 
 
 def revalidate_certificate(mdp: Mdp, state: str, sigma: AdversaryChoice,
                            dims: Sequence[int]) -> bool:
     """Re-check that a stored spoiler indeed beats the state."""
-    return state not in _winning_under(mdp, sigma, tuple(dims), {})
+    kernel = _SpoilerKernel(mdp, tuple(dims))
+    return not kernel.winning(sigma)[kernel.index[state]]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +400,6 @@ def prune(mdp: Mdp, start: str, dims: Optional[Sequence[int]] = None,
     itself is losing.  Game safety keeps random states closed, so the
     restriction always validates.
     """
-    require_valid(mdp)
     if start not in mdp.owner:
         raise KeyError(f"unknown state {start!r}")
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))

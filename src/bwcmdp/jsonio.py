@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from bwcmdp.machines import TableMachine, materialize
-from bwcmdp.model import Mdp
+from bwcmdp.model import Mdp, require_valid
 from bwcmdp.rationals import format_rational, parse_rational
 
 
@@ -161,6 +161,7 @@ def procedural_from_json(mdp: Mdp, data: dict):
     if "mdp" not in data:
         raise ValueError("strategy record carries no MDP; re-synthesize it")
     prepared = mdp_from_json(data["mdp"])
+    require_valid(prepared)
     _check_prepared(mdp, prepared, data["start"])
     composed = machine_from_json(data["transient"])
     fallback = machine_from_json(data["fallback"])

@@ -186,7 +186,7 @@ def validate(mdp: Mdp) -> list[str]:
             report.append(f"edge {e.eid} weight has length {len(e.weight)}, expected {mdp.dimension}")
 
     for s, o in mdp.states:
-        out = [e for e in mdp.edges if e.source == s]
+        out = mdp.out_edges[s]
         if not out:
             report.append(f"{s} has no successor")
         if o == RANDOM and out:
@@ -238,9 +238,9 @@ def normalize(mdp: Mdp, query: ThresholdQuery) -> tuple[Mdp, ThresholdQuery]:
     there is no such implication and the clamp would change answers, so nu
     is only shifted.  Decision answers are invariant either way.
 
-    Idempotent: normalizing a normalized instance is the identity.
+    Idempotent: normalizing a normalized instance is the identity.  The
+    MDP is trusted to be valid: entry points validate the user's MDP once.
     """
-    require_valid(mdp)
     d = mdp.dimension
     if len(query.mu) != d or len(query.nu) != d:
         raise ValueError(f"query vectors must have dimension {d}")

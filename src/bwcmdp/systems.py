@@ -18,12 +18,15 @@ per-component positivity rows.
 
 Two deliberate strengthenings over the plainest reading:
 
-  * Designated components must carry a positive multi-cycle (an internal
-    flow strictly positive in every dimension).  The per-component
-    positivity rows are unsatisfiable for any component that cannot, so
+  * Designated components must be able to meet their positivity rows.
+    The rows are unsatisfiable for any component that cannot, so
     quantifying them over all components wrongly rejects queries whose
-    strategies simply avoid such components; maximal winning ECs satisfy
-    the condition automatically away from trivial-threshold boundaries.
+    strategies simply avoid such components.  The general problem keeps
+    the MECs with a long-run frequency vector, proportional at random
+    states, strictly positive in every dimension (``positively_winnable``);
+    the finite-memory problem keeps the maximal winning ECs that carry a
+    positive multi-cycle, which they do away from trivial-threshold
+    boundaries.
   * Frequencies are pinned to zero outside the designated components
     whenever positivity rows are present.  Without the pinning,
     circulation on undesignated components could inflate the global
@@ -208,10 +211,11 @@ def general_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
 
 
 def positively_winnable(mdp: Mdp, comp: EndComponent) -> bool:
-    """Whether the component carries an internal flow strictly positive in
-    every dimension (the satisfiability condition of its positivity rows)."""
-    y = games.positive_multicycle(mdp, comp.states)
-    return y is not None and y > 0
+    """Whether the component's positivity rows can be met: some long-run
+    frequency vector inside it, proportional at random states, has a
+    strictly positive mean payoff in every dimension."""
+    zeros = (Fraction(0),) * mdp.dimension
+    return linsolve.solve(ec_expectation_system(mdp, comp, zeros, strict=True)).strict_feasible
 
 
 def ec_expectation_system(mdp: Mdp, ec: EndComponent, nu: Sequence[Fraction],
@@ -370,7 +374,8 @@ def decide(mdp: Mdp, query: ThresholdQuery,
     base, start2 = ensure_controller_start(base, start)
 
     if query.mode == "bwc-fin":
-        comps = [c for c in games.mwecs(base, dims, budget) if positively_winnable(base, c)]
+        comps = [c for c in games.mwecs(base, dims, budget)
+                 if games.positive_multicycle(base, c.states) > 0]
         if not comps:
             return _verdict(False, query.mode, "no maximal winning end component")
         system = finite_memory_system(base, start2, nquery.nu, comps)

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import bwcmdp
-from bwcmdp import jsonio
+from bwcmdp import cli, jsonio
 from bwcmdp.cli import main
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, validate
 
@@ -74,6 +74,35 @@ def test_validate_and_info(capsys, run_path):
     assert data["states"] == 4 and data["edges"] == 7
 
 
+def test_parser_is_shared_without_leaking_arguments(capsys, run_path, bas_path):
+    # One parser serves every call in a process.  Subcommands run back to
+    # back, options given and then left to their defaults, print and exit
+    # as they do on a fresh parser, and parse to the same arguments.
+    calls = [
+        ("decide", "--mdp", run_path, "--mode", "bwc-fin", "--from", "s",
+         "--mu", "0,0", "--nu", "0,9", "--budget", "4"),
+        ("decide", "--mdp", bas_path, "--mode", "wc", "--from", "u"),
+        ("info", "--mdp", run_path, "-v"),
+        ("decompose", "--mdp", run_path, "--kind", "mwec", "--mu", "1,1"),
+        ("decompose", "--mdp", run_path),
+        ("prune", "--mdp", bas_path, "--from", "s"),
+        ("validate", "--mdp", run_path),
+        ("decide", "--mdp", run_path, "--mode", "bas", "--from", "s"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    parsed = [vars(cli.build_parser().parse_args(argv)) for argv in calls]
+    fresh, fresh_parsed = [], []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+        cli.build_parser.cache_clear()
+        fresh_parsed.append(vars(cli.build_parser().parse_args(argv)))
+    assert shared == fresh
+    assert parsed == fresh_parsed
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0, 0, 0, 0]
+
+
 def test_decompose(capsys, run_path):
     code, out, _ = run_cli(capsys, "decompose", "--mdp", run_path, "--kind", "mec")
     comps = json.loads(out)["components"]
@@ -110,7 +139,7 @@ _NO_NUMPY = """
 import io, json, sys
 from contextlib import redirect_stdout
 import bwcmdp.cli, bwcmdp.synthesis
-from bwcmdp import jsonio
+from bwcmdp import cli, jsonio
 from bwcmdp.model import fixture
 
 run, bas, fin, sb = sys.argv[1:5]

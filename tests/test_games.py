@@ -37,6 +37,14 @@ def test_multicycle_no_edges(run_ex):
     assert positive_multicycle(sub, {"s"}) is None
 
 
+def _component(mdp, dims, comp, eids):
+    """A spoiler kernel on ``mdp`` and the arguments of its component test
+    for the SCC ``comp`` with internal edge ids ``eids``."""
+    kernel = games._SpoilerKernel(mdp, tuple(dims))
+    pos = {e.eid: k for k, e in enumerate(mdp.edges)}
+    return kernel, (sorted(kernel.index[s] for s in comp), sorted(pos[eid] for eid in eids))
+
+
 def test_component_test_matches_lp():
     # The cycle-mean tests with their LP fallback give the LP's verdict on
     # every SCC and every set of tracked dimensions, also with weights past
@@ -54,10 +62,10 @@ def test_component_test_matches_lp():
                 continue
             for r in range(1, mdp.dimension + 1):
                 for dims in itertools.combinations(range(mdp.dimension), r):
-                    memo = {}
-                    got = games._positive_component(mdp, comp, internal, dims, memo)
+                    kernel, args = _component(mdp, dims, comp, [e.eid for e in internal])
+                    got = kernel.positive(*args)
                     assert got == lp_positive_component(mdp, comp, internal, dims), (comp, dims)
-                    assert memo == {frozenset(e.eid for e in internal): got}
+                    assert kernel.memo == {tuple(args[1]): got}
                     verdicts.append(got)
     assert verdicts.count(True) > 20 and verdicts.count(False) > 20
 
@@ -70,16 +78,16 @@ def test_component_test_lp_fallback(approx_ex, run_ex, monkeypatch):
     values = []
     monkeypatch.setattr(games, "positive_multicycle",
                         lambda *args: values.append(real(*args)) or values[-1])
-    memo = {}
-    assert games._positive_component(approx_ex, {"s", "t"}, approx_ex.edges, (0, 1), memo)
-    assert games._positive_component(approx_ex, {"s", "t"}, approx_ex.edges, (0, 1), memo)
+    kernel, args = _component(approx_ex, (0, 1), {"s", "t"}, [0, 1, 2, 3])
+    assert kernel.positive(*args)
+    assert kernel.positive(*args)
     assert values == [F(1, 2)]
     # A single positive loop is accepted, and a component without a
     # positive cycle in dimension 1 rejected, without the LP.
-    t_loop = [run_ex.edge_by_id[2]]
-    assert games._positive_component(run_ex, {"t"}, t_loop, (0, 1), {})
-    uv_bad = [run_ex.edge_by_id[4], run_ex.edge_by_id[6]]
-    assert not games._positive_component(run_ex, {"u", "v"}, uv_bad, (0, 1), {})
+    kernel, args = _component(run_ex, (0, 1), {"t"}, [2])
+    assert kernel.positive(*args)
+    kernel, args = _component(run_ex, (0, 1), {"u", "v"}, [4, 6])
+    assert not kernel.positive(*args)
     assert values == [F(1, 2)]
 
 
@@ -100,17 +108,53 @@ def _spoiler_game(rng: random.Random, dim: int, n: int = 7) -> Mdp:
     return Mdp.build(dim, list(zip((f"q{i}" for i in range(n)), owners)), edges, probs)
 
 
+def _benchmark_game(rng: random.Random, dim: int, n: int, n_random: int) -> Mdp:
+    """A game in the benchmark's wc-games shape: ``n`` states, ``n_random``
+    of them random, out-degree 2 (one edge to the next state), weights in
+    [-4, 4], and the last controller state with an all-ones self-loop that
+    wins under every spoiler, so enumeration never stops early."""
+    owners = ["controller"] + ["random"] * n_random + ["controller"] * (n - 1 - n_random)
+    tail = owners[1:]
+    rng.shuffle(tail)
+    owners[1:] = tail
+    safe = max(i for i, o in enumerate(owners) if o == "controller")
+    edges, probs = [], {}
+    for i, owner in enumerate(owners):
+        for k, target in enumerate(((i + 1) % n, i if i == safe else rng.randrange(n))):
+            eid = len(edges)
+            weight = [1] * dim if i == safe and k == 1 else [rng.randint(-4, 4)
+                                                             for _ in range(dim)]
+            edges.append((eid, f"g{i}", f"g{target}", weight))
+            if owner == "random":
+                probs[eid] = F(1, 2)
+    return Mdp.build(dim, list(zip((f"g{i}" for i in range(n)), owners)), edges, probs)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_wc_region_matches_plain_enumeration(dim):
-    # States and first-found certificates equal plain enumeration's.
+    # States and first-found certificates equal plain enumeration's, and
+    # every certificate re-checks: on small games and on the benchmark's
+    # game shape, 12 states with 6 random (and, in two dimensions, 16 with
+    # 8).  With one dimension the energy game decides the region and the
+    # kernel only looks for certificates.
     rng = random.Random(30 + dim)
-    for _ in range(12):
-        mdp = _spoiler_game(rng, dim)
+    mdps = [_spoiler_game(rng, dim) for _ in range(12)]
+    mdps += [_benchmark_game(rng, dim, 12, 6) for _ in range(4)]
+    if dim == 2:
+        mdps += [_benchmark_game(rng, dim, 16, 8) for _ in range(2)]
+    mixed = 0
+    for k, mdp in enumerate(mdps):
         dims = tuple(range(dim))
         region = wc_winning_region(mdp, dims)
         states, certificates = brute_wc_region(mdp, dims)
         assert region.states == states
         assert {s: c.choice for s, c in region.certificates.items()} == certificates
+        for s, cert in region.certificates.items():
+            assert revalidate_certificate(mdp, s, cert, dims)
+        # Games of the benchmark shape where more than the all-ones loop
+        # wins, and some state loses.
+        mixed += k >= 12 and len(states) > 1 and bool(certificates)
+    assert mixed
 
 
 def test_unidim_certificates_first_in_enumeration_order():

@@ -192,3 +192,37 @@ def test_witness_holds_nonzero_entries_only(run_ex):
                                    "x[6]": "1/80", "y[t]": "19/20", "y[u]": "1/20",
                                    "ye[0]": "19/20", "ye[1]": "1/20"},
                     "decomposition": [["t"], ["u", "v"]], "slack": "11/2"}}
+
+
+# Each MEC here whose only positive cycle is a random state's self-loop
+# cannot meet its positivity row with proportional frequencies; `bas` and
+# `bwc-inf` answered no while `bwc-fin` answered yes.  Given as (states,
+# edges, probabilities, start, mu, nu); the last two are `gen.corpus`
+# seed 6 instance 395 and seed 8 instance 665.
+_CHAIN_BREAKERS = [
+    ([("a", "controller"), ("b", "random"), ("c", "controller")],
+     [(0, "a", "b", [-2]), (1, "a", "c", [0]), (2, "b", "b", [3]), (3, "b", "a", [-3]),
+      (4, "c", "c", [2])],
+     {2: F(2, 3), 3: F(1, 3)}, "a", F(1, 3), F(-6)),
+    ([("q0", "controller"), ("q1", "random"), ("q2", "controller"), ("q3", "random")],
+     [(0, "q0", "q1", [3]), (1, "q0", "q1", [-1]), (2, "q0", "q0", [2]),
+      (3, "q1", "q1", [-2]), (4, "q1", "q1", [1]), (5, "q2", "q1", [-3]),
+      (6, "q2", "q3", [-2]), (7, "q3", "q3", [-1]), (8, "q3", "q2", [3])],
+     {3: F(3, 4), 4: F(1, 4), 7: F(2, 3), 8: F(1, 3)}, "q3", F(-5, 4), F(-3, 4)),
+    ([("q0", "controller"), ("q1", "random"), ("q2", "controller"), ("q3", "controller"),
+      ("q4", "random"), ("q5", "controller")],
+     [(0, "q0", "q3", [1]), (1, "q0", "q1", [1]), (2, "q1", "q4", [2]), (3, "q2", "q0", [-1]),
+      (4, "q2", "q3", [3]), (5, "q3", "q0", [-1]), (6, "q3", "q2", [3]), (7, "q3", "q3", [3]),
+      (8, "q4", "q1", [-3]), (9, "q4", "q4", [2]), (10, "q4", "q4", [0]),
+      (11, "q5", "q5", [-2]), (12, "q5", "q2", [-3])],
+     {2: F(1), 8: F(1, 3), 9: F(1, 3), 10: F(1, 3)}, "q3", F(1, 3), F(-7, 2)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_CHAIN_BREAKERS)))
+def test_positivity_respects_probabilities(case):
+    # bwc-fin => bwc-inf => bas: all three, and wc, answer yes.
+    states, edges, probs, start, mu, nu = _CHAIN_BREAKERS[case]
+    mdp = Mdp.build(1, states, edges, probs)
+    for mode in ("wc", "bwc-fin", "bwc-inf", "bas"):
+        assert decide(mdp, ThresholdQuery.build(mode, start, [mu], [nu])).answer, mode
