@@ -42,7 +42,8 @@ from typing import Iterable, Optional, Sequence
 from bwcmdp import linsolve
 from bwcmdp.decomposition import (EndComponent, index_sccs, mecs, reachable, restrict,
                                   restrict_states)
-from bwcmdp.model import Mdp, ThresholdQuery
+from bwcmdp.linsolve import EQ, GE
+from bwcmdp.model import Mdp, ThresholdQuery, shared
 from bwcmdp.verification import _karp_scc, _tight_cycle
 
 DEFAULT_ADVERSARY_BUDGET = 1 << 20
@@ -90,27 +91,22 @@ def positive_multicycle(mdp: Mdp, component: Iterable[str],
     edges = [e for e in mdp.edges if e.source in states and e.target in states]
     if not edges:
         return None
-    xvar = {e.eid: f"x{e.eid}" for e in edges}
-    constraints = []
-    for s in states:
-        coeffs: dict[str, Fraction] = {}
-        for e in edges:
-            if e.target == s:
-                coeffs[xvar[e.eid]] = coeffs.get(xvar[e.eid], Fraction(0)) + 1
-            if e.source == s:
-                coeffs[xvar[e.eid]] = coeffs.get(xvar[e.eid], Fraction(0)) - 1
-        constraints.append((coeffs, "=", Fraction(0)))
-    constraints.append(({v: Fraction(1) for v in xvar.values()}, "=", Fraction(1)))
-    for i in dims:
-        coeffs = {xvar[e.eid]: Fraction(e.weight[i]) for e in edges if e.weight[i] != 0}
-        coeffs["y"] = Fraction(-1)
-        constraints.append((coeffs, ">=", Fraction(0)))
     if not dims:
         # No tracked dimension: any cycle works, slack is vacuously +inf-ish;
         # report 1 to signal a win.
         return Fraction(1)
-    status, _, value = linsolve.maximize(
-        list(xvar.values()) + ["y"], set(xvar.values()), constraints, {"y": 1})
+    # Variables x[k] for the k-th internal edge, then y = variable m.
+    m = len(edges)
+    flow: dict[str, dict[int, int]] = {s: {} for s in states}
+    for k, e in enumerate(edges):
+        flow[e.target][k] = flow[e.target].get(k, 0) + 1
+        flow[e.source][k] = flow[e.source].get(k, 0) - 1
+    rows = [linsolve.Row(row, EQ) for row in flow.values()]
+    rows.append(linsolve.Row(dict.fromkeys(range(m), 1), EQ, 1))
+    rows += (linsolve.Row({k: e.weight[i] for k, e in enumerate(edges) if e.weight[i]}
+                          | {m: -1}, GE) for i in dims)
+    variables = [f"x{e.eid}" for e in edges]
+    status, _, value = linsolve.maximize(variables + ["y"], set(variables), rows, {m: 1})
     if status == "infeasible":
         raise AssertionError("multicycle flow system cannot be infeasible on an SCC with edges")
     if status == "unbounded":
@@ -119,7 +115,8 @@ def positive_multicycle(mdp: Mdp, component: Iterable[str],
 
 
 def _adversary_choices(mdp: Mdp, budget: int):
-    options = [[(s, e.eid) for e in mdp.out_edges[s]] for s in mdp.state_ids if mdp.is_random(s)]
+    options = [[shared((s, e.eid)) for e in mdp.out_edges[s]]
+               for s in mdp.state_ids if mdp.is_random(s)]
     count = 1
     for opt in options:
         count *= len(opt)
@@ -355,7 +352,7 @@ def nontrivial_dims(query: ThresholdQuery, W: int) -> tuple[int, ...]:
     from bwcmdp.model import detect_trivial
 
     trivial = detect_trivial(query, W)
-    return tuple(i for i in range(len(query.mu)) if i not in trivial)
+    return shared(tuple(i for i in range(len(query.mu)) if i not in trivial))
 
 
 def mwecs(mdp: Mdp, dims: Optional[Sequence[int]] = None,

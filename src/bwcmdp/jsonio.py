@@ -85,19 +85,32 @@ def machine_to_json(mdp: Mdp, machine, start: str, node_limit: int = 50_000) -> 
     return out
 
 
+def _split_key(key: str, memory: set[str]) -> tuple[str, str]:
+    """A ``state|mem`` table key split where the suffix is a declared
+    memory entry (state ids and memory entries may contain ``|``)."""
+    fits = []
+    i = key.find("|")
+    while i >= 0:
+        if key[i + 1:] in memory:
+            fits.append(i)
+        i = key.find("|", i + 1)
+    if len(fits) != 1:
+        raise ValueError(f"strategy key {key!r} ends in {len(fits)} declared memory entries")
+    return key[:fits[0]], key[fits[0] + 1:]
+
+
 def machine_from_json(data: dict) -> TableMachine:
     if data.get("kind") != "machine":
         raise ValueError("not a strategy machine record")
     memory = list(data["memory"])
+    declared = set(memory)
     initial = {m: parse_rational(p) for m, p in data["initial"].items()}
     update = {}
     for key, dist in data["update"].items():
-        s, m = key.split("|", 1)
-        update[(s, m)] = {m2: parse_rational(p) for m2, p in dist.items()}
+        update[_split_key(key, declared)] = {m2: parse_rational(p) for m2, p in dist.items()}
     output = {}
     for key, dist in data["output"].items():
-        s, m = key.split("|", 1)
-        output[(s, m)] = {int(eid): parse_rational(p) for eid, p in dist.items()}
+        output[_split_key(key, declared)] = {int(e): parse_rational(p) for e, p in dist.items()}
     return TableMachine(memory, initial, update, output)
 
 

@@ -10,19 +10,22 @@ positive minimum margin, and conversely y* > 0 makes every strict row
 strict at once.
 
 Everything is exact; no floating point touches a decision anywhere.  A
-tableau row is a sparse ``{column: int}`` dict over one positive ``int``
-denominator, and a pivot eliminates fraction-free in the rows with an
-entry in its column (``pivot``); ``Fraction`` appears only where values
-enter (``int_row``) and leave the tableau.  ``verification.solve_linear``
-runs Gauss-Jordan on the same ``pivot``.
+constraint is a ``Row``: integer coefficients keyed by variable index over
+one positive denominator, as the system builders emit them from integer
+weights and rational probabilities.  A tableau row is the same kind of
+sparse ``{column: int}`` dict over one positive ``int`` denominator, and a
+pivot eliminates fraction-free in the rows with an entry in its column
+(``pivot``); ``Fraction`` appears only where values leave the tableau.
+``verification.solve_linear`` runs Gauss-Jordan on the same ``pivot``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from bwcmdp.rationals import format_rational
 
@@ -31,20 +34,40 @@ GE = ">="
 GT = ">"
 
 _RELATIONS = (EQ, GE, GT)
+_ZERO = Fraction(0)
+# Values read off the tableau repeat (0 < x <= 1 mostly): equal ones are
+# shared, which kept witnesses profit from.
+_fraction = lru_cache(maxsize=4096)(Fraction)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: dict[str, Fraction]
+class Row(NamedTuple):
+    """The constraint ``sum(coeffs[j] * x_j) relation rhs``, every number
+    over the positive ``den``; ``coeffs`` maps variable indices to ints
+    (zero entries are allowed and ignored)."""
+
+    coeffs: dict[int, int]
     relation: str
-    rhs: Fraction
+    rhs: int = 0
+    den: int = 1
 
-    @staticmethod
-    def build(coeffs: dict, relation: str, rhs) -> "Constraint":
-        if relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        return Constraint({str(k): Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0},
-                          relation, Fraction(rhs))
+
+def named_row(index: dict[str, int], coeffs: dict, relation: str, rhs) -> Row:
+    """The ``Row`` of ``coeffs relation rhs`` given by variable name, with
+    rational values, over the variable indices ``index``."""
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    values = {}
+    for v, a in coeffs.items():
+        j = index.get(str(v))
+        if j is None:
+            raise KeyError(f"constraint references undeclared variable {v!r}")
+        a = Fraction(a)
+        if a:
+            values[j] = a
+    rhs = Fraction(rhs)
+    den = lcm(rhs.denominator, *(a.denominator for a in values.values()))
+    return Row({j: a.numerator * (den // a.denominator) for j, a in values.items()},
+               relation, rhs.numerator * (den // rhs.denominator), den)
 
 
 @dataclass
@@ -52,22 +75,15 @@ class LinearSystem:
     """Ordered variables plus constraints; `nonneg` forces all variables >= 0."""
 
     variables: list[str] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
+    constraints: list[Row] = field(default_factory=list)
     nonneg: bool = True
 
     def add(self, coeffs: dict, relation: str, rhs) -> None:
-        c = Constraint.build(coeffs, relation, rhs)
-        for v in c.coeffs:
-            if v not in self._var_set():
-                raise KeyError(f"constraint references undeclared variable {v!r}")
-        self.constraints.append(c)
-
-    def _var_set(self) -> set[str]:
-        cached = getattr(self, "_vars_cache", None)
+        """Append a constraint given by variable name (see ``named_row``)."""
+        cached = getattr(self, "_index", None)
         if cached is None or len(cached) != len(self.variables):
-            cached = set(self.variables)
-            self._vars_cache = cached
-        return cached
+            cached = self._index = {v: j for j, v in enumerate(self.variables)}
+        self.constraints.append(named_row(cached, coeffs, relation, rhs))
 
     def has_strict(self) -> bool:
         return any(c.relation == GT for c in self.constraints)
@@ -77,18 +93,19 @@ class LinearSystem:
         lines = [f"vars: {' '.join(self.variables)}" + ("  (all >= 0)" if self.nonneg else "")]
         for c in self.constraints:
             terms = []
-            for v in self.variables:
-                a = c.coeffs.get(v)
+            for j in sorted(c.coeffs):
+                a = Fraction(c.coeffs[j], c.den)
                 if not a:
                     continue
                 sign = "+" if a > 0 else "-"
                 mag = abs(a)
+                v = self.variables[j]
                 t = v if mag == 1 else f"{format_rational(mag)}*{v}"
                 terms.append(f"{sign} {t}")
             expr = " ".join(terms) if terms else "0"
             if expr.startswith("+ "):
                 expr = expr[2:]
-            lines.append(f"{expr} {c.relation} {format_rational(c.rhs)}")
+            lines.append(f"{expr} {c.relation} {format_rational(Fraction(c.rhs, c.den))}")
         return "\n".join(lines)
 
 
@@ -122,42 +139,32 @@ _SLACK = "__y"
 
 def solve(system: LinearSystem) -> LpOutcome:
     """Decide a LinearSystem; see the module docstring for strict-row semantics."""
-    seen = set()
-    for v in system.variables:
-        if v in seen:
-            raise ValueError(f"duplicate variable {v!r}")
-        seen.add(v)
-    if _SLACK in seen:
+    variables = system.variables
+    n = len(variables)
+    if len(set(variables)) != n:
+        dup = next(v for v in variables if variables.count(v) > 1)
+        raise ValueError(f"duplicate variable {dup!r}")
+    if _SLACK in variables:
         raise ValueError(f"variable name {_SLACK!r} is reserved")
     for c in system.constraints:
-        for v in c.coeffs:
-            if v not in seen:
-                raise ValueError(f"constraint references undeclared variable {v!r}")
+        if c.coeffs and (min(c.coeffs) < 0 or max(c.coeffs) >= n):
+            raise ValueError("constraint references an undeclared variable")
 
+    # The shared slack is variable n; a strict row is read as row - y >= rhs.
     strict = system.has_strict()
-    variables = list(system.variables) + ([_SLACK] if strict else [])
-    rows = []
-    for c in system.constraints:
-        coeffs = dict(c.coeffs)
-        rel = c.relation
-        if rel == GT:
-            coeffs[_SLACK] = coeffs.get(_SLACK, Fraction(0)) - 1
-            rel = GE
-        rows.append((coeffs, rel, c.rhs))
-
-    objective = {_SLACK: Fraction(1)} if strict else {}
+    slack = n if strict else None
+    if strict:
+        variables = [*variables, _SLACK]
     nonneg = set(variables) if system.nonneg else ({_SLACK} if strict else set())
-
-    status, assignment, value = _simplex(variables, nonneg, rows, objective)
+    rows = system.constraints
+    status, assignment, _ = _simplex(variables, nonneg, rows, {n: 1} if strict else {}, slack)
     if status == "infeasible":
         return LpOutcome("infeasible")
     if not strict:
-        assignment.pop(_SLACK, None)
         return LpOutcome("feasible", assignment, None)
     if status == "unbounded":
         # Re-solve with the slack pinned at 1 to hand back a concrete witness.
-        capped = [*rows, ({_SLACK: Fraction(1)}, EQ, Fraction(1))]
-        st2, asg2, _ = _simplex(variables, nonneg, capped, {})
+        st2, asg2, _ = _simplex(variables, nonneg, [*rows, Row({n: 1}, EQ, 1)], {}, slack)
         if st2 != "optimal":
             raise AssertionError("unbounded slack but capped system infeasible")
         asg2.pop(_SLACK)
@@ -166,16 +173,16 @@ def solve(system: LinearSystem) -> LpOutcome:
     return LpOutcome("feasible", assignment, y)
 
 
-def maximize(variables: Sequence[str], nonneg_vars: set[str],
-             constraints: Sequence[tuple[dict, str, Fraction]],
-             objective: dict) -> tuple[str, Optional[dict[str, Fraction]], Optional[Fraction]]:
-    """Maximize a linear objective over {=, >=} constraints.
+def maximize(variables: Sequence[str], nonneg_vars: set[str], constraints: Sequence[Row],
+             objective: dict[int, int]) -> tuple[str, Optional[dict], Optional[Fraction]]:
+    """Maximize a linear objective, integer coefficients keyed by variable
+    index, over {=, >=} ``Row``s.
 
     Returns (status, assignment, value) with status in
     {"optimal", "infeasible", "unbounded"}; on "unbounded" the assignment
     is a feasible point from which the objective ray leaves.
     """
-    st, asg, val = _simplex(list(variables), set(nonneg_vars), constraints, objective)
+    st, asg, val = _simplex(variables, nonneg_vars, constraints, objective)
     if st == "infeasible":
         return "infeasible", None, None
     return st, asg, val
@@ -188,67 +195,61 @@ def int_row(values: dict) -> tuple[dict, int]:
     return {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}, den
 
 
-def _simplex(variables, nonneg, rows, objective):
-    """Two-phase primal simplex on named variables.
+def _simplex(variables, nonneg, rows, objective, slack=None):
+    """Two-phase primal simplex over ``Row``s.
 
-    Free variables are split into positive and negative parts; weak
-    inequalities get surplus variables.  Bland's anti-cycling rule is used
-    in both phases, so termination is guaranteed.
+    Columns: the variables in order, a variable outside ``nonneg`` split
+    into a positive and a negative part, then one surplus column per
+    non-equality row in row order.  A strict row needs the index
+    ``slack`` of the shared slack variable y and is read as
+    ``row - y >= rhs``.  Bland's anti-cycling rule is used in both phases,
+    so termination is guaranteed.
 
-    Row i is ``tab[i] / dens[i]`` (see ``pivot``) with its rhs under key
-    ``total``; column ``ncols + i`` is row i's phase-1 artificial.
+    Row i is ``tab[i] / dens[i]`` (see ``pivot``), in lowest terms and
+    negated when its rhs is negative, with the rhs under key ``total``;
+    column ``art0 + i`` is row i's phase-1 artificial.
     """
-    cols: list[str] = []
-    col_of: dict[str, int] = {}
-
-    def add_col(name):
-        col_of[name] = len(cols)
-        cols.append(name)
-
-    split: dict[str, tuple[str, str]] = {}
-    for v in variables:
-        if v in nonneg:
-            add_col(v)
-        else:
-            split[v] = (v + "⁺", v + "⁻")
-            add_col(split[v][0])
-            add_col(split[v][1])
+    plus: list[int] = []
+    minus: dict[int, int] = {}
+    for j, v in enumerate(variables):
+        plus.append(len(plus) + len(minus))
+        if v not in nonneg:
+            minus[j] = plus[j] + 1
+    nvcols = len(plus) + len(minus)
 
     def expand(coeffs):
-        out: dict[int, Fraction] = {}
-        for v, a in coeffs.items():
-            a = Fraction(a)
-            if a == 0:
-                continue
-            if v in split:
-                p, n = split[v]
-                out[col_of[p]] = out.get(col_of[p], Fraction(0)) + a
-                out[col_of[n]] = out.get(col_of[n], Fraction(0)) - a
-            else:
-                out[col_of[v]] = out.get(col_of[v], Fraction(0)) + a
+        if not minus:
+            return {j: a for j, a in coeffs.items() if a}
+        out = {}
+        for j, a in coeffs.items():
+            if a:
+                out[plus[j]] = a
+                if j in minus:
+                    out[minus[j]] = -a
         return out
 
-    matrix: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for i, (coeffs, rel, b) in enumerate(rows):
-        row = expand(coeffs)
-        if rel == GE:
-            name = f"__s{i}"
-            add_col(name)
-            row[col_of[name]] = Fraction(-1)
-        elif rel != EQ:
-            raise ValueError(f"unsupported relation {rel!r} at simplex level")
-        matrix.append(row)
-        rhs.append(Fraction(b))
-
-    ncols = len(cols)
-    nrows = len(matrix)
-    art0 = ncols
-    total = ncols + nrows
+    nrows = len(rows)
+    art0 = nvcols + sum(1 for r in rows if r.relation != EQ)
+    total = art0 + nrows
+    surplus = nvcols
     tab, dens = [], []
-    for i, row in enumerate(matrix):
-        row[total] = rhs[i]
-        t, den = int_row(row if rhs[i] >= 0 else {j: -a for j, a in row.items()})
+    for i, (coeffs, rel, b, den) in enumerate(rows):
+        t = expand(coeffs)
+        if den != 1:
+            g = gcd(den, b, *t.values())
+            if g != 1:
+                t, b, den = {j: a // g for j, a in t.items()}, b // g, den // g
+        if rel != EQ:
+            if rel == GT and slack is not None:
+                t[plus[slack]] = -den
+            elif rel != GE:
+                raise ValueError(f"unsupported relation {rel!r} at simplex level")
+            t[surplus] = -den
+            surplus += 1
+        if b:
+            t[total] = b
+            if b < 0:
+                t = {j: -a for j, a in t.items()}
         t[art0 + i] = den
         tab.append(t)
         dens.append(den)
@@ -273,19 +274,24 @@ def _simplex(variables, nonneg, rows, objective):
     tab, dens = [t for t, _ in reduced], [den for _, den in reduced]
     basis = [basis[i] for i in kept]
 
-    status = _optimize(tab, dens, basis, total, *int_row(expand(objective)))[0]
+    status = _optimize(tab, dens, basis, total, expand(objective), 1)[0]
 
-    assignment = {v: Fraction(0) for v in cols}
+    # Only the nonzero basic values become Fractions.
+    values = {}
     for i, bvar in enumerate(basis):
-        assignment[cols[bvar]] = Fraction(tab[i].get(total, 0), dens[i])
-    merged: dict[str, Fraction] = {}
-    for v in variables:
-        if v in split:
-            p, n = split[v]
-            merged[v] = assignment[p] - assignment[n]
-        else:
-            merged[v] = assignment[v]
-    value = sum((Fraction(a) * merged[v] for v, a in objective.items()), Fraction(0))
+        t = tab[i].get(total)
+        if t:
+            values[bvar] = _fraction(t, dens[i])
+    merged = dict.fromkeys(variables, _ZERO)
+    if minus:
+        for j, v in enumerate(variables):
+            x = values.get(plus[j], _ZERO)
+            merged[v] = x - values.get(minus[j], _ZERO) if j in minus else x
+    else:
+        for c, x in values.items():
+            if c < nvcols:
+                merged[variables[c]] = x
+    value = sum((a * merged[variables[j]] for j, a in objective.items()), _ZERO)
     if status == "unbounded":
         return "unbounded", merged, None
     return "optimal", merged, value
@@ -369,10 +375,11 @@ def _lowest(row, den):
 
 def residuals(system: LinearSystem, assignment: dict[str, Fraction]) -> list[Fraction]:
     """lhs - rhs for every constraint under an assignment, in order."""
+    names = system.variables
     out = []
     for c in system.constraints:
-        lhs = sum((a * assignment.get(v, Fraction(0)) for v, a in c.coeffs.items()), Fraction(0))
-        out.append(lhs - c.rhs)
+        lhs = sum((a * assignment.get(names[j], _ZERO) for j, a in c.coeffs.items()), 0)
+        out.append(Fraction(lhs - c.rhs, c.den))
     return out
 
 
@@ -381,7 +388,7 @@ def check_assignment(system: LinearSystem, outcome: LpOutcome) -> bool:
     if outcome.assignment is None:
         return False
     asg = outcome.assignment
-    if system.nonneg and any(asg.get(v, Fraction(0)) < 0 for v in system.variables):
+    if system.nonneg and any(asg.get(v, _ZERO) < 0 for v in system.variables):
         return False
     margin = outcome.slack if outcome.slack is not None else Fraction(1)
     for c, res in zip(system.constraints, residuals(system, asg)):

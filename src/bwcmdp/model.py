@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 CONTROLLER = "controller"
@@ -24,6 +24,11 @@ MODES = ("wc", "exp", "bas", "bwc-fin", "bwc-inf")
 # Modes whose side objective (sure or almost-sure mean payoff > mu) makes
 # "expectation > mu" automatic, so nu may be clamped up to mu when shifting.
 _CLAMPING_MODES = frozenset({"bas", "bwc-fin", "bwc-inf"})
+
+
+# ``shared(value)`` is ``value`` or an equal value passed before and still in
+# a bounded cache: the small tuples that kept decisions hold are shared.
+shared = lru_cache(maxsize=4096)(lambda value: value)
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,15 +42,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from sys import intern
 from typing import Optional, Sequence
 
 from bwcmdp import games, linsolve
 from bwcmdp.decomposition import EndComponent, mecs, reachable, restrict_states
-from bwcmdp.linsolve import LinearSystem, LpOutcome
-from bwcmdp.model import Edge, Mdp, ThresholdQuery, normalize, require_valid
+from bwcmdp.linsolve import EQ, GE, GT, LinearSystem, Row
+from bwcmdp.model import Edge, Mdp, ThresholdQuery, normalize, require_valid, shared
 from bwcmdp.rationals import format_rational
+from bwcmdp.verification import _karp_scc
 
 
 # Variable names are interned: the witnesses that decisions keep share them.
@@ -88,91 +89,65 @@ def _flow_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
                  components: Sequence[EndComponent],
                  local_positivity: bool,
                  pin_outside: bool) -> LinearSystem:
-    d = mdp.dimension
-    sys = LinearSystem(variables=(
-        [ys(s) for s in mdp.state_ids]
-        + [ye(e.eid) for e in mdp.edges]
-        + [xe(e.eid) for e in mdp.edges]))
+    """The rows listed in the module notes, as integer ``linsolve.Row``s
+    over the columns y[s] (state order), ye[e] and x[e] (edge order)."""
+    ids, edges = mdp.state_ids, mdp.edges
+    n, m = len(ids), len(edges)
+    y = {s: i for i, s in enumerate(ids)}
+    yk = {e.eid: n + k for k, e in enumerate(edges)}
+    xk = {e.eid: n + m + k for k, e in enumerate(edges)}
 
-    # (A1) inflow = outflow + leak, with a unit source at the start state.
-    for s in mdp.state_ids:
-        coeffs: dict[str, Fraction] = {ys(s): Fraction(-1)}
-        for e in mdp.in_edges[s]:
-            coeffs[ye(e.eid)] = coeffs.get(ye(e.eid), Fraction(0)) + 1
+    def conservation(col, s, extra):
+        # inflow - outflow (a self-loop cancels), plus ``extra``.
+        row = {col[e.eid]: 1 for e in mdp.in_edges[s]} | extra
         for e in mdp.out_edges[s]:
-            coeffs[ye(e.eid)] = coeffs.get(ye(e.eid), Fraction(0)) - 1
-        sys.add(coeffs, "=", Fraction(-1) if s == start else Fraction(0))
+            if row.pop(col[e.eid], None) is None:
+                row[col[e.eid]] = -1
+        return row
 
+    def proportional(col, s, extra):
+        # Per out-edge e of random s, over the denominator of P(e):
+        # x[e] - P(e) * (inflow(s) - extra); a self-loop's entries add up.
+        for e in mdp.out_edges[s]:
+            p = mdp.prob(e.eid)
+            row = {col[e2.eid]: -p.numerator for e2 in mdp.in_edges[s]}
+            row.update((j, p.numerator * c) for j, c in extra.items())
+            j = col[e.eid]
+            row[j] = row.get(j, 0) + p.denominator
+            if not row[j]:
+                del row[j]
+            yield row, p
+
+    randoms = [s for s in ids if mdp.is_random(s)]
+    # (A1) inflow = outflow + leak, with a unit source at the start state.
+    rows = [Row(conservation(yk, s, {y[s]: -1}), EQ, -1 if s == start else 0) for s in ids]
     # (A1') per-edge proportionality at random states:
     # ye[e] = P(e) * (1_start(s) + inflow(s) - y[s]).
-    for s in mdp.state_ids:
-        if not mdp.is_random(s):
-            continue
-        for e in mdp.out_edges[s]:
-            p = mdp.prob(e.eid)
-            coeffs = {ye(e.eid): Fraction(1), ys(s): p}
-            for e2 in mdp.in_edges[s]:
-                coeffs[ye(e2.eid)] = coeffs.get(ye(e2.eid), Fraction(0)) - p
-            sys.add(coeffs, "=", p if s == start else Fraction(0))
-
+    rows += (Row(row, EQ, p.numerator if s == start else 0, p.denominator)
+             for s in randoms for row, p in proportional(yk, s, {y[s]: 1}))
     # (A2) total leak mass one inside the designated components.
-    mass = {}
-    for comp in components:
-        for s in comp.states:
-            mass[ys(s)] = Fraction(1)
-    sys.add(mass, "=", Fraction(1))
-
+    rows.append(Row({y[s]: 1 for comp in components for s in comp.states}, EQ, 1))
     # (B) per component: leak mass equals internal frequency mass.
-    for comp in components:
-        coeffs = {ys(s): Fraction(1) for s in comp.states}
-        for eid in comp.edges:
-            coeffs[xe(eid)] = coeffs.get(xe(eid), Fraction(0)) - 1
-        sys.add(coeffs, "=", Fraction(0))
-
+    rows += (Row({y[s]: 1 for s in comp.states} | {xk[eid]: -1 for eid in comp.edges}, EQ)
+             for comp in components)
     # (C1) frequency conservation.
-    for s in mdp.state_ids:
-        coeffs = {}
-        for e in mdp.in_edges[s]:
-            coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) + 1
-        for e in mdp.out_edges[s]:
-            coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) - 1
-        sys.add(coeffs, "=", Fraction(0))
-
+    rows += (Row(conservation(xk, s, {}), EQ) for s in ids)
     # (C1') frequency proportionality at random states.
-    for s in mdp.state_ids:
-        if not mdp.is_random(s):
-            continue
-        for e in mdp.out_edges[s]:
-            p = mdp.prob(e.eid)
-            coeffs = {xe(e.eid): Fraction(1)}
-            for e2 in mdp.in_edges[s]:
-                coeffs[xe(e2.eid)] = coeffs.get(xe(e2.eid), Fraction(0)) - p
-            sys.add(coeffs, "=", Fraction(0))
-
+    rows += (Row(row, EQ, 0, p.denominator) for s in randoms for row, p in proportional(xk, s, {}))
     # (C2) strict global expectation rows.
-    for i in range(d):
-        coeffs = {xe(e.eid): Fraction(e.weight[i]) for e in mdp.edges if e.weight[i] != 0}
-        sys.add(coeffs, ">", nu[i])
-
+    rows += (Row({xk[e.eid]: b.denominator * e.weight[i] for e in edges if e.weight[i]},
+                 GT, b.numerator, b.denominator) for i, b in enumerate(nu))
     # (C3) strict per-component positivity rows.
     if local_positivity:
-        for comp in components:
-            for i in range(d):
-                coeffs = {}
-                for eid in comp.edges:
-                    w = mdp.edge_by_id[eid].weight[i]
-                    if w != 0:
-                        coeffs[xe(eid)] = coeffs.get(xe(eid), Fraction(0)) + w
-                sys.add(coeffs, ">", Fraction(0))
-
+        weight = mdp.edge_by_id
+        rows += (Row({xk[eid]: weight[eid].weight[i] for eid in comp.edges
+                      if weight[eid].weight[i]}, GT)
+                 for comp in components for i in range(mdp.dimension))
     if pin_outside:
-        inside = set()
-        for comp in components:
-            inside |= comp.edges
-        for e in mdp.edges:
-            if e.eid not in inside:
-                sys.add({xe(e.eid): Fraction(1)}, "=", Fraction(0))
-    return sys
+        inside = set().union(*(comp.edges for comp in components))
+        rows += (Row({xk[e.eid]: 1}, EQ) for e in edges if e.eid not in inside)
+    variables = [ys(s) for s in ids] + [ye(e.eid) for e in edges] + [xe(e.eid) for e in edges]
+    return LinearSystem(variables, rows)
 
 
 def finite_memory_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
@@ -213,7 +188,15 @@ def general_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
 def positively_winnable(mdp: Mdp, comp: EndComponent) -> bool:
     """Whether the component's positivity rows can be met: some long-run
     frequency vector inside it, proportional at random states, has a
-    strictly positive mean payoff in every dimension."""
+    strictly positive mean payoff in every dimension.
+
+    A frequency vector is a mix of the component's cycles, so a dimension
+    whose maximum cycle mean (Karp on the negated weights) is <= 0 rules
+    the component out without the LP."""
+    arcs = [(e.source, e.target, tuple(-w for w in e.weight), e.eid)
+            for e in map(mdp.edge_by_id.__getitem__, comp.edges)]
+    if any(_karp_scc(list(comp.states), arcs, i) >= 0 for i in range(mdp.dimension)):
+        return False
     zeros = (Fraction(0),) * mdp.dimension
     return linsolve.solve(ec_expectation_system(mdp, comp, zeros, strict=True)).strict_feasible
 
@@ -222,35 +205,35 @@ def ec_expectation_system(mdp: Mdp, ec: EndComponent, nu: Sequence[Fraction],
                           strict: bool = False) -> LinearSystem:
     """Expectation system inside one end component.
 
-    Variables x[s] (long-run state probability) and x[e] (edge frequency);
-    rows: total state mass one, in/out flow matching per state, random
-    proportionality, and the per-dimension mean-payoff rows (weak by
-    default, strict when deciding the strict achievable set).
+    Variables x[s] (long-run state probability, states in declaration
+    order) and x[e] (edge frequency, edges by id); rows: total state mass
+    one, in/out flow matching per state, random proportionality, and the
+    per-dimension mean-payoff rows (weak by default, strict when deciding
+    the strict achievable set).
     """
-    states = sorted(ec.states, key=mdp.state_ids.index)
+    order = {s: i for i, s in enumerate(mdp.state_ids)}
+    states = sorted(ec.states, key=order.__getitem__)
     edges = [mdp.edge_by_id[eid] for eid in sorted(ec.edges)]
-    xs = {s: f"xs[{s}]" for s in states}
-    sys = LinearSystem(variables=[xs[s] for s in states] + [xe(e.eid) for e in edges])
-
-    sys.add({xs[s]: Fraction(1) for s in states}, "=", Fraction(1))
+    xs = {s: i for i, s in enumerate(states)}
+    xk = {e.eid: len(states) + k for k, e in enumerate(edges)}
+    ins = {s: {j: -1} for s, j in xs.items()}
+    outs = {s: {j: -1} for s, j in xs.items()}
+    for e in edges:
+        ins[e.target][xk[e.eid]] = 1
+        outs[e.source][xk[e.eid]] = 1
+    rows = [Row(dict.fromkeys(range(len(states)), 1), EQ, 1)]
     for s in states:
-        coeffs = {xs[s]: Fraction(-1)}
-        for e in edges:
-            if e.target == s:
-                coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) + 1
-        sys.add(coeffs, "=", Fraction(0))
-        coeffs = {xs[s]: Fraction(-1)}
-        for e in edges:
-            if e.source == s:
-                coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) + 1
-        sys.add(coeffs, "=", Fraction(0))
+        rows += (Row(ins[s], EQ), Row(outs[s], EQ))
     for e in edges:
         if mdp.is_random(e.source):
-            sys.add({xe(e.eid): Fraction(1), xs[e.source]: -mdp.prob(e.eid)}, "=", Fraction(0))
-    for i in range(mdp.dimension):
-        coeffs = {xe(e.eid): Fraction(e.weight[i]) for e in edges if e.weight[i] != 0}
-        sys.add(coeffs, ">" if strict else ">=", nu[i])
-    return sys
+            p = mdp.prob(e.eid)
+            rows.append(Row({xk[e.eid]: p.denominator, xs[e.source]: -p.numerator}, EQ,
+                            0, p.denominator))
+    for i, b in enumerate(nu):
+        q = b.denominator
+        rows.append(Row({xk[e.eid]: q * e.weight[i] for e in edges if e.weight[i]},
+                        GT if strict else GE, b.numerator, q))
+    return LinearSystem([f"xs[{s}]" for s in states] + [xe(e.eid) for e in edges], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +246,9 @@ class Witness:
 
     ``mdp`` is the prepared instance the assignment refers to: normalized,
     pruned (bwc modes), restricted to the reachable part (the states
-    ``kept``), and with a controller pre-state inserted when the start
-    state was random; ``nu`` is the normalized expectation threshold.
+    ``kept``, None when that is every state), and with a controller
+    pre-state inserted when the start state was random; ``nu`` is the
+    normalized expectation threshold.
     Both are rebuilt on first use from the decided ``source`` and
     ``query``, so a kept Decision pins no prepared edge or index.
     ``components`` hold their states and edges as tuples, in the order of
@@ -274,7 +258,7 @@ class Witness:
 
     source: Mdp
     query: ThresholdQuery
-    kept: tuple[str, ...]
+    kept: Optional[tuple[str, ...]]
     start: str
     dims: tuple[int, ...]
     components: tuple[EndComponent, ...]
@@ -293,8 +277,10 @@ class Witness:
     def _prepare(self) -> tuple[Mdp, tuple[Fraction, ...]]:
         if self._prepared is None:
             nmdp, nquery = normalize(self.source, self.query)
-            object.__setattr__(self, "_prepared", (ensure_controller_start(
-                restrict_states(nmdp, self.kept), nquery.start)[0], tuple(nquery.nu)))
+            if self.kept is not None:
+                nmdp = restrict_states(nmdp, self.kept)
+            object.__setattr__(self, "_prepared", (
+                ensure_controller_start(nmdp, nquery.start)[0], tuple(nquery.nu)))
         return self._prepared
 
 
@@ -322,10 +308,11 @@ class Decision:
         return out
 
 
-@cache
-def _verdict(answer: bool, mode: str, failure: Optional[str] = None) -> Decision:
-    """A Decision without witness or certificate; immutable, so shared."""
-    return Decision(answer, mode, failure=failure)
+@lru_cache(maxsize=4096)
+def _verdict(answer: bool, mode: str, failure: Optional[str] = None,
+             certificate: Optional[games.AdversaryChoice] = None) -> Decision:
+    """A Decision without witness; immutable, so equal ones are shared."""
+    return Decision(answer, mode, failure=failure, certificate=certificate)
 
 
 def decide(mdp: Mdp, query: ThresholdQuery,
@@ -357,20 +344,19 @@ def decide(mdp: Mdp, query: ThresholdQuery,
         region = games.wc_winning_region(nmdp, dims, budget)
         if start in region:
             return _verdict(True, "wc")
-        return Decision(False, "wc", failure="worst-case objective fails at the start state",
-                        certificate=region.certificates.get(start))
+        return _verdict(False, "wc", "worst-case objective fails at the start state",
+                        region.certificates.get(start))
 
     if query.mode in ("bwc-fin", "bwc-inf"):
         pruned = games.prune(nmdp, start, dims, budget)
         if isinstance(pruned, games.Unsatisfiable):
-            return Decision(False, query.mode, failure="start state pruned",
-                            certificate=pruned.certificate)
+            return _verdict(False, query.mode, "start state pruned", pruned.certificate)
         base = pruned
     else:
         keep = reachable(nmdp, start)
         base = restrict_states(nmdp, keep) if keep != set(nmdp.state_ids) else nmdp
 
-    kept = base.state_ids
+    kept = None if len(base.states) == len(mdp.states) else shared(base.state_ids)
     base, start2 = ensure_controller_start(base, start)
 
     if query.mode == "bwc-fin":
@@ -396,8 +382,9 @@ def decide(mdp: Mdp, query: ThresholdQuery,
     if not outcome.strict_feasible:
         return _verdict(False, query.mode, "threshold system infeasible")
     witness = Witness(source=mdp, query=query, kept=kept, start=start2, dims=dims,
-                      components=tuple(EndComponent(tuple(c.states), tuple(c.edges))
-                                       for c in comps),
+                      components=shared(tuple(EndComponent(shared(tuple(c.states)),
+                                                           shared(tuple(c.edges)))
+                                              for c in comps)),
                       assignment={k: v for k, v in outcome.assignment.items() if v},
                       slack=outcome.slack)
     return Decision(True, query.mode, witness=witness)

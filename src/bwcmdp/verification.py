@@ -172,14 +172,6 @@ class WeightedGraph:
     initial: tuple  # indices
 
 
-def mdp_graph(mdp: Mdp, start: Optional[str] = None) -> WeightedGraph:
-    idx = {s: i for i, s in enumerate(mdp.state_ids)}
-    edges = tuple((idx[e.source], idx[e.target], e.weight, e.eid) for e in mdp.edges)
-    init = (idx[start],) if start is not None else (
-        (idx[mdp.initial],) if mdp.initial else tuple(range(len(mdp.state_ids))))
-    return WeightedGraph(tuple(mdp.state_ids), edges, init)
-
-
 def _cycle_sccs(graph: WeightedGraph) -> list[tuple[list[int], list]]:
     """SCCs reachable from the graph's initial nodes that carry an edge,
     each with its internal edges, in ``index_sccs`` order."""
@@ -249,17 +241,11 @@ def karp_min_mean(graph: WeightedGraph, dim: int) -> Optional[Fraction]:
                default=None)
 
 
-def min_mean_cycle_witness(graph: WeightedGraph, dim: int,
-                           bound: Fraction) -> Optional[list]:
-    """A reachable cycle with mean <= bound in the given dimension, or None.
-
-    Finds the exact minimum mean first, then extracts a cycle achieving it
-    (see ``_tight_cycle``).  Returns the cycle as a list of edge labels.
-    """
-    return _min_mean_cycle(_cycle_sccs(graph), dim, bound)
-
-
 def _min_mean_cycle(comps, dim: int, bound: Fraction) -> Optional[list]:
+    """A cycle with mean <= bound in the given dimension over the SCCs
+    ``comps`` (see ``_cycle_sccs``), or None: the exact minimum mean
+    first, then a cycle achieving it (see ``_tight_cycle``), as a list of
+    edge labels."""
     target = None
     target_val: Optional[Fraction] = None
     for comp, internal in comps:

@@ -6,7 +6,8 @@ memoryless strategy pairs, cycle means by simple-cycle enumeration, and
 linear feasibility by vertex enumeration.  It also holds the helpers that
 only tests use: game values by value iteration, the dense simplex and the
 sparse Fraction-row simplex and Gauss-Jordan that the integer-row kernel
-must reproduce, and scalar simulators, one run and one step at a time,
+must reproduce, the named Fraction-row system builders that the integer
+row builders must reproduce, and scalar simulators, one run and one step at a time,
 that the block-stepped simulation kernel must reproduce.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -27,6 +28,7 @@ from bwcmdp.machines import InducedChain, induced_chain
 from bwcmdp.model import Mdp, require_valid
 from bwcmdp.rng import _M1, _MASK, run_key, splitmix64
 from bwcmdp.synthesis import MonitoredMachine, _guaranteed_floor
+from bwcmdp.verification import WeightedGraph, _cycle_sccs, _min_mean_cycle
 
 
 def brute_reachable(mdp: Mdp, start: str) -> set[str]:
@@ -232,6 +234,27 @@ def karp_formula(comp, edges, dim: int) -> Fraction:
                for v in range(m) if D[m][v] is not None)
 
 
+def mdp_graph(mdp: Mdp, start: Optional[str] = None) -> WeightedGraph:
+    """The MDP's edges as a weighted graph, from ``start`` (else the
+    initial state, else every state)."""
+    idx = {s: i for i, s in enumerate(mdp.state_ids)}
+    edges = tuple((idx[e.source], idx[e.target], e.weight, e.eid) for e in mdp.edges)
+    init = (idx[start],) if start is not None else (
+        (idx[mdp.initial],) if mdp.initial else tuple(range(len(mdp.state_ids))))
+    return WeightedGraph(tuple(mdp.state_ids), edges, init)
+
+
+def min_mean_cycle_witness(graph: WeightedGraph, dim: int,
+                           bound: Fraction) -> Optional[list]:
+    """A reachable cycle with mean <= bound in the given dimension, or None.
+
+    Finds the exact minimum mean first, then extracts a cycle achieving it
+    (see ``verification._tight_cycle``).  Returns the cycle as a list of
+    edge labels.
+    """
+    return _min_mean_cycle(_cycle_sccs(graph), dim, bound)
+
+
 def vertex_feasible(system: LinearSystem) -> bool:
     """Feasibility by vertex enumeration (weak relaxation of strict rows).
 
@@ -241,13 +264,12 @@ def vertex_feasible(system: LinearSystem) -> bool:
     """
     assert system.nonneg
     nvars = len(system.variables)
-    idx = {v: i for i, v in enumerate(system.variables)}
     rows = []
     for c in system.constraints:
         vec = [Fraction(0)] * nvars
-        for v, a in c.coeffs.items():
-            vec[idx[v]] = Fraction(a)
-        rows.append((vec, c.relation, Fraction(c.rhs)))
+        for j, a in c.coeffs.items():
+            vec[j] = Fraction(a, c.den)
+        rows.append((vec, c.relation, Fraction(c.rhs, c.den)))
     for i in range(nvars):
         vec = [Fraction(0)] * nvars
         vec[i] = Fraction(1)
@@ -589,6 +611,147 @@ def _pivot(tab, obj, basis, r, c):
             for j in range(total + 1):
                 obj[j] -= f * row[j]
     basis[r] = c
+
+
+# ---------------------------------------------------------------------------
+# The flow and frequency system builders as they were before they emitted
+# integer rows: named variables and ``Fraction`` coefficients, kept
+# verbatim (``LinearSystem.add`` replaced by ``NamedSystem.add``, which
+# holds rows the way ``linsolve.Constraint.build`` did) as the reference
+# the integer rows must equal.
+
+
+@dataclass
+class NamedSystem:
+    variables: list[str]
+    rows: list = field(default_factory=list)
+
+    def add(self, coeffs: dict, relation: str, rhs) -> None:
+        self.rows.append(({str(k): Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0},
+                          relation, Fraction(rhs)))
+
+
+def named_flow_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
+                      components: Sequence[EndComponent],
+                      local_positivity: bool,
+                      pin_outside: bool) -> NamedSystem:
+    from bwcmdp.systems import xe, ye, ys
+
+    d = mdp.dimension
+    sys = NamedSystem(variables=(
+        [ys(s) for s in mdp.state_ids]
+        + [ye(e.eid) for e in mdp.edges]
+        + [xe(e.eid) for e in mdp.edges]))
+
+    # (A1) inflow = outflow + leak, with a unit source at the start state.
+    for s in mdp.state_ids:
+        coeffs: dict[str, Fraction] = {ys(s): Fraction(-1)}
+        for e in mdp.in_edges[s]:
+            coeffs[ye(e.eid)] = coeffs.get(ye(e.eid), Fraction(0)) + 1
+        for e in mdp.out_edges[s]:
+            coeffs[ye(e.eid)] = coeffs.get(ye(e.eid), Fraction(0)) - 1
+        sys.add(coeffs, "=", Fraction(-1) if s == start else Fraction(0))
+
+    # (A1') per-edge proportionality at random states:
+    # ye[e] = P(e) * (1_start(s) + inflow(s) - y[s]).
+    for s in mdp.state_ids:
+        if not mdp.is_random(s):
+            continue
+        for e in mdp.out_edges[s]:
+            p = mdp.prob(e.eid)
+            coeffs = {ye(e.eid): Fraction(1), ys(s): p}
+            for e2 in mdp.in_edges[s]:
+                coeffs[ye(e2.eid)] = coeffs.get(ye(e2.eid), Fraction(0)) - p
+            sys.add(coeffs, "=", p if s == start else Fraction(0))
+
+    # (A2) total leak mass one inside the designated components.
+    mass = {}
+    for comp in components:
+        for s in comp.states:
+            mass[ys(s)] = Fraction(1)
+    sys.add(mass, "=", Fraction(1))
+
+    # (B) per component: leak mass equals internal frequency mass.
+    for comp in components:
+        coeffs = {ys(s): Fraction(1) for s in comp.states}
+        for eid in comp.edges:
+            coeffs[xe(eid)] = coeffs.get(xe(eid), Fraction(0)) - 1
+        sys.add(coeffs, "=", Fraction(0))
+
+    # (C1) frequency conservation.
+    for s in mdp.state_ids:
+        coeffs = {}
+        for e in mdp.in_edges[s]:
+            coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) + 1
+        for e in mdp.out_edges[s]:
+            coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) - 1
+        sys.add(coeffs, "=", Fraction(0))
+
+    # (C1') frequency proportionality at random states.
+    for s in mdp.state_ids:
+        if not mdp.is_random(s):
+            continue
+        for e in mdp.out_edges[s]:
+            p = mdp.prob(e.eid)
+            coeffs = {xe(e.eid): Fraction(1)}
+            for e2 in mdp.in_edges[s]:
+                coeffs[xe(e2.eid)] = coeffs.get(xe(e2.eid), Fraction(0)) - p
+            sys.add(coeffs, "=", Fraction(0))
+
+    # (C2) strict global expectation rows.
+    for i in range(d):
+        coeffs = {xe(e.eid): Fraction(e.weight[i]) for e in mdp.edges if e.weight[i] != 0}
+        sys.add(coeffs, ">", nu[i])
+
+    # (C3) strict per-component positivity rows.
+    if local_positivity:
+        for comp in components:
+            for i in range(d):
+                coeffs = {}
+                for eid in comp.edges:
+                    w = mdp.edge_by_id[eid].weight[i]
+                    if w != 0:
+                        coeffs[xe(eid)] = coeffs.get(xe(eid), Fraction(0)) + w
+                sys.add(coeffs, ">", Fraction(0))
+
+    if pin_outside:
+        inside = set()
+        for comp in components:
+            inside |= comp.edges
+        for e in mdp.edges:
+            if e.eid not in inside:
+                sys.add({xe(e.eid): Fraction(1)}, "=", Fraction(0))
+    return sys
+
+
+def named_ec_expectation_system(mdp: Mdp, ec: EndComponent, nu: Sequence[Fraction],
+                                strict: bool = False) -> NamedSystem:
+    from bwcmdp.systems import xe
+
+    states = sorted(ec.states, key=mdp.state_ids.index)
+    edges = [mdp.edge_by_id[eid] for eid in sorted(ec.edges)]
+    xs = {s: f"xs[{s}]" for s in states}
+    sys = NamedSystem(variables=[xs[s] for s in states] + [xe(e.eid) for e in edges])
+
+    sys.add({xs[s]: Fraction(1) for s in states}, "=", Fraction(1))
+    for s in states:
+        coeffs = {xs[s]: Fraction(-1)}
+        for e in edges:
+            if e.target == s:
+                coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) + 1
+        sys.add(coeffs, "=", Fraction(0))
+        coeffs = {xs[s]: Fraction(-1)}
+        for e in edges:
+            if e.source == s:
+                coeffs[xe(e.eid)] = coeffs.get(xe(e.eid), Fraction(0)) + 1
+        sys.add(coeffs, "=", Fraction(0))
+    for e in edges:
+        if mdp.is_random(e.source):
+            sys.add({xe(e.eid): Fraction(1), xs[e.source]: -mdp.prob(e.eid)}, "=", Fraction(0))
+    for i in range(mdp.dimension):
+        coeffs = {xe(e.eid): Fraction(e.weight[i]) for e in edges if e.weight[i] != 0}
+        sys.add(coeffs, ">" if strict else ">=", nu[i])
+    return sys
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,32 @@ def test_verify_worstcase_witness(capsys, run_path, tmp_path):
     assert data["dimension"] == 2 and data["witness_cycle"]
 
 
+def test_strategy_keys_with_bar_in_state_ids(capsys, tmp_path):
+    # Table keys are "state|mem": a state id holding "|" must load as itself.
+    from bwcmdp.machines import memoryless
+
+    mdp = Mdp.build(1, [("a|b", "controller"), ("c", "controller")],
+                    [(0, "a|b", "c", [1]), (1, "c", "a|b", [1]), (2, "c", "c", [-1])])
+    data = jsonio.machine_to_json(mdp, memoryless(mdp, {"c": 1}), "a|b")
+    assert set(data["output"]) == {"a|b|0", "c|0"}
+    loaded = jsonio.machine_from_json(json.loads(json.dumps(data)))
+    assert loaded.output("a|b", "0") == {0: 1} and loaded.output("c", "0") == {1: 1}
+    assert loaded.update("a|b", "0") == {"0": 1}
+    mdp_path, strat = str(tmp_path / "bar.json"), str(tmp_path / "bar-strategy.json")
+    jsonio.save_mdp(mdp_path, mdp)
+    with open(strat, "w") as fh:
+        json.dump(data, fh)
+    code, out, _ = run_cli(capsys, "verify", "--mdp", mdp_path, "--strategy", strat,
+                           "--check", "wc", "--from", "a|b", "--mu", "0")
+    assert code == 0, out
+    # With both "0" and "b|0" declared, "a|b|0" could be either state.
+    with open(strat, "w") as fh:
+        json.dump(dict(data, memory=["0", "b|0"]), fh)
+    code, _, err = run_cli(capsys, "verify", "--mdp", mdp_path, "--strategy", strat,
+                           "--check", "wc", "--from", "a|b", "--mu", "0")
+    assert code == 2 and "'a|b|0' ends in 2 declared memory entries" in err
+
+
 def test_simulate_determinism(capsys, run_path, tmp_path):
     from bwcmdp.machines import memoryless
 
@@ -265,8 +291,37 @@ def test_dump_lp(capsys, run_path, tmp_path):
     code, _, _ = run_cli(capsys, "decide", "--mdp", run_path, "--mode", "bwc-fin",
                          "--from", "s", "--mu", "0,0", "--nu", "0,9", "--dump-lp", lp)
     assert code == 0
-    text = open(lp).read()
-    assert "vars:" in text and "> 9" in text
+    assert open(lp).read() == _RUN_EX_BWC_FIN_LP
+
+
+_RUN_EX_BWC_FIN_LP = """\
+vars: y[s] y[t] y[u] y[v] ye[0] ye[1] ye[2] ye[3] ye[4] ye[5] ye[6] \
+x[0] x[1] x[2] x[3] x[4] x[5] x[6]  (all >= 0)
+- y[s] - ye[0] - ye[1] = -1
+- y[t] + ye[0] + ye[3] = 0
+- y[u] + ye[1] - ye[3] - ye[4] + ye[5] + ye[6] = 0
+- y[v] + ye[4] - ye[5] - ye[6] = 0
+1/2*y[v] - 1/2*ye[4] + ye[5] = 0
+1/2*y[v] - 1/2*ye[4] + ye[6] = 0
+y[t] = 1
+y[t] - x[2] = 0
+- x[0] - x[1] = 0
+x[0] + x[3] = 0
+x[1] - x[3] - x[4] + x[5] + x[6] = 0
+x[4] - x[5] - x[6] = 0
+- 1/2*x[4] + x[5] = 0
+- 1/2*x[4] + x[6] = 0
+5*x[2] + 30*x[5] + 30*x[6] > 0
+15*x[2] + 80*x[5] - 60*x[6] > 9
+5*x[2] > 0
+15*x[2] > 0
+x[0] = 0
+x[1] = 0
+x[3] = 0
+x[4] = 0
+x[5] = 0
+x[6] = 0
+"""
 
 
 def test_procedural_strategy_file_round_trip(capsys, run_path, tmp_path):

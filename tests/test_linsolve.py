@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from bwcmdp.linsolve import LinearSystem, check_assignment, maximize, residuals, solve
+from bwcmdp.linsolve import (LinearSystem, Row, check_assignment, maximize, named_row,
+                             residuals, solve)
 from oracles import vertex_feasible
 
 
@@ -54,12 +55,12 @@ def test_undeclared_variable_rejected():
 
 
 def test_free_variable_objective():
-    status, asg, val = maximize(["t"], set(), [({"t": -1}, ">=", F(30))], {"t": 1})
+    status, asg, val = maximize(["t"], set(), [Row({0: -1}, ">=", 30)], {0: 1})
     assert status == "optimal" and val == -30 and asg["t"] == -30
 
 
 def test_unbounded_objective():
-    status, asg, val = maximize(["x"], {"x"}, [({"x": 1}, ">=", F(0))], {"x": 1})
+    status, asg, val = maximize(["x"], {"x"}, [Row({0: 1}, ">=", 0)], {0: 1})
     assert status == "unbounded" and asg is not None
 
 
@@ -128,12 +129,27 @@ def _redundant_rows(rng: random.Random):
 
 
 def _same_as_dense(variables, nonneg, rows, objective, sparse=None):
+    """Check the integer kernel against both references on named rows
+    with rational values and an integer objective."""
+    index = {v: j for j, v in enumerate(variables)}
+    int_rows = [named_row(index, c, rel, b) for c, rel, b in rows]
+    int_objective = {index[v]: int(a) for v, a in objective.items()}
+    return _same_as_references((variables, nonneg, int_rows, int_objective), rows, objective,
+                               sparse)
+
+
+def _same_as_references(kernel_args, rows, objective, sparse=None):
+    """Run the integer kernel on ``kernel_args`` (its own signature) and
+    the dense and Fraction-row references on the same system as named
+    rows: the same result, every pivot checked (see
+    ``_same_as_fraction_rows``)."""
     import copy
 
     from bwcmdp import linsolve
     from oracles import dense_simplex
 
-    got = _same_as_fraction_rows(sparse or linsolve._simplex, variables, nonneg, rows, objective)
+    variables, nonneg = kernel_args[:2]
+    got = _same_as_fraction_rows(sparse or linsolve._simplex, kernel_args, rows, objective)
     want = dense_simplex(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
     assert got == want
     if got[1] is not None:
@@ -141,7 +157,7 @@ def _same_as_dense(variables, nonneg, rows, objective, sparse=None):
     return got[0]
 
 
-def _same_as_fraction_rows(simplex, variables, nonneg, rows, objective):
+def _same_as_fraction_rows(simplex, kernel_args, rows, objective):
     """Run ``simplex`` and the Fraction-row reference on one input: the
     same result and the same basis after every pivot, and every integer
     row, the objective's too, over a positive denominator that shares no
@@ -164,13 +180,25 @@ def _same_as_fraction_rows(simplex, variables, nonneg, rows, objective):
         fraction_pivot(tab, obj, basis, r, c)
         want_bases.append(list(basis))
 
+    variables, nonneg = kernel_args[:2]
     with mock.patch.object(linsolve, "pivot", checked), \
             mock.patch.object(oracles, "fraction_pivot", recorded):
-        got = simplex(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
+        got = simplex(*copy.deepcopy(kernel_args))
         want = oracles.fraction_simplex(list(variables), set(nonneg), copy.deepcopy(rows),
                                         dict(objective))
     assert got == want and got_bases == want_bases
     return got
+
+
+def _as_named(variables, row, slack):
+    """A kernel ``Row`` as the named row the Fraction-row simplex takes: a
+    strict row ``row - y >= rhs`` for the slack variable ``slack``."""
+    coeffs = {variables[j]: F(a, row.den) for j, a in row.coeffs.items() if a}
+    relation = row.relation
+    if relation == ">":
+        coeffs[variables[slack]] = F(-1)
+        relation = ">="
+    return coeffs, relation, F(row.rhs, row.den)
 
 
 def test_sparse_simplex_matches_dense_tableau(monkeypatch):
@@ -190,8 +218,11 @@ def test_sparse_simplex_matches_dense_tableau(monkeypatch):
     # Flow systems, solved through `solve` (strict rows, slack, capped re-solve).
     real = linsolve._simplex
 
-    def both(*args):
-        _same_as_dense(*args, sparse=real)
+    def both(variables, nonneg, rows, objective, slack=None):
+        args = (variables, nonneg, rows, objective, slack)
+        named = [_as_named(variables, row, slack) for row in rows]
+        _same_as_references(args, named, {variables[j]: F(a) for j, a in objective.items()},
+                            sparse=real)
         return real(*args)
 
     monkeypatch.setattr(linsolve, "_simplex", both)

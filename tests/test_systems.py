@@ -1,5 +1,7 @@
 """Threshold-system builders and the decision procedures."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -9,10 +11,12 @@ from bwcmdp import linsolve
 from bwcmdp.decomposition import mecs
 from bwcmdp.games import mwecs
 from bwcmdp.linsolve import residuals
-from bwcmdp.model import Mdp, ThresholdQuery
-from bwcmdp.systems import (decide, ec_expectation_system, ensure_controller_start,
-                            finite_memory_system, general_system, xe, ye, ys)
+from bwcmdp.model import MODES, Mdp, ThresholdQuery
+from bwcmdp.systems import (_flow_system, decide, ec_expectation_system,
+                            ensure_controller_start, finite_memory_system, general_system, xe,
+                            ye, ys)
 from conftest import random_mdp, random_query
+from oracles import named_ec_expectation_system, named_flow_system
 
 
 def _satisfies_strictly(system, assignment) -> bool:
@@ -226,3 +230,51 @@ def test_positivity_respects_probabilities(case):
     mdp = Mdp.build(1, states, edges, probs)
     for mode in ("wc", "bwc-fin", "bwc-inf", "bas"):
         assert decide(mdp, ThresholdQuery.build(mode, start, [mu], [nu])).answer, mode
+
+
+def test_decide_outputs_are_pinned():
+    # 150 seeded random instances in all five modes: the decision JSON,
+    # witnesses and spoilers included, hashes to the value it had before
+    # the LP rows were built as integers.
+    rng = random.Random(1212)
+    digest = hashlib.sha256()
+    answers = dict.fromkeys(MODES, 0)
+    for _ in range(150):
+        mdp = random_mdp(rng)
+        for mode in MODES:
+            dec = decide(mdp, random_query(rng, mdp, mode))
+            answers[mode] += dec.answer
+            digest.update(json.dumps(dec.to_json(), sort_keys=True).encode())
+    assert answers == {"wc": 53, "exp": 59, "bas": 23, "bwc-fin": 20, "bwc-inf": 33}
+    assert digest.hexdigest() == (
+        "545eef759229ff8b12a99713120e10d76dc7e2e2938a1093cc1918f1a5576666")
+
+
+def _same_rows(system, reference):
+    # Each integer row over its denominator is the reference's named row,
+    # in the same order, with no zero entry.
+    assert system.variables == reference.variables
+    assert len(system.constraints) == len(reference.rows)
+    for row, (coeffs, relation, rhs) in zip(system.constraints, reference.rows):
+        assert row.den > 0 and all(row.coeffs.values())
+        assert {system.variables[j]: F(a, row.den) for j, a in row.coeffs.items()} == coeffs
+        assert (row.relation, F(row.rhs, row.den)) == (relation, rhs)
+
+
+def test_integer_rows_match_named_reference():
+    rng = random.Random(1213)
+    frequency_systems = 0
+    for _ in range(60):
+        mdp = random_mdp(rng)
+        mdp, start = ensure_controller_start(mdp, rng.choice(mdp.state_ids))
+        nu = [F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(mdp.dimension)]
+        comps = mecs(mdp)
+        for positivity in (False, True):
+            _same_rows(_flow_system(mdp, start, nu, comps, positivity, positivity),
+                       named_flow_system(mdp, start, nu, comps, positivity, positivity))
+        for comp in comps:
+            for strict in (False, True):
+                _same_rows(ec_expectation_system(mdp, comp, nu, strict),
+                           named_ec_expectation_system(mdp, comp, nu, strict))
+                frequency_systems += 1
+    assert frequency_systems >= 100

@@ -9,10 +9,10 @@ from bwcmdp.machines import (MachineError, TableMachine, induced_chain, memoryle
                              support_product)
 from bwcmdp.model import Mdp
 from bwcmdp.verification import (WeightedGraph, _karp_scc, bscc_analysis, expected_mp,
-                                 karp_min_mean, mdp_graph, min_mean_cycle_witness, simulate,
-                                 simulate_chain, verify_almost_sure, verify_worstcase)
+                                 karp_min_mean, simulate, simulate_chain, verify_almost_sure,
+                                 verify_worstcase)
 from conftest import random_mdp
-from oracles import brute_min_cycle_mean, karp_formula
+from oracles import brute_min_cycle_mean, karp_formula, mdp_graph, min_mean_cycle_witness
 
 
 def t_loop_machine(run_ex):
