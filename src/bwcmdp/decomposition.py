@@ -144,7 +144,9 @@ def mecs(mdp: Mdp) -> list[EndComponent]:
         for comp in comps:
             for s in comp:
                 comp_of[s] = id(comp)
-        for s in list(alive_states):
+        # Declaration order: which removals one round sees, and so how
+        # many rounds run, must not depend on string hashing.
+        for s in [s for s in mdp.state_ids if s in alive_states]:
             if not mdp.is_random(s):
                 continue
             # A random state must keep every original edge, inside its SCC:

@@ -32,28 +32,46 @@ def run_key(seed: int, run: int) -> int:
     return splitmix64(splitmix64(seed & _MASK) ^ ((run + 1) * _PHI & _MASK))
 
 
-def run_keys_array(seed: int, runs: int) -> np.ndarray:
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """``splitmix64`` of every entry of a uint64 array, in place.  Unsigned
+    array arithmetic wraps modulo 2**64, as the masks do above."""
     import numpy as np
 
-    return np.array([run_key(seed, r) for r in range(runs)], dtype=np.uint64)
-
-
-def uniform_block(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
-    """Uniforms in [0, 1) with 53-bit resolution, shape ``(count, runs)``:
-    row i holds draw number ``counter + i`` of every run stream."""
-    import numpy as np
-
-    # Unsigned array arithmetic wraps modulo 2**64, as the masks do above.
-    c = np.arange(counter + 1, counter + count + 1, dtype=np.uint64) * np.uint64(_M1)
-    z = keys[None, :] ^ c[:, None]
     z += np.uint64(_PHI)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_M1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_M2)
     z ^= z >> np.uint64(31)
+    return z
+
+
+def run_keys_array(seed: int, runs: int) -> np.ndarray:
+    """``run_key(seed, r)`` for r in range(runs)."""
+    import numpy as np
+
+    mixed = np.arange(1, runs + 1, dtype=np.uint64) * np.uint64(_PHI)
+    mixed ^= np.uint64(splitmix64(seed & _MASK))
+    return _splitmix64_array(mixed)
+
+
+def bits_block(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
+    """53-bit draws as uint64 integers in [0, 2**53), shape ``(count, runs)``:
+    row i holds draw number ``counter + i`` of every run stream."""
+    import numpy as np
+
+    c = np.arange(counter + 1, counter + count + 1, dtype=np.uint64) * np.uint64(_M1)
+    z = _splitmix64_array(keys[None, :] ^ c[:, None])
     z >>= np.uint64(11)
-    u = z.astype(np.float64)
+    return z
+
+
+def uniform_block(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
+    """Uniforms in [0, 1) with 53-bit resolution: ``bits_block`` / 2**53,
+    which is exact."""
+    import numpy as np
+
+    u = bits_block(keys, counter, count).astype(np.float64)
     u /= float(1 << 53)
     return u
 

@@ -45,7 +45,7 @@ from bwcmdp.decomposition import EndComponent, restrict, sccs
 from bwcmdp.machines import MachineError, induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.systems import Decision, Witness, decide, xe, ye, ys
-from bwcmdp.verification import expected_mp, verify_almost_sure, verify_worstcase
+from bwcmdp.verification import bottom_means, expected_mp, verify_almost_sure, verify_worstcase
 
 if TYPE_CHECKING:
     import numpy as np
@@ -531,11 +531,21 @@ def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], d
                 yield MonitoredMachine(sub, g, fwc, period, rec, floor, floor_min / 2, dims)
 
 
+def _least_bottom_mean(sub: Mdp, machine, node_limit: int = 200_000) -> tuple[Fraction, ...]:
+    """Per dimension, the least mean payoff over the bottom SCCs of the
+    machine's chain from every state of the component ``sub``: the
+    expectation the machine guarantees from whichever state a play hands
+    over to it."""
+    means = bottom_means(induced_chain(sub, machine, sub.state_ids, node_limit=node_limit))
+    return tuple(map(min, zip(*means)))
+
+
 class _Ladder:
     """One winning component's candidate machines, cheapest first.
 
     Rungs are built lazily and analysed once: each one's exact expectation
-    on the restricted component when first reached, its worst case (from
+    on the restricted component (the least bottom-SCC mean from every
+    state, ``_least_bottom_mean``) when first reached, its worst case (from
     every state, each start under its own node limit) when some target
     first admits that expectation.  Rungs whose product outgrows the
     limits never win.
@@ -544,7 +554,6 @@ class _Ladder:
     def __init__(self, mdp: Mdp, comp: EndComponent, locals_: list[LocalStrategy], dims):
         self.sub = restrict(mdp, comp.states)
         self.mu = _check_vector(self.sub, dims)
-        self.start = min(comp.states, key=mdp.state_ids.index)
         self._sources = (_plain_rungs(self.sub, comp, locals_),
                          _monitored_rungs(self.sub, comp, locals_, dims))
         self._rungs = ([], [])  # per source: [machine, expectation or None, wins wc or None]
@@ -578,8 +587,7 @@ class _Ladder:
 
     def _expectation(self, machine):
         try:
-            return expected_mp(induced_chain(self.sub, machine, self.start,
-                                             node_limit=CHAIN_LIMIT))
+            return _least_bottom_mean(self.sub, machine, CHAIN_LIMIT)
         except MachineError:
             return None
 
@@ -1089,7 +1097,8 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
 
     Each positive-mass component runs its expectation machine (the first
     cycling combiner, dwell doubling up to DWELL_CAP, with a positive
-    expectation) under a total-payoff monitor whose per-dimension floor
+    expectation from every component state, ``_least_bottom_mean``) under
+    a total-payoff monitor whose per-dimension floor
     rates are half that expectation; on a monitor trip the strategy
     switches permanently to the worst-case fallback.
     """
@@ -1107,10 +1116,9 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
     monitors = []
     for comp, locals_, _ in entries:
         sub = restrict(w.mdp, comp.states)
-        start = min(comp.states, key=w.mdp.state_ids.index)
         for dwell in _doubling(DWELL_CAP):
             g = CyclingMachine(sub, comp, locals_, dwell)
-            exp = expected_mp(induced_chain(sub, g, start))
+            exp = _least_bottom_mean(sub, g)
             if all(e > 0 for e in exp):
                 break
         else:

@@ -9,8 +9,9 @@ arithmetic.
 
 Simulation side: seeded Monte Carlo over the induced chain with one
 deterministic stream per run, stepped by one loop (``step_blocks``) that
-is vectorized across runs in NumPy and draws a block of steps at a time;
-only the simulation functions import NumPy.  Floating point appears only
+is vectorized across runs in NumPy, draws a block of steps at a time and
+finishes runs on deterministic cycles in closed form; only the
+simulation functions import NumPy.  Floating point appears only
 in reported statistics, never in verdicts.
 """
 
@@ -67,8 +68,8 @@ class Bscc:
     mean: tuple[Fraction, ...]
 
 
-def bscc_analysis(chain: InducedChain) -> list[Bscc]:
-    """Bottom SCCs with exact reach probabilities and stationary distributions."""
+def _bottom_sccs(chain: InducedChain) -> list[list[int]]:
+    """The chain's bottom SCCs, in ``index_sccs`` order."""
     comps = index_sccs([[t[0] for t in row] for row in chain.transitions])
     comp_of = {}
     for ci, comp in enumerate(comps):
@@ -79,7 +80,47 @@ def bscc_analysis(chain: InducedChain) -> list[Bscc]:
         for j, p, _, _ in row:
             if p > 0 and comp_of[j] != comp_of[i]:
                 is_bottom[comp_of[i]] = False
-    bsccs = [comp for ci, comp in enumerate(comps) if is_bottom[ci]]
+    return [comp for ci, comp in enumerate(comps) if is_bottom[ci]]
+
+
+def _stationary_mean(chain: InducedChain, comp: list[int]):
+    """A bottom SCC's stationary distribution and its mean payoff vector."""
+    pos = {v: i for i, v in enumerate(comp)}
+    m = len(comp)
+    # Stationary distribution: pi (P - I) = 0 with sum pi = 1, solved as
+    # columns of (P^T - I) with the last row replaced by ones.
+    mat = [[Fraction(0)] * m for _ in range(m)]
+    for v in comp:
+        for j, p, _, _ in chain.transitions[v]:
+            if p > 0:
+                mat[pos[j]][pos[v]] += p
+        mat[pos[v]][pos[v]] -= 1
+    for c in range(m):
+        mat[m - 1][c] = Fraction(1)
+    rhs = [[Fraction(0)] for _ in range(m)]
+    rhs[m - 1][0] = Fraction(1)
+    pi = solve_linear(mat, rhs)
+    stationary = {v: pi[pos[v]][0] for v in comp}
+    d = chain.mdp.dimension
+    mean = [Fraction(0)] * d
+    for v in comp:
+        for j, p, w, _ in chain.transitions[v]:
+            if p > 0:
+                for i in range(d):
+                    if w[i]:
+                        mean[i] += stationary[v] * p * w[i]
+    return stationary, tuple(mean)
+
+
+def bottom_means(chain: InducedChain) -> list[tuple[Fraction, ...]]:
+    """The exact mean payoff vector of every bottom SCC, without the reach
+    probabilities that ``bscc_analysis`` also solves for."""
+    return [_stationary_mean(chain, comp)[1] for comp in _bottom_sccs(chain)]
+
+
+def bscc_analysis(chain: InducedChain) -> list[Bscc]:
+    """Bottom SCCs with exact reach probabilities and stationary distributions."""
+    bsccs = _bottom_sccs(chain)
     bscc_index = {}
     for bi, comp in enumerate(bsccs):
         for v in comp:
@@ -119,34 +160,8 @@ def bscc_analysis(chain: InducedChain) -> list[Bscc]:
             for bi in range(nb):
                 reach[bi] += p0 * row[bi]
 
-    d = chain.mdp.dimension
-    out = []
-    for bi, comp in enumerate(bsccs):
-        pos = {v: i for i, v in enumerate(comp)}
-        m = len(comp)
-        # Stationary distribution: pi (P - I) = 0 with sum pi = 1, solved as
-        # columns of (P^T - I) with the last row replaced by ones.
-        mat = [[Fraction(0)] * m for _ in range(m)]
-        for v in comp:
-            for j, p, _, _ in chain.transitions[v]:
-                if p > 0:
-                    mat[pos[j]][pos[v]] += p
-            mat[pos[v]][pos[v]] -= 1
-        for c in range(m):
-            mat[m - 1][c] = Fraction(1)
-        rhs = [[Fraction(0)] for _ in range(m)]
-        rhs[m - 1][0] = Fraction(1)
-        pi = solve_linear(mat, rhs)
-        stationary = {v: pi[pos[v]][0] for v in comp}
-        mean = [Fraction(0)] * d
-        for v in comp:
-            for j, p, w, _ in chain.transitions[v]:
-                if p > 0:
-                    for i in range(d):
-                        if w[i]:
-                            mean[i] += stationary[v] * p * w[i]
-        out.append(Bscc(tuple(comp), reach[bi], stationary, tuple(mean)))
-    return out
+    return [Bscc(tuple(comp), reach[bi], *_stationary_mean(chain, comp))
+            for bi, comp in enumerate(bsccs)]
 
 
 def expected_mp(chain: InducedChain) -> tuple[Fraction, ...]:
@@ -360,8 +375,10 @@ def verify_almost_sure(mdp: Mdp, machine, mu: Sequence[Fraction],
 # ---------------------------------------------------------------------------
 # Seeded Monte Carlo simulation.
 
-# Steps per block of draws and of buffered transitions.  At 1,000 runs,
-# blocks of 16 to 64 steps simulate equally fast (8 is slower); the block
+# Steps per block of draws and of buffered transitions; runs are also
+# checked for the closed-form finish once a block.  On the benchmark's
+# chains and monitor (1,000 runs; 2 vCPUs, Python 3.11), blocks of 16 and
+# 32 steps simulate equally fast and 8 or 64 up to 15% slower; the block
 # buffers, a few BLOCK * runs arrays of 8-byte numbers, grow with it.
 BLOCK = 16
 
@@ -445,38 +462,126 @@ def _initial_nodes(chain: InducedChain, keys: np.ndarray) -> np.ndarray:
     return np.array(init_nodes, dtype=np.int64)[pick]
 
 
+def _cycle_tables(base: np.ndarray, target: np.ndarray, weight: np.ndarray):
+    """Closed-form tables for the nodes on cycles of single-transition nodes,
+    or None when the chain has no such cycle.
+
+    Returns ``(length, offset, prefix)``.  ``length[v]`` is the length L of
+    node v's cycle, 0 off such cycles.  Each cycle is laid out twice in a
+    row, from its first node found; ``offset[v]`` is v's first place in
+    that layout and ``prefix[k, j]`` the sum of dimension k's weights over
+    its first j transitions, so the r < L steps from v weigh
+    ``prefix[k, offset[v] + r] - prefix[k, offset[v]]``.  Time and memory
+    are linear in the chain's nodes.
+    """
+    import numpy as np
+
+    single = np.diff(base, append=len(target)) == 1
+    succ = np.where(single, target.take(base, mode="clip"), -1).tolist()
+    state = bytearray(len(base))  # 0 unseen, 1 on the current path, 2 done
+    layout: list[int] = []
+    length = np.zeros(len(base), dtype=np.int64)
+    offset = np.zeros(len(base), dtype=np.int64)
+    for v in np.flatnonzero(single).tolist():
+        path = []
+        u = v
+        while u >= 0 and not state[u]:
+            state[u] = 1
+            path.append(u)
+            u = succ[u]
+        if u >= 0 and state[u] == 1:
+            cycle = path[path.index(u):]
+            length[cycle] = len(cycle)
+            offset[cycle] = np.arange(len(layout), len(layout) + len(cycle))
+            layout += cycle + cycle
+        for u in path:
+            state[u] = 2
+    if not layout:
+        return None
+    prefix = np.zeros((weight.shape[1], len(layout) + 1), dtype=np.int64)
+    # int64 sums wrap modulo 2**64, so each difference of two prefixes is
+    # exact whenever the total it stands for fits, as the caller's guard
+    # on horizon * max |weight| ensures.
+    np.cumsum(weight.take(base.take(layout), axis=0).T, axis=1, out=prefix[:, 1:])
+    return length, offset, prefix
+
+
 def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
                 horizon: int, on_step=None) -> np.ndarray:
     """The simulation loop: every run walks ``horizon`` steps from ``node``.
 
     ``tables`` are ``_chain_arrays``' first three.  Step t of run r uses
     draw t + 1 of r's stream.  The draws of BLOCK steps are made at once,
-    and the transitions taken are buffered; at the end of each block the
-    flat table ``weight`` is summed over them.  Returns those per-run
-    sums, exact in int64.  ``on_step(t, e, node)``, if given, sees the
-    transitions ``e`` taken at step t and the nodes reached, and returns
-    the nodes to go on from.
+    as 53-bit integers z compared with the thresholds ``ceil(cols * 2**53)``
+    (the uniform ``z / 2**53 >= c`` exactly when ``z >= ceil(c * 2**53)``;
+    the padding threshold 1.0 is above every draw).  Each step
+    starts from the transition taken before (a run's position): the
+    position tables, built once, hold the base and thresholds of the
+    transition's target node.  The transitions taken are buffered, and at
+    the end of each block the flat table ``weight`` is summed over them.
+    Returns those per-run sums, exact in int64.
+
+    ``on_step(t, e, node)``, if given, sees the transitions ``e`` taken at
+    step t and the nodes reached, and returns the nodes to go on from: the
+    array it was given, unchanged, or a new one.  Without it, once every
+    run is on a cycle of single-transition nodes at the end of a block,
+    the rest of the walk is summed in closed form.
     """
     import numpy as np
 
     cols, base, target = tables
+    n_edges = len(target)
+    # Position p is transition p, or node p - n_edges before any step and
+    # after a jump; ``at[p]`` is the node a run at p is on.
+    at = np.concatenate([target, np.arange(len(base), dtype=np.int64)])
+    pos_base = base.take(at)
+    pos_thresholds = np.ceil(cols * float(1 << 53)).astype(np.uint64).take(at, axis=1)
+    cycles = None if on_step is not None else _cycle_tables(base, target, weight)
+    weight_cols = np.ascontiguousarray(weight.T)
     total = np.zeros((len(node), weight.shape[1]), dtype=np.int64)
     taken = np.empty((BLOCK, len(node)), dtype=np.int64)
+    pos = node + n_edges
     for t0 in range(0, horizon, BLOCK):
+        if cycles is not None:
+            if t0:
+                node = at.take(pos)
+            length = cycles[0].take(node)
+            if length.all():
+                _finish_on_cycles(total, cycles, node, length, horizon - t0)
+                return total
         b = min(BLOCK, horizon - t0)
-        draws = rng.uniform_block(keys, t0 + 1, b)
+        bits = rng.bits_block(keys, t0 + 1, b)
         for i in range(b):
-            u = draws[i]
-            e = base.take(node)
-            for col in cols:
-                e += u >= col.take(node)
-            node = target.take(e)
-            taken[i] = e
+            z, e = bits[i], taken[i]
+            # Indices are in range by construction; "clip" skips the check
+            # and the output buffer that "raise" needs.
+            pos_base.take(pos, out=e, mode="clip")
+            for row in pos_thresholds:
+                e += z >= row.take(pos, mode="clip")
+            pos = e
             if on_step is not None:
-                node = on_step(t0 + i, e, node)
-        for k in range(weight.shape[1]):  # one BLOCK * runs temporary at a time
-            total[:, k] += weight[:, k].take(taken[:b]).sum(axis=0)
+                reached = target.take(e)
+                node = on_step(t0 + i, e, reached)
+                if node is not reached:
+                    pos = node + n_edges
+        for k, w in enumerate(weight_cols):  # one BLOCK * runs temporary at a time
+            total[:, k] += w.take(taken[:b]).sum(axis=0)
     return total
+
+
+def _finish_on_cycles(total: np.ndarray, cycles, node: np.ndarray, length: np.ndarray,
+                      steps: int) -> None:
+    """Add the weight of ``steps`` more steps of runs that all sit on
+    cycles of single-transition nodes (see ``_cycle_tables``)."""
+    import numpy as np
+
+    _, offset, prefix = cycles
+    start = offset.take(node)
+    laps, rest = np.divmod(steps, length)
+    for k, row in enumerate(prefix):
+        at_start = row.take(start)
+        lap = row.take(start + length) - at_start
+        total[:, k] += laps * lap + row.take(start + rest) - at_start
 
 
 def simulate_chain(chain: InducedChain, horizon: int, runs: int, seed: int,

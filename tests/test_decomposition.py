@@ -1,9 +1,13 @@
 """SCC, reachability and end-component decomposition tests."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import bwcmdp
 from bwcmdp.decomposition import mecs, reachable, restrict, restrict_states, sccs
 from conftest import random_mdp
 from oracles import brute_is_ec, brute_mecs, brute_reachable, brute_sccs, is_trivial_scc
@@ -102,3 +106,48 @@ def test_restrict(run_ex):
     for sub in (restrict(run_ex, {"u", "v"}), restrict_states(run_ex, {"s", "t", "u", "v"})):
         parent = dict(zip(run_ex.state_ids, run_ex.states))
         assert sub.states and all(so is parent[so[0]] for so in sub.states)
+
+
+_COUNT_SCCS = r"""
+from bwcmdp import decomposition
+from bwcmdp.model import Mdp
+
+calls = 0
+inner = decomposition.sccs
+
+
+def counted(*args, **kwargs):
+    global calls
+    calls += 1
+    return inner(*args, **kwargs)
+
+
+decomposition.sccs = counted
+# A ladder of random states r0 -> ... -> r11 -> z, each also back to c:
+# only r11 leaves the component at first, and one refinement round removes
+# a run of states that depends on the order the round visits them in.
+n = 12
+states = [("c", "controller"), ("z", "controller")] + [(f"r{i}", "random") for i in range(n)]
+edges, probs = [(0, "c", "r0", [0]), (1, "z", "z", [0])], {}
+for i in range(n):
+    edges += [(2 * i + 2, f"r{i}", f"r{i + 1}" if i + 1 < n else "z", [0]),
+              (2 * i + 3, f"r{i}", "c", [0])]
+    probs.update({2 * i + 2: "1/2", 2 * i + 3: "1/2"})
+comps = decomposition.mecs(Mdp.build(1, states, edges, probs))
+print(calls, [sorted(c.states) for c in comps])
+"""
+
+
+def test_mecs_rounds_independent_of_hash_seed():
+    # mecs once visited the random states in set order, so its rounds, and
+    # its sccs calls, followed string hashing (8 calls under seed 0, 10
+    # under seed 3 on this input).
+    src = os.path.dirname(os.path.dirname(bwcmdp.__file__))
+    outs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _COUNT_SCCS], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] == "14 [['z']]\n"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bwcmdp import jsonio, rng
 from bwcmdp.cli import main
@@ -14,7 +15,8 @@ from bwcmdp.machines import induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
 from bwcmdp.synthesis import bas_strategy, bwc_finite_strategy, bwc_infinite_strategy
 from bwcmdp.systems import decide
-from bwcmdp.verification import BLOCK, _chain_arrays, _initial_nodes, simulate, step_blocks
+from bwcmdp.verification import (BLOCK, _chain_arrays, _cycle_tables, _initial_nodes, simulate,
+                                 step_blocks)
 from conftest import random_mdp
 from oracles import scalar_chain_totals, scalar_monitor_totals, uniform
 
@@ -30,11 +32,29 @@ def kernel_chain_totals(chain, horizon, runs, seed):
 
 def test_uniform_block_rows_are_the_scalar_draws():
     keys = rng.run_keys_array(3, 7)
+    assert keys.tolist() == [rng.run_key(3, r) for r in range(7)]
     block = rng.uniform_block(keys, 5, 2 * BLOCK)
-    assert block.shape == (2 * BLOCK, 7)
+    bits = rng.bits_block(keys, 5, 2 * BLOCK)
+    assert block.shape == bits.shape == (2 * BLOCK, 7)
+    assert bits.dtype == np.uint64 and int(bits.max()) < 2**53
     for i in range(2 * BLOCK):
         assert np.array_equal(block[i], rng.uniform_array(keys, 5 + i))
         assert block[i].tolist() == [uniform(int(k), 5 + i) for k in keys]
+        assert [z * 2.0**-53 for z in bits[i].tolist()] == block[i].tolist()
+
+
+@given(st.data())
+def test_integer_thresholds_match_float_comparison(data):
+    # The kernel compares draws z (u = z / 2**53, exact) with ceil(c * 2**53)
+    # instead of u with c; the padding threshold 1.0 is beyond every draw.
+    col = data.draw(st.one_of(st.floats(0.0, 1.0), st.just(1.0), st.just(0.0),
+                              st.integers(0, 2**53).map(lambda k: k / 2**53),
+                              st.integers(0, 64).map(lambda k: k / 64)))
+    threshold = np.ceil(np.array([col]) * float(1 << 53)).astype(np.uint64)
+    near = int(threshold[0]) + data.draw(st.integers(-2, 2))
+    z = data.draw(st.one_of(st.integers(0, 2**53 - 1),
+                            st.just(min(max(near, 0), 2**53 - 1))))
+    assert bool(np.uint64(z) >= threshold[0]) == (z / 2**53 >= col)
 
 
 def _chains():
@@ -65,6 +85,46 @@ def _chains():
     return out
 
 
+def _absorbing_chains():
+    """Chains whose runs end on cycles of single-transition nodes."""
+    def chain(states, edges, probs, start):
+        mdp = Mdp.build(1, states, edges, probs)
+        return induced_chain(mdp, memoryless(mdp, {}), start)
+
+    def cycle(names, weights, first_eid):
+        return [(first_eid + i, a, names[(i + 1) % len(names)], [w])
+                for i, (a, w) in enumerate(zip(names, weights))]
+
+    # A fair three-way coin into cycles of length 1, 2 and 3, entered after
+    # 2, 3 and 6 steps: every run is absorbed, at different steps.
+    ctrl = [(s, "controller") for s in ("a", "b1", "b2", "c1", "c2", "c3", "c4", "c5",
+                                        "x", "y1", "y2", "z1", "z2", "z3")]
+    edges = [(0, "r", "a", [1]), (1, "r", "b1", [-2]), (2, "r", "c1", [3]),
+             (3, "b1", "b2", [5]), (4, "b2", "y1", [-1]), (5, "c1", "c2", [2]),
+             (6, "c2", "c3", [0]), (7, "c3", "c4", [-7]), (8, "c4", "c5", [4]),
+             (9, "c5", "z1", [1]), (10, "a", "x", [2])]
+    edges += cycle(["x"], [3], 11) + cycle(["y1", "y2"], [4, -1], 12)
+    edges += cycle(["z1", "z2", "z3"], [2, -5, 6], 14)
+    absorbed = chain([("r", "random")] + ctrl, edges,
+                     {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}, "r")
+    # Half the runs stay on a random bottom component, half fall into a
+    # deterministic 2-cycle.
+    partly = chain([("r", "random"), ("p", "random"), ("q", "random"),
+                    ("x1", "controller"), ("x2", "controller")],
+                   [(0, "r", "p", [1]), (1, "r", "x1", [-1]), (2, "p", "q", [2]),
+                    (3, "p", "p", [-3]), (4, "q", "p", [1]), (5, "q", "q", [0])]
+                   + cycle(["x1", "x2"], [5, -2], 6),
+                   {0: F(1, 2), 1: F(1, 2), 2: F(1, 3), 3: F(2, 3), 4: F(1, 4), 5: F(3, 4)},
+                   "r")
+    # No choice anywhere: a path of 2 * BLOCK + 3 steps into a 3-cycle.
+    path = [f"t{i}" for i in range(2 * BLOCK + 3)]
+    line = chain([(s, "controller") for s in path + ["u0", "u1", "u2"]],
+                 [(i, s, (path + ["u0"])[i + 1], [i % 5 - 2]) for i, s in enumerate(path)]
+                 + cycle(["u0", "u1", "u2"], [1, 1, -4], len(path)),
+                 {}, "t0")
+    return [absorbed, partly, line]
+
+
 def test_chain_kernel_matches_scalar_walk():
     chains = _chains()
     assert max(len(row) for c in chains for row in c.transitions) >= 3
@@ -73,6 +133,37 @@ def test_chain_kernel_matches_scalar_walk():
             for runs in (1, 7):
                 assert kernel_chain_totals(chain, horizon, runs, seed=k) == \
                     scalar_chain_totals(chain, horizon, runs, seed=k), (k, horizon, runs)
+    # Long horizons that are not multiples of the cycle lengths, on chains
+    # whose runs finish in closed form (all, some or none absorbed).
+    for k, chain in enumerate(_absorbing_chains()):
+        for horizon in (2000, 2001):
+            assert kernel_chain_totals(chain, horizon, 3, seed=k) == \
+                scalar_chain_totals(chain, horizon, 3, seed=k), (k, horizon)
+
+
+def test_cycle_tables_are_linear_in_nodes():
+    # One cycle through 200,000 nodes: tables of nodes * cycle length
+    # entries (4 * 10**10) could not be built; these hold 2 * nodes + 1
+    # prefix sums per dimension.
+    n = 200_000
+    base = np.arange(n, dtype=np.int64)
+    target = (base + 1) % n
+    weight = np.stack([base % 7 - 3, base % 5 - 1], axis=1)
+    length, offset, prefix = _cycle_tables(base, target, weight)
+    assert (length == n).all() and prefix.shape == (2, 2 * n + 1)
+    cols = np.ones((0, n))
+    node = np.array([0, 1, n - 1, 12345], dtype=np.int64)
+    horizon = 2 * n + 7
+    got = step_blocks((cols, base, target), weight, node, rng.run_keys_array(0, 4), horizon)
+    doubled = np.concatenate([weight, weight]).astype(object)
+    for v, row in zip(node.tolist(), got.tolist()):
+        laps, rest = divmod(horizon, n)
+        want = laps * weight.sum(axis=0).astype(object) + doubled[v:v + rest].sum(axis=0)
+        assert row == list(want)
+    # Nodes with a choice, or off every cycle, get length 0.
+    length, _, _ = _cycle_tables(np.array([0, 2]), np.array([0, 1, 1]),
+                                 np.zeros((3, 1), dtype=np.int64))
+    assert length.tolist() == [0, 1]
 
 
 def _candidate_corpus():

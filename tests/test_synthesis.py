@@ -324,6 +324,44 @@ def test_bwc_finite_picks_deterministic_rotation():
     assert verify_worstcase(m, adapted, q.mu, origin).ok
 
 
+# gen.corpus seed 6 instance 76 and seed 11 instance 75: yes-instances
+# whose component tables were once checked from the component's first state
+# only, so a table whose chain from another state sinks into a poorer bottom
+# SCC was accepted, and no step cap cleared the expectation target.
+_LADDER_CASES = (
+    (Mdp.build(1, [("q0", "controller"), ("q1", "controller"), ("q2", "random"),
+                   ("q3", "controller"), ("q4", "controller"), ("q5", "controller")],
+               [(0, "q0", "q3", [3]), (1, "q1", "q2", [3]), (2, "q1", "q0", [-3]),
+                (3, "q1", "q3", [2]), (4, "q2", "q4", [-3]), (5, "q3", "q3", [1]),
+                (6, "q3", "q0", [2]), (7, "q3", "q1", [3]), (8, "q4", "q5", [-3]),
+                (9, "q5", "q1", [2]), (10, "q5", "q0", [-3]), (11, "q5", "q2", [0])],
+               {4: 1}),
+     "q1", "-10", "3/2"),
+    (Mdp.build(1, [(f"q{i}", "controller") for i in range(6)],
+               [(0, "q0", "q1", [-3]), (1, "q0", "q0", [-1]), (2, "q0", "q0", [3]),
+                (3, "q1", "q0", [-3]), (4, "q1", "q3", [-2]), (5, "q2", "q5", [1]),
+                (6, "q3", "q4", [-3]), (7, "q3", "q5", [-1]), (8, "q3", "q0", [-3]),
+                (9, "q4", "q3", [3]), (10, "q5", "q3", [-1])]),
+     "q2", "-5/3", "0"),
+)
+
+
+@pytest.mark.parametrize("case", range(len(_LADDER_CASES)))
+def test_bwc_finite_ladder_checks_every_state(case, tmp_path, capsys):
+    from bwcmdp import jsonio
+    from bwcmdp.cli import main
+
+    mdp, start, mu, nu = _LADDER_CASES[case]
+    path, strat = str(tmp_path / "mdp.json"), str(tmp_path / "strat.json")
+    jsonio.save_mdp(path, mdp)
+    common = ["--mdp", path, "--from", start]
+    assert main(["synthesize", *common, "--mode", "bwc-fin", f"--mu={mu}", f"--nu={nu}",
+                 "--out", strat]) == 0
+    assert main(["verify", *common, "--strategy", strat, "--check", "wc", f"--mu={mu}"]) == 0
+    assert main(["verify", *common, "--strategy", strat, "--check", "exp", f"--nu={nu}"]) == 0
+    capsys.readouterr()
+
+
 def test_adapted_machine_round_trip(run_ex_bas):
     q = _query("bas", [0, 0], [4, 4])
     machine, prepared, start = bas_strategy(run_ex_bas, q)

@@ -8,7 +8,7 @@ import pytest
 from bwcmdp.machines import (MachineError, TableMachine, induced_chain, memoryless,
                              support_product)
 from bwcmdp.model import Mdp
-from bwcmdp.verification import (WeightedGraph, _karp_scc, bscc_analysis, expected_mp,
+from bwcmdp.verification import (WeightedGraph, _karp_scc, bottom_means, bscc_analysis, expected_mp,
                                  karp_min_mean, simulate, simulate_chain, verify_almost_sure,
                                  verify_worstcase)
 from conftest import random_mdp
@@ -51,6 +51,7 @@ def test_bscc_two_branches(approx_ex):
     assert len(bs) == 2
     assert sorted(b.reach for b in bs) == [F(1, 2), F(1, 2)]
     assert sorted(b.mean for b in bs) == [(F(0), F(1)), (F(1), F(0))]
+    assert bottom_means(chain) == [b.mean for b in bs]
 
 
 def test_bscc_cycle_uniform(approx_ex):
