@@ -9,22 +9,27 @@ suffice to spoil, so enumerating them is exact; the enumeration is capped
 and intended for desk-scale instances.
 
 One integer-indexed kernel (``_SpoilerKernel``) serves every spoiler of a
-``wc_winning_region`` call.  It indexes the states and edges once, shares
-the controller states' successor lists among all spoilers (a spoiler
-swaps in only its random states' chosen arcs), and builds each edge's
-Karp arc once.  ``index_sccs`` lists the one-player graph's SCCs in
-reverse topological order, so one pass marks the winning ones: an SCC
-wins if it has an arc into a winning SCC or carries a positive
-multi-cycle.
+``wc_winning_region`` call, and is built only when some state is still
+undecided.  It indexes the states and edges once, shares the controller
+states' successor lists among all spoilers (a spoiler swaps in only its
+random states' chosen arcs), and builds each edge's Karp arc once.
+``index_sccs`` lists the one-player graph's SCCs in reverse topological
+order, so one pass marks the winning ones: an SCC wins if it has an arc
+into a winning SCC or carries a positive multi-cycle.
 
 Each one-player SCC is settled once per ``wc_winning_region`` call: its
 verdict is memoized by its internal edges, since many spoilers leave
-the same component.  Two exact cycle-mean tests on Karp's kernel settle
-most components without an LP: no flow is positive when some tracked
-dimension (or their sum) has maximum cycle mean <= 0, and one is when a
-maximum-mean cycle of some tracked dimension (or of their sum) has a
-positive total in every tracked dimension.  Only the components neither
-test settles go to the exact LP ``positive_multicycle``.
+the same component.  The kernel also learns from what it settles: each
+positive SCC leaves a positive cycle (the tight cycle that settled it, or
+all its internal edges when the LP did) and each losing SCC its internal
+edges, all as edge bitmasks.  A component whose internal edges contain a
+learned positive cycle is positive, and one whose internal edges lie
+inside a learned losing set is losing.  Two exact cycle-mean tests on
+Karp's kernel settle most of the rest without an LP: no flow is positive
+when some tracked dimension (or their sum) has maximum cycle mean <= 0,
+and one is when a maximum-mean cycle of some tracked dimension (or of
+their sum) has a positive total in every tracked dimension.  Only the
+components no test settles go to the exact LP ``positive_multicycle``.
 
 The unidimensional case gets a pseudo-polynomial fast path: a strict-win
 test via an energy-game progress measure in exact integers (which also
@@ -114,26 +119,17 @@ def positive_multicycle(mdp: Mdp, component: Iterable[str],
     return value
 
 
-def _adversary_choices(mdp: Mdp, budget: int):
-    options = [[shared((s, e.eid)) for e in mdp.out_edges[s]]
-               for s in mdp.state_ids if mdp.is_random(s)]
-    count = 1
-    for opt in options:
-        count *= len(opt)
-        if count > budget:
-            raise AdversaryBudgetExceeded(
-                f"adversary enumeration needs {count}+ strategies, budget is {budget}")
-    # Spoilers share the (state, edge) pairs of ``options``, not copies.
-    for combo in itertools.product(*options):
-        yield AdversaryChoice(combo)
-
-
 class _SpoilerKernel:
-    """One region call's spoiler-independent work (see the module notes).
+    """One region call's spoiler-independent work and what its SCC
+    verdicts have taught it (see the module notes).
 
     States are indexed in declaration order and edges by their position
-    in ``mdp.edges``; ``memo`` maps an SCC's sorted internal edge
-    positions to its verdict.
+    in ``mdp.edges``; edge sets are bitmasks over those positions.
+    ``memo`` maps an SCC's sorted internal edge positions to its
+    verdict.  ``cycles`` holds the edges of one positive cycle per
+    positive SCC settled: its tight cycle, or all its internal edges when
+    the LP settled it.  ``losing`` holds the internal edges of each
+    losing SCC settled.
     """
 
     def __init__(self, mdp: Mdp, dims: tuple[int, ...]):
@@ -150,23 +146,56 @@ class _SpoilerKernel:
         for k, e in enumerate(mdp.edges):
             self.outs[index[e.source]].append(k)
         self.succ = [[self.target[k] for k in ks] for ks in self.outs]
-        # A spoiler's (state, edge id) pair -> the random state's index and
-        # its one-arc edge and successor lists.
-        self.pick = {(e.source, e.eid): (index[e.source], (k,), (self.target[k],))
-                     for k, e in enumerate(mdp.edges) if mdp.is_random(e.source)}
         self.memo: dict[tuple[int, ...], bool] = {}
+        self.cycles: list[int] = []
+        self.losing: list[int] = []
 
-    def winning(self, sigma: AdversaryChoice) -> list[bool]:
-        """Per state index, whether the controller beats this spoiler.
+    def spoil(self, pending: list[int], budget: int) -> dict[int, AdversaryChoice]:
+        """Beat what can be beaten of ``pending`` (state indices).
+
+        Enumerates the memoryless spoilers in ``itertools.product`` order
+        over the random states in declaration order; each spoiler swaps
+        its chosen arcs into one shared pair of edge and successor lists.
+        Every state that loses under a spoiler leaves ``pending`` (changed
+        in place) with that spoiler as its certificate.
+        """
+        mdp, target = self.mdp, self.target
+        rand: list[int] = []
+        options: list[list[tuple[int, tuple[str, int]]]] = []
+        count = 1
+        for i, s in enumerate(mdp.state_ids):
+            if mdp.is_random(s):
+                ks = self.outs[i]
+                count *= len(ks)
+                if count > budget:
+                    raise AdversaryBudgetExceeded(
+                        f"adversary enumeration needs {count}+ strategies, budget is {budget}")
+                rand.append(i)
+                # Spoilers share the (state, edge id) pairs, not copies.
+                options.append([(k, shared((s, mdp.edges[k].eid))) for k in ks])
+        outs, succ = self.outs[:], self.succ[:]
+        certificates: dict[int, AdversaryChoice] = {}
+        for combo in itertools.product(*options):
+            for i, (k, _) in zip(rand, combo):
+                outs[i], succ[i] = (k,), (target[k],)
+            sigma = AdversaryChoice(tuple(pair for _, pair in combo))
+            won = self.winning(outs, succ)
+            for v in pending:
+                if not won[v]:
+                    certificates[v] = sigma
+            pending[:] = [v for v in pending if won[v]]
+            if not pending:
+                break
+        return certificates
+
+    def winning(self, outs: Sequence[Sequence[int]], succ: Sequence[Sequence[int]]) -> list[bool]:
+        """Per state index, whether the controller wins the one-player
+        graph with these out-edge positions and successor indices.
 
         Every arc between two SCCs points to an earlier one in
         ``index_sccs``'s order, so a component's successors are marked
         before it is.
         """
-        outs, succ = self.outs[:], self.succ[:]
-        for pair in sigma.choice:
-            i, out, nxt = self.pick[pair]
-            outs[i], succ[i] = out, nxt
         comps = index_sccs(succ)
         comp_of = [0] * len(succ)
         for c, comp in enumerate(comps):
@@ -187,32 +216,53 @@ class _SpoilerKernel:
         """Whether one one-player SCC carries a positive multi-cycle.
 
         ``comp`` holds the SCC's state indices and ``inner`` its internal
-        edges' positions, both sorted.  Karp on the negated weights gives
-        each tracked dimension's (and their sum's) maximum cycle mean: one
-        <= 0 bounds every flow's value by 0.  A maximum-mean cycle with a
-        positive total in every tracked dimension is a positive flow by
-        itself.  Components that neither settles go to
-        ``positive_multicycle``.
+        edges' positions, both sorted.  Inner edges that contain a known
+        positive cycle are positive (that cycle is a flow of theirs); a
+        subset of a known losing set is losing (its flows are the larger
+        set's).  Otherwise Karp on the negated weights gives each tracked
+        dimension's (and their sum's) maximum cycle mean: one <= 0 bounds
+        every flow's value by 0.  A maximum-mean cycle with a positive
+        total in every tracked dimension is a positive flow by itself.
+        Components that none of these settles go to ``positive_multicycle``.
         """
         key = tuple(inner)
         verdict = self.memo.get(key)
         if verdict is None:
-            verdict = self.memo[key] = self._settle(comp, inner)
+            edges = 0
+            for k in inner:
+                edges |= 1 << k
+            if any(cycle & edges == cycle for cycle in self.cycles):
+                verdict = True
+            elif any(edges & lost == edges for lost in self.losing):
+                verdict = False
+            else:
+                witness = self._settle(comp, inner)
+                verdict = witness is not None
+                if verdict:
+                    cycle = 0
+                    for k in witness:
+                        cycle |= 1 << k
+                    self.cycles.append(cycle)
+                else:
+                    self.losing.append(edges)
+            self.memo[key] = verdict
         return verdict
 
-    def _settle(self, comp: list[int], inner: list[int]) -> bool:
+    def _settle(self, comp: list[int], inner: list[int]) -> Optional[list[int]]:
+        """A positive witness's edge positions, or None when losing."""
         mdp, dims = self.mdp, self.dims
         arcs = [self.arcs[k] for k in inner]
         for col in range(len(dims) + 1):
             mean = _karp_scc(comp, arcs, col)
             if mean >= 0:
-                return False
+                return None
             cycle = _tight_cycle(comp, arcs, col, mean)
             if all(sum(mdp.edges[k].weight[i] for k in cycle) > 0 for i in dims):
-                return True
+                return cycle
         sub = Mdp(mdp.dimension, tuple(mdp.states[v] for v in comp),
                   tuple(mdp.edges[k] for k in inner), {}, None)
-        return positive_multicycle(sub, {mdp.state_ids[v] for v in comp}, dims) > 0
+        positive = positive_multicycle(sub, {mdp.state_ids[v] for v in comp}, dims) > 0
+        return inner if positive else None
 
 
 def wc_winning_region(mdp: Mdp, dims: Optional[Sequence[int]] = None,
@@ -232,28 +282,25 @@ def wc_winning_region(mdp: Mdp, dims: Optional[Sequence[int]] = None,
     win = _energy_strict_win(mdp, dims[0])[0] if one_dim else set()
     ids = mdp.state_ids
     pending = [v for v, s in enumerate(ids) if s not in win]
-    certificates: dict[str, AdversaryChoice] = {}
-    kernel = _SpoilerKernel(mdp, dims)
-    # Nothing pending (a 1-D game won everywhere): no enumeration, no budget.
-    for sigma in (_adversary_choices(mdp, budget) if pending else ()):
-        held = kernel.winning(sigma)
-        for v in pending:
-            if not held[v]:
-                certificates[ids[v]] = sigma
-        pending = [v for v in pending if held[v]]
-        if not pending:
-            break
+    # Nothing pending (a 1-D game won everywhere): no kernel, no budget.
+    beaten = _SpoilerKernel(mdp, dims).spoil(pending, budget) if pending else {}
     if one_dim and pending:
         raise AssertionError(f"no spoiler found for losing states {[ids[v] for v in pending]}")
     return WinningRegion(frozenset(win if one_dim else (ids[v] for v in pending)), dims,
-                         certificates)
+                         {ids[v]: sigma for v, sigma in beaten.items()})
 
 
 def revalidate_certificate(mdp: Mdp, state: str, sigma: AdversaryChoice,
                            dims: Sequence[int]) -> bool:
     """Re-check that a stored spoiler indeed beats the state."""
     kernel = _SpoilerKernel(mdp, tuple(dims))
-    return not kernel.winning(sigma)[kernel.index[state]]
+    outs, succ = kernel.outs[:], kernel.succ[:]
+    position = {(e.source, e.eid): k for k, e in enumerate(mdp.edges)}
+    for pair in sigma.choice:
+        k = position[pair]
+        i = kernel.index[pair[0]]
+        outs[i], succ[i] = (k,), (kernel.target[k],)
+    return not kernel.winning(outs, succ)[kernel.index[state]]
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,17 @@ def test_decide_error_exit(capsys, run_path):
     assert code == 2
 
 
+def test_decide_budget_exit(capsys, run_path):
+    # RUN_EX's random state v has two edges: two spoilers, over a budget of 1.
+    code, out, err = run_cli(capsys, "decide", "--mdp", run_path, "--mode", "bwc-fin",
+                             "--from", "s", "--mu", "0,0", "--nu", "0,9", "--budget", "1")
+    assert code == 2 and out == ""
+    assert "needs 2+ strategies, budget is 1" in err
+    code, _, _ = run_cli(capsys, "decide", "--mdp", run_path, "--mode", "bwc-fin",
+                         "--from", "s", "--mu", "0,0", "--nu", "0,9", "--budget", "2")
+    assert code == 0
+
+
 def test_validate_and_info(capsys, run_path):
     code, out, _ = run_cli(capsys, "validate", "--mdp", run_path)
     assert code == 0 and json.loads(out)["valid"]

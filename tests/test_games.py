@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from bwcmdp import games
-from bwcmdp.decomposition import mecs, restrict, sccs
-from bwcmdp.games import (AdversaryChoice, Unsatisfiable, mwecs, positive_multicycle,
-                          prune, revalidate_certificate, wc_positional_strategy_unidim,
-                          wc_winning_region)
+from bwcmdp.decomposition import index_sccs, mecs, restrict, sccs
+from bwcmdp.games import (AdversaryBudgetExceeded, AdversaryChoice, Unsatisfiable, mwecs,
+                          positive_multicycle, prune, revalidate_certificate,
+                          wc_positional_strategy_unidim, wc_winning_region)
 from bwcmdp.model import Mdp
 from conftest import random_game, random_mdp
 from oracles import brute_game_value, brute_wc_region, lp_positive_component, wc_value_unidim
@@ -91,6 +91,40 @@ def test_component_test_lp_fallback(approx_ex, run_ex, monkeypatch):
     assert values == [F(1, 2)]
 
 
+def test_learned_cycles_and_losing_sets_match_lp():
+    # One kernel per MDP and set of tracked dimensions is fed, in sequence,
+    # the SCCs of random edge subsets, as the spoiler enumeration feeds it
+    # one-player graphs.  Every verdict equals the LP's, also the ones a
+    # learned positive cycle inside the component, or a learned losing set
+    # around it, decides without settling.
+    rng = random.Random(23)
+    by_memory = {True: 0, False: 0}
+    for _ in range(60):
+        mdp = random_mdp(rng)
+        for r in range(1, mdp.dimension + 1):
+            for dims in itertools.combinations(range(mdp.dimension), r):
+                kernel = games._SpoilerKernel(mdp, dims)
+                for _ in range(12):
+                    keep = [k for k in range(len(mdp.edges)) if rng.random() < 0.8]
+                    succ = [[] for _ in mdp.state_ids]
+                    for k in keep:
+                        succ[kernel.arcs[k][0]].append(kernel.target[k])
+                    for comp in index_sccs(succ):
+                        inner = [k for k in keep
+                                 if kernel.arcs[k][0] in comp and kernel.target[k] in comp]
+                        if not inner:
+                            continue
+                        fresh = tuple(inner) not in kernel.memo
+                        learned = len(kernel.cycles) + len(kernel.losing)
+                        got = kernel.positive(comp, inner)
+                        names = {mdp.state_ids[v] for v in comp}
+                        assert got == lp_positive_component(
+                            mdp, names, [mdp.edges[k] for k in inner], dims), (names, dims)
+                        if fresh and len(kernel.cycles) + len(kernel.losing) == learned:
+                            by_memory[got] += 1
+    assert by_memory[True] > 50 and by_memory[False] > 50, by_memory
+
+
 def _spoiler_game(rng: random.Random, dim: int, n: int = 7) -> Mdp:
     """n states, 2 to 6 of them random, every state with two out-edges:
     up to 64 memoryless spoilers."""
@@ -135,13 +169,14 @@ def test_wc_region_matches_plain_enumeration(dim):
     # States and first-found certificates equal plain enumeration's, and
     # every certificate re-checks: on small games and on the benchmark's
     # game shape, 12 states with 6 random (and, in two dimensions, 16 with
-    # 8).  With one dimension the energy game decides the region and the
-    # kernel only looks for certificates.
+    # 8 and 16 with 10).  With one dimension the energy game decides the
+    # region and the kernel only looks for certificates.
     rng = random.Random(30 + dim)
     mdps = [_spoiler_game(rng, dim) for _ in range(12)]
     mdps += [_benchmark_game(rng, dim, 12, 6) for _ in range(4)]
     if dim == 2:
         mdps += [_benchmark_game(rng, dim, 16, 8) for _ in range(2)]
+        mdps += [_benchmark_game(rng, dim, 16, 10) for _ in range(2)]
     mixed = 0
     for k, mdp in enumerate(mdps):
         dims = tuple(range(dim))
@@ -155,6 +190,50 @@ def test_wc_region_matches_plain_enumeration(dim):
         # wins, and some state loses.
         mixed += k >= 12 and len(states) > 1 and bool(certificates)
     assert mixed
+
+
+def test_learned_cycles_spare_settles(monkeypatch):
+    # On the benchmark's game shape (64 spoilers, and the all-ones loop
+    # holds its state under every one of them), most distinct components
+    # the spoilers leave are decided by a learned positive cycle or losing
+    # set, without Karp or the LP.
+    kernels, settles = [], []
+    init, settle = games._SpoilerKernel.__init__, games._SpoilerKernel._settle
+    monkeypatch.setattr(games._SpoilerKernel, "__init__",
+                        lambda self, *args: kernels.append(self) or init(self, *args))
+    monkeypatch.setattr(games._SpoilerKernel, "_settle",
+                        lambda self, *args: settles.append(args) or settle(self, *args))
+    rng = random.Random(40)
+    for _ in range(3):
+        kernels.clear()
+        settles.clear()
+        mdp = _benchmark_game(rng, 2, 12, 6)
+        region = wc_winning_region(mdp, (0, 1))
+        kernel, = kernels
+        assert region.states
+        assert len(settles) < len(kernel.memo) // 4, (len(settles), len(kernel.memo))
+
+
+def test_budget_checked_before_any_spoiler(monkeypatch):
+    mdp = _benchmark_game(random.Random(41), 2, 12, 6)
+    monkeypatch.setattr(games._SpoilerKernel, "winning",
+                        lambda *args: pytest.fail("a spoiler was evaluated"))
+    with pytest.raises(AdversaryBudgetExceeded, match=r"needs 64\+ strategies, budget is 63"):
+        wc_winning_region(mdp, (0, 1), budget=63)
+
+
+def test_budget_unused_when_nothing_is_pending(monkeypatch):
+    # One tracked dimension won from every state: the energy game decides
+    # the region, so no kernel is built and no budget is needed, although
+    # the three random states admit 8 spoilers.
+    m = Mdp.build(1, [("a", "random"), ("b", "random"), ("c", "random"), ("d", "controller")],
+                  [(0, "a", "b", [1]), (1, "a", "d", [2]), (2, "b", "c", [1]),
+                   (3, "b", "d", [1]), (4, "c", "a", [3]), (5, "c", "d", [1]),
+                   (6, "d", "a", [1])],
+                  {k: F(1, 2) for k in range(6)})
+    monkeypatch.setattr(games, "_SpoilerKernel", lambda *args: pytest.fail("kernel built"))
+    region = wc_winning_region(m, (0,), budget=1)
+    assert region.states == set(m.state_ids) and region.certificates == {}
 
 
 def test_unidim_certificates_first_in_enumeration_order():
