@@ -308,14 +308,19 @@ def test_bwc_finite_task_ex_picks_monitored_rung():
     assert [type(m) for m in machine.machines] == [MonitoredMachine]
 
 
+# All-controller instance whose one component is won by the dwell-1
+# deterministic rotation of its local strategy, no earlier rung.
+_ROTATION_CASE = (
+    Mdp.build(2, [(f"q{i}", "controller") for i in range(4)],
+              [(0, "q0", "q1", [2, 0]), (1, "q0", "q2", [0, 2]), (2, "q0", "q0", [-2, -1]),
+               (3, "q1", "q0", [1, -3]), (4, "q1", "q3", [1, 3]), (5, "q1", "q3", [-1, 3]),
+               (6, "q2", "q1", [0, 1]), (7, "q3", "q2", [1, 1]), (8, "q3", "q2", [-2, -2]),
+               (9, "q3", "q3", [-2, -2])]),
+    "q0", "-7/3,-1/3", "0,-5")
+
+
 def test_bwc_finite_picks_deterministic_rotation():
-    # All-controller instance whose one component is won by the dwell-1
-    # deterministic rotation of its local strategy, no earlier rung.
-    m = Mdp.build(2, [(f"q{i}", "controller") for i in range(4)],
-                  [(0, "q0", "q1", [2, 0]), (1, "q0", "q2", [0, 2]), (2, "q0", "q0", [-2, -1]),
-                   (3, "q1", "q0", [1, -3]), (4, "q1", "q3", [1, 3]), (5, "q1", "q3", [-1, 3]),
-                   (6, "q2", "q1", [0, 1]), (7, "q3", "q2", [1, 1]), (8, "q3", "q2", [-2, -2]),
-                   (9, "q3", "q3", [-2, -2])])
+    m = _ROTATION_CASE[0]
     q = _query("bwc-fin", [F(-7, 3), F(-1, 3)], [0, -5], start="q0")
     machine, prepared, start, _ = bwc_finite_strategy(m, q)
     (rung,) = machine.machines
@@ -360,6 +365,90 @@ def test_bwc_finite_ladder_checks_every_state(case, tmp_path, capsys):
     assert main(["verify", *common, "--strategy", strat, "--check", "wc", f"--mu={mu}"]) == 0
     assert main(["verify", *common, "--strategy", strat, "--check", "exp", f"--nu={nu}"]) == 0
     capsys.readouterr()
+
+
+def _synthesize_digests(tmp_path, capsys):
+    """sha256 of the `synthesize` file (or the exit code and error) per
+    case, the seeded random yes-instances folded into one digest, and of
+    one seeded `simulate` report per mode."""
+    import hashlib
+    import random
+
+    from bwcmdp import jsonio
+    from bwcmdp.cli import main
+    from bwcmdp.rationals import format_rational
+    from conftest import random_mdp, random_query
+
+    def synthesize(mdp, mode, start, mu, nu, strat, *extra):
+        path = str(tmp_path / "mdp.json")
+        jsonio.save_mdp(path, mdp)
+        code = main(["synthesize", "--mdp", path, "--mode", mode, "--from", start,
+                     f"--mu={mu}", f"--nu={nu}", "--out", strat, *extra])
+        err = capsys.readouterr().err
+        return open(strat, "rb").read() if code == 0 else f"{code} {err}".encode()
+
+    def simulate(mdp, start, strat):
+        path = str(tmp_path / "mdp.json")
+        jsonio.save_mdp(path, mdp)
+        assert main(["simulate", "--mdp", path, "--strategy", strat, "--from", start,
+                     "--runs", "30", "--horizon", "400", "--seed", "7", "--mu=0,0"]) == 0
+        return capsys.readouterr().out.encode()
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    run, bas = fixture("RUN_EX"), fixture("RUN_EX_BAS")
+    task = negate_weights(fixture("TASK_EX"), halve=True)
+    strats = {mode: str(tmp_path / f"{mode}.json") for mode in ("bas", "bwc-fin", "bwc-inf")}
+    out = {
+        "run-bwc-fin-s": synthesize(run, "bwc-fin", "s", "0,0", "0,9", strats["bwc-fin"]),
+        "run-bwc-fin-sim": simulate(run, "s", strats["bwc-fin"]),
+        "run-bwc-fin-v": synthesize(run, "bwc-fin", "v", "0,0", "0,9", strats["bwc-fin"]),
+        "run-bwc-inf": synthesize(run, "bwc-inf", "s", "0,0", "99/10,99/10",
+                                  strats["bwc-inf"], "--period", "64"),
+        "run-bwc-inf-sim": simulate(run, "s", strats["bwc-inf"]),
+        "bas-bas": synthesize(bas, "bas", "s", "0,0", "99/10,99/10", strats["bas"]),
+        "bas-bas-sim": simulate(bas, "s", strats["bas"]),
+        "task-bwc-fin": synthesize(task, "bwc-fin", "0", "-49/8,-64", "-49/8,-29/8",
+                                   strats["bwc-fin"]),
+        "rotation": synthesize(*_ROTATION_CASE[:1], "bwc-fin", *_ROTATION_CASE[1:],
+                               strats["bwc-fin"]),
+    }
+    for k, (mdp, start, mu, nu) in enumerate(_LADDER_CASES):
+        out[f"ladder-{k}"] = synthesize(mdp, "bwc-fin", start, mu, nu, strats["bwc-fin"])
+    rng = random.Random(1515)
+    folded, yes = hashlib.sha256(), dict.fromkeys(strats, 0)
+    for _ in range(60):
+        mdp = random_mdp(rng)
+        for mode in strats:
+            q = random_query(rng, mdp, mode)
+            if not decide(mdp, q).answer:
+                continue
+            yes[mode] += 1
+            folded.update(synthesize(mdp, mode, q.start, ",".join(map(format_rational, q.mu)),
+                                     ",".join(map(format_rational, q.nu)), strats[mode],
+                                     "--period", "64"))
+    return {k: sha(v) for k, v in out.items()} | {"random": folded.hexdigest(), "yes": yes}
+
+
+def test_synthesize_outputs_are_pinned(tmp_path, capsys):
+    # Strategy files and seeded simulate reports hash to what they were
+    # before the synthesis module was cut down to what its callers read.
+    assert _synthesize_digests(tmp_path, capsys) == {
+        "run-bwc-fin-s": "e8cff918a3f063b4f7e1e53fb373088d0a898a818518ee9b00b879a097be8409",
+        "run-bwc-fin-sim": "63a79021c5d174f054e80379c6d21b4c924903012f73febd8a412b26e7224c2e",
+        "run-bwc-fin-v": "e815322ce7f260ad7ece763f2f92142e9e0a8d5baadfe22e2c38017b188153ef",
+        "run-bwc-inf": "f959be97abcd505e84949e802037c88b2f46de0c5cb681a6b4cce1acd3321a43",
+        "run-bwc-inf-sim": "ad7d6d89cc1ee45437ce9ff29f9dfd17ff0c2f1f05ef169f0b79042f4ad4f4d1",
+        "bas-bas": "4452aa2c46b90121f104a13edb68c76a06e19f5e25e6cb0ecf0ea70735a9c6ec",
+        "bas-bas-sim": "fd0717dfdd1768ccb02bf72967372af2c22efa4846bd80b519ab1ab9b4cd1ef6",
+        "task-bwc-fin": "1027e84b0038f011ab7d40c69ff87065748c8de10cac72c9ac822a14b86f996d",
+        "rotation": "afdc916e4b64fc52e181ec442f2f6de21a3a5d5f2587860eaccb2459bf25a333",
+        "ladder-0": "759ee2df76356db4509976bfffa11d5ec77b82242cdcae8ae9b510f565a3afc5",
+        "ladder-1": "8fddb1544efe2fc74f0df1d4fdf4ea4066cbd9a6a5add23ef5446756437dc8e3",
+        "random": "1250318c712b6177a54cee5715fcd1e4ed3baee0514aa819a4660f144c68b7d6",
+        "yes": {"bas": 8, "bwc-fin": 8, "bwc-inf": 12},
+    }
 
 
 def test_adapted_machine_round_trip(run_ex_bas):
