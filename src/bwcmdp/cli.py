@@ -142,13 +142,13 @@ def cmd_synthesize(args) -> int:
     if query.mode == "bas":
         machine, prepared, pstart = synthesis.bas_strategy(
             mdp, query, decision=decision, search_cap=args.search_cap)
-        adapted, start = synthesis.adapt_to_original(machine, prepared, mdp, pstart)
-        record = jsonio.machine_to_json(mdp, adapted, start)
+        adapted = synthesis.AdaptedMachine(machine, prepared, mdp, pstart)
+        record = jsonio.machine_to_json(mdp, adapted, adapted.start)
     elif query.mode == "bwc-fin":
         machine, prepared, pstart, cap = synthesis.bwc_finite_strategy(
             mdp, query, decision=decision, cap_limit=args.search_cap)
-        adapted, start = synthesis.adapt_to_original(machine, prepared, mdp, pstart)
-        record = jsonio.machine_to_json(mdp, adapted, start)
+        adapted = synthesis.AdaptedMachine(machine, prepared, mdp, pstart)
+        record = jsonio.machine_to_json(mdp, adapted, adapted.start)
         record["phase_cap"] = cap
     elif query.mode == "bwc-inf":
         strat = synthesis.bwc_infinite_strategy(mdp, query, period=args.period,

@@ -307,18 +307,20 @@ def revalidate_certificate(mdp: Mdp, state: str, sigma: AdversaryChoice,
 # Unidimensional machinery: energy progress measures.
 
 
-def energy_progress_measure(mdp: Mdp, dim: int, scale: int, shift: int
+def energy_progress_measure(mdp: Mdp, dim: int
                             ) -> tuple[dict[str, Optional[int]], dict[str, int]]:
-    """Least progress measure for the energy game on scaled weights.
+    """Least progress measure for the energy game on weights n*w - 1.
 
-    Weights are w*scale - shift per edge on the chosen dimension.  The
-    controller (minimizer of required credit) wins non-strict MP >= 0 from
-    states with a finite measure; the returned strategy picks, at each
-    winning controller state, an edge witnessing the measure.  Standard
-    lifting with top n*W; exact integers throughout.
+    Game values are rationals with denominator at most n (the number of
+    states), so value > 0 on the chosen dimension is equivalent to value
+    >= 1/n, i.e. to MP >= 0 on the weights n*w - 1.  The controller
+    (minimizer of required credit) wins that from states with a finite
+    measure; the returned strategy picks, at each winning controller
+    state, an edge witnessing the measure.  Standard lifting with top n*W;
+    exact integers throughout.
     """
     n = len(mdp.state_ids)
-    weights = {e.eid: e.weight[dim] * scale - shift for e in mdp.edges}
+    weights = {e.eid: e.weight[dim] * n - 1 for e in mdp.edges}
     maxabs = max((abs(v) for v in weights.values()), default=0)
     top = n * maxabs
     INF = top + 1
@@ -368,14 +370,11 @@ def energy_progress_measure(mdp: Mdp, dim: int, scale: int, shift: int
 
 
 def _energy_strict_win(mdp: Mdp, dim: int):
-    """Strict-threshold win set for MP > 0 on one dimension.
-
-    Game values are rationals with denominator at most n, so value > 0 is
-    equivalent to value >= 1/n, i.e. winning the energy game on weights
-    n*w - 1.  Returns (win set, positional strategy, progress measure).
+    """Strict-threshold win set for MP > 0 on one dimension, from the
+    energy progress measure.  Returns (win set, positional strategy,
+    progress measure).
     """
-    n = max(1, len(mdp.state_ids))
-    measure, strategy = energy_progress_measure(mdp, dim, scale=n, shift=1)
+    measure, strategy = energy_progress_measure(mdp, dim)
     win = {s for s, v in measure.items() if v is not None}
     return win, strategy, measure
 

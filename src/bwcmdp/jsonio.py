@@ -133,7 +133,7 @@ def procedural_to_json(mdp: Mdp, strategy, node_limit: int = 50_000) -> dict:
         "mdp": mdp_to_json(strategy.mdp),
         "period": strategy.period,
         "start": strategy.start,
-        "monitors": [[format_rational(x) for x in mon.monitor] for mon in strategy.monitors],
+        "monitors": [[format_rational(x) for x in rates] for rates in strategy.monitors],
         "transient": machine_to_json(strategy.mdp, composed, strategy.start, node_limit),
         "memory_branch": branch_map,
         "fallback": machine_to_json(strategy.mdp, strategy.fwc, strategy.mdp.state_ids,
@@ -169,7 +169,7 @@ def _check_prepared(mdp: Mdp, prepared: Mdp, start: str) -> None:
 def procedural_from_json(mdp: Mdp, data: dict):
     """Rebuild a total-payoff-monitor strategy on the prepared MDP its
     record carries, once that MDP is checked to belong to ``mdp``."""
-    from bwcmdp.synthesis import BranchedInfiniteStrategy, TotalPayoffMonitorStrategy
+    from bwcmdp.synthesis import BranchedInfiniteStrategy
 
     if "mdp" not in data:
         raise ValueError("strategy record carries no MDP; re-synthesize it")
@@ -179,9 +179,7 @@ def procedural_from_json(mdp: Mdp, data: dict):
     composed = machine_from_json(data["transient"])
     fallback = machine_from_json(data["fallback"])
     period = int(data["period"])
-    monitors = [TotalPayoffMonitorStrategy(prepared, composed, fallback, period,
-                                           [parse_rational(x) for x in mon])
-                for mon in data["monitors"]]
+    monitors = [tuple(map(parse_rational, rates)) for rates in data["monitors"]]
     return BranchedInfiniteStrategy(prepared, data["start"], composed, monitors, fallback,
                                     period, dict(data["memory_branch"]))
 

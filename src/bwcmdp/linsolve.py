@@ -72,11 +72,10 @@ def named_row(index: dict[str, int], coeffs: dict, relation: str, rhs) -> Row:
 
 @dataclass
 class LinearSystem:
-    """Ordered variables plus constraints; `nonneg` forces all variables >= 0."""
+    """Ordered variables, all >= 0, plus constraints."""
 
     variables: list[str] = field(default_factory=list)
     constraints: list[Row] = field(default_factory=list)
-    nonneg: bool = True
 
     def add(self, coeffs: dict, relation: str, rhs) -> None:
         """Append a constraint given by variable name (see ``named_row``)."""
@@ -90,7 +89,7 @@ class LinearSystem:
 
     def dump_text(self) -> str:
         """Human-readable LP text: one constraint per line."""
-        lines = [f"vars: {' '.join(self.variables)}" + ("  (all >= 0)" if self.nonneg else "")]
+        lines = [f"vars: {' '.join(self.variables)}  (all >= 0)"]
         for c in self.constraints:
             terms = []
             for j in sorted(c.coeffs):
@@ -155,7 +154,7 @@ def solve(system: LinearSystem) -> LpOutcome:
     slack = n if strict else None
     if strict:
         variables = [*variables, _SLACK]
-    nonneg = set(variables) if system.nonneg else ({_SLACK} if strict else set())
+    nonneg = set(variables)
     rows = system.constraints
     status, assignment, _ = _simplex(variables, nonneg, rows, {n: 1} if strict else {}, slack)
     if status == "infeasible":
@@ -388,7 +387,7 @@ def check_assignment(system: LinearSystem, outcome: LpOutcome) -> bool:
     if outcome.assignment is None:
         return False
     asg = outcome.assignment
-    if system.nonneg and any(asg.get(v, _ZERO) < 0 for v in system.variables):
+    if any(asg.get(v, _ZERO) < 0 for v in system.variables):
         return False
     margin = outcome.slack if outcome.slack is not None else Fraction(1)
     for c, res in zip(system.constraints, residuals(system, asg)):

@@ -13,8 +13,12 @@ The recurrent building blocks:
     chain is unichain and whose expectation converges to the component
     target as the dwell parameter grows.
   * Recovery combiner: alternates an expectation machine with a
-    worst-case machine under a total-payoff monitor, for components where
-    the expectation machine alone does not win the worst case.
+    worst-case machine under a running weight-sum monitor, for components
+    where the expectation machine alone does not win the worst case.
+  * Infinite-memory strategy: per-component expectation machines, each
+    under a total-payoff monitor that is nothing but its per-dimension
+    floor rates, and a permanent switch to a worst-case machine on a
+    monitor trip; it is simulated, never materialized.
 
 Moore timing note: the update function fires when leaving a state and
 cannot see the edge just chosen, so "switch upon visiting t" is realized
@@ -45,7 +49,7 @@ from bwcmdp.decomposition import EndComponent, restrict, sccs
 from bwcmdp.machines import MachineError, induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.systems import Decision, Witness, decide, xe, ye, ys
-from bwcmdp.verification import bottom_means, expected_mp, verify_almost_sure, verify_worstcase
+from bwcmdp.verification import bottom_means, bscc_analysis, expected_mp, verify_worstcase
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,21 +83,13 @@ class Phase1Plan:
     """
 
     start: str
-    inflow: dict[str, Fraction]
-    switch: dict[str, Fraction]
-    continuation: dict[str, dict[int, Fraction]]
-
-    def switch_probability(self, state: str) -> Fraction:
-        return self.switch.get(state, Fraction(0))
-
-    def edge_distribution(self, state: str) -> dict[int, Fraction]:
-        return self.continuation[state]
+    switch: dict[str, Fraction]  # every state
+    continuation: dict[str, dict[int, Fraction]]  # every state
 
 
 def phase1_strategy(witness: Witness) -> Phase1Plan:
     mdp = witness.mdp
     asg = witness.assignment
-    inflow: dict[str, Fraction] = {}
     switch: dict[str, Fraction] = {}
     continuation: dict[str, dict[int, Fraction]] = {}
     for s in mdp.state_ids:
@@ -104,7 +100,6 @@ def phase1_strategy(witness: Witness) -> Phase1Plan:
         out = sum((asg.get(ye(e.eid), Fraction(0)) for e in mdp.out_edges[s]), Fraction(0))
         if i != leak + out:
             raise SynthesisError(f"flow violated at {s}: inflow {i} != {leak} + {out}")
-        inflow[s] = i
         switch[s] = leak / i if i > 0 else Fraction(0)
         rest = i - leak
         if rest > 0:
@@ -113,7 +108,7 @@ def phase1_strategy(witness: Witness) -> Phase1Plan:
                                if asg.get(ye(e.eid), Fraction(0)) > 0}
         else:
             continuation[s] = {mdp.out_edges[s][0].eid: Fraction(1)}
-    return Phase1Plan(witness.start, inflow, switch, continuation)
+    return Phase1Plan(witness.start, switch, continuation)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +120,6 @@ class LocalStrategy:
     """One positive-frequency sub-component with its memoryless strategy."""
 
     states: frozenset[str]
-    edges: frozenset[int]
     frequency: Fraction  # long-run fraction of time spent here
     mean: tuple[Fraction, ...]  # exact expected mean payoff of the strategy
     choices: dict[str, dict[int, Fraction]]  # controller state -> edge dist
@@ -172,8 +166,7 @@ def local_strategies(mdp: Mdp, ec: EndComponent,
                     if mdp.edge_by_id[eid].source == s}
             total = sum(mass.values(), Fraction(0))
             choices[s] = {eid: v / total for eid, v in mass.items()}
-        out.append(LocalStrategy(frozenset(comp), frozenset(internal), freq,
-                                 tuple(mean), choices))
+        out.append(LocalStrategy(frozenset(comp), freq, tuple(mean), choices))
     order = {s: i for i, s in enumerate(mdp.state_ids)}
     out.sort(key=lambda loc: min(order[s] for s in loc.states))
     return out
@@ -312,10 +305,8 @@ class CyclingMachine:
         else:
             remaining = mem[2] if not self.deterministic else mem[3]
             pos = mem[2] if self.deterministic else None
-        if self.deterministic and not self.mdp.is_random(state) and state in loc.choices:
-            _, pos = self._rot_lookup(i, pos if kind != "reach" else (), state)
-        elif self.deterministic and kind == "reach":
-            pos = ()
+        if self.deterministic and state in loc.choices:
+            _, pos = self._rot_lookup(i, pos, state)
         if self._solo:
             if self.deterministic:
                 return {("play", i, pos, 0): Fraction(1)}
@@ -357,7 +348,7 @@ def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None):
                 reason = f"exhausted its budget of {ENUM_BUDGET} candidates"
                 break
             spent += 1
-            if _wc_everywhere(mdp, cand, mu):
+            if verify_worstcase(mdp, cand, mu, start=mdp.state_ids).ok:
                 return cand
         else:
             reason = (f"checked all {spent} memoryless and pure 2-memory machines, "
@@ -389,10 +380,6 @@ def _two_memory_machine(mdp: Mdp, upd: dict, out: dict):
     output = {(s, m): {out[(s, m)]: Fraction(1)}
               for s in mdp.state_ids if not mdp.is_random(s) for m in (0, 1)}
     return TableMachine([0, 1], {0: Fraction(1)}, update, output)
-
-
-def _wc_everywhere(mdp: Mdp, machine, mu) -> bool:
-    return verify_worstcase(mdp, machine, mu, start=mdp.state_ids).ok
 
 
 def _check_vector(mdp: Mdp, dims: Sequence[int]) -> list[Fraction]:
@@ -632,7 +619,7 @@ class ComposedStrategy:
     def _lock_prob(self, state: str) -> Fraction:
         if state not in self.component_of:
             return Fraction(0)
-        return self.plan.switch_probability(state)
+        return self.plan.switch[state]
 
     def _draw_locks(self, state: str) -> dict[frozenset, Fraction]:
         """Joint distribution of lock coins for the successors of state."""
@@ -677,49 +664,37 @@ class ComposedStrategy:
             out[key] = out.get(key, Fraction(0)) + (1 - q)
         return out
 
-    def output(self, state, mem):
+    def _handover(self, state, mem):
+        """(tag, machine, machine memory) of the machine that plays at
+        ``state``: the running one, or the one a locked state or the step
+        cap hands the run to (from its initial memory).  None while the
+        phase-1 flow plays."""
         tag = mem[0]
         if tag == "in":
-            return self.machines[mem[1]].output(state, mem[2])
+            return mem[:2], self.machines[mem[1]], mem[2]
         if tag == "wc":
-            return self.fallback.output(state, mem[1])
-        locks = mem[1]
-        step = mem[2] if self.cap is not None else None
-        if state in locks:
-            idx = self.component_of[state]
-            m0 = _single_initial(self.machines[idx])
-            return self.machines[idx].output(state, m0)
-        if self.cap is not None and step >= self.cap:
+            return ("wc",), self.fallback, mem[1]
+        if state in mem[1] or (self.cap is not None and mem[2] >= self.cap):
             idx = self.component_of.get(state)
-            if idx is not None:
-                m0 = _single_initial(self.machines[idx])
-                return self.machines[idx].output(state, m0)
-            return self.fallback.output(state, _single_initial(self.fallback))
-        return dict(self.plan.edge_distribution(state))
+            if idx is None:
+                return ("wc",), self.fallback, _single_initial(self.fallback)
+            return ("in", idx), self.machines[idx], _single_initial(self.machines[idx])
+        return None
+
+    def output(self, state, mem):
+        hand = self._handover(state, mem)
+        if hand is None:
+            return dict(self.plan.continuation[state])
+        _, machine, m = hand
+        return machine.output(state, m)
 
     def update(self, state, mem):
-        tag = mem[0]
-        if tag == "in":
-            idx = mem[1]
-            return {("in", idx, m): p for m, p in self.machines[idx].update(state, mem[2]).items()}
-        if tag == "wc":
-            return {("wc", m): p for m, p in self.fallback.update(state, mem[1]).items()}
-        locks = mem[1]
-        step = mem[2] if self.cap is not None else None
-        if state in locks:
-            idx = self.component_of[state]
-            m0 = _single_initial(self.machines[idx])
-            return {("in", idx, m): p for m, p in self.machines[idx].update(state, m0).items()}
-        if self.cap is not None and step >= self.cap:
-            idx = self.component_of.get(state)
-            if idx is not None:
-                m0 = _single_initial(self.machines[idx])
-                return {("in", idx, m): p for m, p in self.machines[idx].update(state, m0).items()}
-            f0 = _single_initial(self.fallback)
-            return {("wc", m): p for m, p in self.fallback.update(state, f0).items()}
-        nxt_step = step + 1 if self.cap is not None else None
-        return {self._p1_mem(locks2, nxt_step): p
-                for locks2, p in self._draw_locks(state).items()}
+        hand = self._handover(state, mem)
+        if hand is None:
+            step = mem[2] + 1 if self.cap is not None else None
+            return {self._p1_mem(locks, step): p for locks, p in self._draw_locks(state).items()}
+        tag, machine, m = hand
+        return {(*tag, m2): p for m2, p in machine.update(state, m).items()}
 
 
 def _single_initial(machine):
@@ -733,15 +708,20 @@ def _single_initial(machine):
 # Top-level synthesis entry points.
 
 
-def _witness_locals(witness: Witness) -> tuple[dict[str, int], list]:
-    """Per-component local strategies and targets from an LP witness:
-    the component index of each state, and (component, locals, target)
-    for every positive-mass component."""
-    mdp = witness.mdp
+def _witness_parts(mdp: Mdp, query: ThresholdQuery, decision: Optional[Decision]):
+    """The witness of a yes decision (``decision``, or one made here), its
+    phase-1 plan, the component index of each state, and (component,
+    locals, target) for every positive-mass component."""
+    if decision is None:
+        decision = decide(mdp, query)
+    if not decision.answer or decision.witness is None:
+        raise SynthesisError(f"no witness: decision is {decision.answer} ({decision.failure})")
+    witness = decision.witness
+    plan = phase1_strategy(witness)
+    mdp = witness.mdp  # the prepared MDP the witness lives on
     asg = witness.assignment
-    component_of: dict[str, int] = {}
     entries = []
-    for idx, comp in enumerate(witness.components):
+    for comp in witness.components:
         mass = sum((asg.get(ys(s), Fraction(0)) for s in comp.states), Fraction(0))
         if mass <= 0:
             continue
@@ -756,43 +736,31 @@ def _witness_locals(witness: Witness) -> tuple[dict[str, int], list]:
             for i in range(mdp.dimension):
                 target[i] += loc.frequency * loc.mean[i]
         entries.append((comp, locals_, target))
-    for idx, (comp, _, _) in enumerate(entries):
-        for s in comp.states:
-            component_of[s] = idx
-    return component_of, entries
+    component_of = {s: idx for idx, (comp, _, _) in enumerate(entries) for s in comp.states}
+    return witness, plan, component_of, entries
 
 
 def bas_strategy(mdp: Mdp, query: ThresholdQuery,
                  decision: Optional[Decision] = None,
-                 search_cap: int = DWELL_CAP,
-                 require_almost_sure: bool = True):
-    """Finite machine for a yes beyond-almost-sure (or expectation) decision.
+                 search_cap: int = DWELL_CAP):
+    """Finite machine for a yes beyond-almost-sure decision.
 
     Composes the phase-1 plan with one cycling machine per positive-mass
-    component; the dwell parameter is grown until the machine verifies:
-    exact expectation above the (normalized) target and, for the
-    almost-sure side, every reachable bottom component above the
-    (normalized) worst-case threshold.  Returns (machine, prepared mdp,
-    prepared start).
+    component; the dwell parameter is grown until the machine verifies,
+    both read off one bottom-SCC analysis of its chain: exact expectation
+    above the (normalized) target, and every reachable bottom component
+    above the (normalized) worst-case threshold, zero.  Returns (machine,
+    prepared mdp, prepared start).
     """
-    if decision is None:
-        decision = decide(mdp, query)
-    if not decision.answer or decision.witness is None:
-        raise SynthesisError(f"no witness: decision is {decision.answer} ({decision.failure})")
-    w = decision.witness
-    plan = phase1_strategy(w)
-    component_of, entries = _witness_locals(w)
+    w, plan, component_of, entries = _witness_parts(mdp, query, decision)
 
     for dwell in _doubling(search_cap):
         machines = [CyclingMachine(restrict(w.mdp, comp.states), comp, locals_, dwell)
                     for comp, locals_, _ in entries]
         composed = ComposedStrategy(w.mdp, plan, component_of, machines)
-        exp = expected_mp(induced_chain(w.mdp, composed, w.start))
-        ok = all(exp[i] > w.nu[i] for i in range(w.mdp.dimension))
-        if ok and require_almost_sure:
-            zero = [Fraction(0)] * w.mdp.dimension
-            ok = verify_almost_sure(w.mdp, composed, zero, start=w.start)
-        if ok:
+        bsccs = bscc_analysis(induced_chain(w.mdp, composed, w.start))
+        exp = [sum(b.reach * b.mean[i] for b in bsccs) for i in range(w.mdp.dimension)]
+        if all(e > n for e, n in zip(exp, w.nu)) and all(m > 0 for b in bsccs for m in b.mean):
             return composed, w.mdp, w.start
     raise FallbackUnavailable(f"no dwell parameter up to {search_cap} verified")
 
@@ -813,13 +781,7 @@ def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
     monitored rungs join at the last fraction.  Returns (machine,
     prepared mdp, prepared start, cap used).
     """
-    if decision is None:
-        decision = decide(mdp, query)
-    if not decision.answer or decision.witness is None:
-        raise SynthesisError(f"no witness: decision is {decision.answer} ({decision.failure})")
-    w = decision.witness
-    plan = phase1_strategy(w)
-    component_of, entries = _witness_locals(w)
+    w, plan, component_of, entries = _witness_parts(mdp, query, decision)
 
     fallback = memoryless_wc_search(w.mdp, w.dims)
 
@@ -866,46 +828,29 @@ def _doubling(limit: int):
 # The infinite-memory strategy: total-payoff monitor over two modes.
 
 
-class TotalPayoffMonitorStrategy:
-    """Procedural strategy: expectation mode with a growing payoff floor.
-
-    Runs an expectation machine in phases of length ``period``; tracks the
-    exact total payoff since the strategy took over.  During phase i >= 1
-    the total must stay strictly above floor_i = monitor * i * period / 2
-    (checked every step); at the end of each phase it must strictly exceed
-    2 * floor_{i+1}.  Either failure switches permanently to the
-    worst-case machine.  Memory is genuinely unbounded (the integer total),
-    so this object is simulate-only and never serialized as a machine;
-    ``BranchedInfiniteStrategy.simulate_runs`` plays it.
-    """
-
-    kind = "total-payoff-monitor"
-
-    def __init__(self, mdp: Mdp, expectation_machine, worstcase_machine,
-                 period: int, monitor: Sequence[Fraction]):
-        self.mdp = mdp
-        self.g = expectation_machine
-        self.fwc = worstcase_machine
-        self.period = period
-        self.monitor = tuple(Fraction(x) for x in monitor)
-
-
 @dataclass
 class BranchedInfiniteStrategy:
-    """Phase-1 locking into per-component monitored infinite strategies.
+    """Phase-1 locking into per-component machines under total-payoff
+    monitors, with a permanent switch to the worst-case machine.
 
     The finite part (transient flow plus per-component expectation
-    machines) is a ComposedStrategy; after locking into component i, the
-    total-payoff monitor of that branch runs with its own floors, counting
-    from the lock.  Serializes as a parameter record only; a copy loaded
-    from one has a table machine as ``composed`` and maps its memories to
-    branches through ``branch_map``.
+    machines) is a ComposedStrategy.  After locking into component b, the
+    monitor of that branch tracks the exact total payoff since the lock,
+    in phases of ``period`` (K) steps, against its per-dimension floor
+    rates ``monitors[b]``: during phase i >= 1 the total must stay
+    strictly above floor_i = rate * i * K / 2 (checked every step), and
+    at the end of phase i it must strictly exceed 2 * floor_{i+1}.
+    Either failure switches the run permanently to ``fwc``.  Memory is
+    genuinely unbounded (the integer total), so the strategy is
+    simulate-only (``simulate_runs``) and serializes as a parameter record
+    only; a copy loaded from one has a table machine as ``composed`` and
+    maps its memories to branches through ``branch_map``.
     """
 
     mdp: Mdp
     start: str
     composed: ComposedStrategy
-    monitors: list[TotalPayoffMonitorStrategy]
+    monitors: list[tuple[Fraction, ...]]  # floor rates per branch
     fwc: object
     period: int
     branch_map: Optional[dict] = None
@@ -955,10 +900,10 @@ class BranchedInfiniteStrategy:
 
         d = self.mdp.dimension
         K = self.period
-        mon_num = np.array([[m.monitor[i].numerator for i in range(d)]
-                            for m in self.monitors], dtype=np.int64)
-        mon_den = np.array([[m.monitor[i].denominator for i in range(d)]
-                            for m in self.monitors], dtype=np.int64)
+        mon_num = np.array([[rates[i].numerator for i in range(d)]
+                            for rates in self.monitors], dtype=np.int64)
+        mon_den = np.array([[rates[i].denominator for i in range(d)]
+                            for rates in self.monitors], dtype=np.int64)
         wmax = max(self.mdp.max_abs_weight, mdp.max_abs_weight)
         bound = (horizon * wmax + 1) * 2 * int(mon_den.max())
         bound = max(bound, max(abs(int(v)) for v in mon_num.flat) * (horizon + K))
@@ -997,11 +942,11 @@ class BranchedInfiniteStrategy:
         def monitor(t, e, node):
             nonlocal soonest
             x[:] += weight.take(e, axis=0) * den2
-            # floor_i = monitor*i*K/2, strict: tp*2*den > num*i*K
+            # floor_i = rate*i*K/2, strict: tp*2*den > num*i*K
             low = x <= floor
             trip = low.any(axis=1) if low.any() else None
             if t + 1 == soonest:
-                # end of phase i: tp > monitor*(i+1)*K = monitor*steps
+                # end of phase i: tp > rate*(i+1)*K = rate*steps
                 ends = end == soonest
                 steps = (soonest - t_lock)[:, None]
                 missed = ends & (x <= 2 * rate * steps).any(axis=1)
@@ -1081,16 +1026,6 @@ class AdaptedMachine:
         return {mem: Fraction(1)}
 
 
-def adapt_to_original(machine, prepared: Mdp, original: Mdp, prepared_start: str):
-    """Re-home a synthesized machine onto the MDP the query was posed on.
-
-    Returns (machine, start) valid on ``original``; edge ids are shared
-    between the two instances, so outputs carry over unchanged.
-    """
-    adapted = AdaptedMachine(machine, prepared, original, prepared_start)
-    return adapted, adapted.start
-
-
 def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
                           decision: Optional[Decision] = None) -> BranchedInfiniteStrategy:
     """Infinite-memory strategy for a yes general beyond-worst-case decision.
@@ -1102,13 +1037,7 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
     rates are half that expectation; on a monitor trip the strategy
     switches permanently to the worst-case fallback.
     """
-    if decision is None:
-        decision = decide(mdp, query)
-    if not decision.answer or decision.witness is None:
-        raise SynthesisError(f"no witness: decision is {decision.answer} ({decision.failure})")
-    w = decision.witness
-    plan = phase1_strategy(w)
-    component_of, entries = _witness_locals(w)
+    w, plan, component_of, entries = _witness_parts(mdp, query, decision)
 
     fallback = memoryless_wc_search(w.mdp, w.dims)
 
@@ -1125,8 +1054,7 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
             raise FallbackUnavailable(
                 f"no positive-expectation machine for component {sorted(comp.states)}")
         machines.append(g)
-        monitors.append(TotalPayoffMonitorStrategy(w.mdp, g, fallback, period,
-                                                   [e / 2 for e in exp]))
+        monitors.append(tuple(e / 2 for e in exp))
 
     composed = ComposedStrategy(w.mdp, plan, component_of, machines)
     return BranchedInfiniteStrategy(w.mdp, w.start, composed, monitors, fallback, period)

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from sys import intern
 from typing import Optional, Sequence
 
 from bwcmdp import games, linsolve
@@ -54,17 +53,18 @@ from bwcmdp.rationals import format_rational
 from bwcmdp.verification import _karp_scc
 
 
-# Variable names are interned: the witnesses that decisions keep share them.
+# Variable names go through the bounded ``shared`` cache: the witnesses
+# that decisions keep share them.
 def ys(s: str) -> str:
-    return intern(f"y[{s}]")
+    return shared(f"y[{s}]")
 
 
 def ye(eid: int) -> str:
-    return intern(f"ye[{eid}]")
+    return shared(f"ye[{eid}]")
 
 
 def xe(eid: int) -> str:
-    return intern(f"x[{eid}]")
+    return shared(f"x[{eid}]")
 
 
 def ensure_controller_start(mdp: Mdp, start: str) -> tuple[Mdp, str]:
@@ -87,8 +87,7 @@ def ensure_controller_start(mdp: Mdp, start: str) -> tuple[Mdp, str]:
 
 def _flow_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
                  components: Sequence[EndComponent],
-                 local_positivity: bool,
-                 pin_outside: bool) -> LinearSystem:
+                 local_positivity: bool) -> LinearSystem:
     """The rows listed in the module notes, as integer ``linsolve.Row``s
     over the columns y[s] (state order), ye[e] and x[e] (edge order)."""
     ids, edges = mdp.state_ids, mdp.edges
@@ -137,13 +136,13 @@ def _flow_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
     # (C2) strict global expectation rows.
     rows += (Row({xk[e.eid]: b.denominator * e.weight[i] for e in edges if e.weight[i]},
                  GT, b.numerator, b.denominator) for i, b in enumerate(nu))
-    # (C3) strict per-component positivity rows.
+    # (C3) strict per-component positivity rows, and frequencies pinned to
+    # zero outside the designated components.
     if local_positivity:
         weight = mdp.edge_by_id
         rows += (Row({xk[eid]: weight[eid].weight[i] for eid in comp.edges
                       if weight[eid].weight[i]}, GT)
                  for comp in components for i in range(mdp.dimension))
-    if pin_outside:
         inside = set().union(*(comp.edges for comp in components))
         rows += (Row({xk[e.eid]: 1}, EQ) for e in edges if e.eid not in inside)
     variables = [ys(s) for s in ids] + [ye(e.eid) for e in edges] + [xe(e.eid) for e in edges]
@@ -162,8 +161,7 @@ def finite_memory_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
         raise ValueError("no maximal winning end component: the system cannot be satisfied")
     if mdp.is_random(start):
         raise ValueError("start state must be controller-owned; insert a pre-state first")
-    return _flow_system(mdp, start, nu, winning_components,
-                        local_positivity=True, pin_outside=True)
+    return _flow_system(mdp, start, nu, winning_components, local_positivity=True)
 
 
 def general_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
@@ -181,8 +179,7 @@ def general_system(mdp: Mdp, start: str, nu: Sequence[Fraction],
         raise ValueError("no designated end component: the system cannot be satisfied")
     if mdp.is_random(start):
         raise ValueError("start state must be controller-owned; insert a pre-state first")
-    return _flow_system(mdp, start, nu, components,
-                        local_positivity=local_positivity, pin_outside=local_positivity)
+    return _flow_system(mdp, start, nu, components, local_positivity=local_positivity)
 
 
 def positively_winnable(mdp: Mdp, comp: EndComponent) -> bool:

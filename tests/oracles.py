@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from bwcmdp import synthesis
 from bwcmdp.decomposition import EndComponent, restrict
 from bwcmdp.linsolve import EQ, GE, GT, LinearSystem
 from bwcmdp.machines import InducedChain, induced_chain
@@ -262,7 +261,6 @@ def vertex_feasible(system: LinearSystem) -> bool:
     pointed, so it is nonempty iff some basic solution satisfies all
     constraints.
     """
-    assert system.nonneg
     nvars = len(system.variables)
     rows = []
     for c in system.constraints:
@@ -1014,14 +1012,21 @@ class MonitorState:
     total: tuple[int, ...]
 
 
-class TotalPayoffMonitorStrategy(synthesis.TotalPayoffMonitorStrategy):
-    """The monitor record with its one-step semantics, ``observe``."""
+@dataclass(frozen=True)
+class TotalPayoffMonitor:
+    """One branch's total-payoff monitor (floor rates ``monitor``, phases
+    of ``period`` steps; see ``BranchedInfiniteStrategy``) with its
+    one-step semantics, ``observe``."""
+
+    dimension: int
+    period: int
+    monitor: tuple[Fraction, ...]
 
     def floor(self, phase: int) -> tuple[Fraction, ...]:
         return tuple(m * phase * self.period / 2 for m in self.monitor)
 
     def fresh(self) -> MonitorState:
-        return MonitorState("expectation", 0, 0, (0,) * self.mdp.dimension)
+        return MonitorState("expectation", 0, 0, (0,) * self.dimension)
 
     def observe(self, state: MonitorState, weight: tuple[int, ...]) -> MonitorState:
         """Advance the monitor by one traversed edge; may switch modes."""
@@ -1054,8 +1059,8 @@ def scalar_monitor_totals(strategy, mdp: Mdp, horizon: int, runs: int, seed: int
     chain = induced_chain(strategy.mdp, strategy.composed, strategy.start, node_limit=100_000)
     fchain = induced_chain(strategy.mdp, strategy.fwc, strategy.mdp.state_ids)
     (f0,) = strategy.fwc.initial_dist()
-    monitors = [TotalPayoffMonitorStrategy(m.mdp, m.g, m.fwc, m.period, m.monitor)
-                for m in strategy.monitors]
+    monitors = [TotalPayoffMonitor(strategy.mdp.dimension, strategy.period, rates)
+                for rates in strategy.monitors]
 
     def branch(node):
         mem = chain.nodes[node][1]

@@ -15,7 +15,7 @@ from bwcmdp import linsolve
 from bwcmdp.decomposition import mecs
 from bwcmdp.machines import induced_chain
 from bwcmdp.model import ThresholdQuery, fixture, negate_weights, normalize
-from bwcmdp.synthesis import (CyclingMachine, adapt_to_original, bas_strategy,
+from bwcmdp.synthesis import (AdaptedMachine, CyclingMachine, bas_strategy,
                               bwc_finite_strategy, bwc_infinite_strategy, local_strategies,
                               memoryless_wc_search)
 from bwcmdp.systems import decide, ec_expectation_system
@@ -81,9 +81,9 @@ def test_criterion_3_task_system():
         decision = decide(task, query)
         assert decision.answer is True
         machine, prepared, pstart, cap = bwc_finite_strategy(task, query, decision=decision)
-        adapted, origin = adapt_to_original(machine, prepared, task, pstart)
-        assert verify_worstcase(task, adapted, query.mu, origin).ok
-        exp = expected_mp(induced_chain(task, adapted, origin))
+        adapted = AdaptedMachine(machine, prepared, task, pstart)
+        assert verify_worstcase(task, adapted, query.mu, adapted.start).ok
+        exp = expected_mp(induced_chain(task, adapted, adapted.start))
         assert all(e > n for e, n in zip(exp, query.nu))
         assert time.time() - t0 < 5.0
 
@@ -205,13 +205,13 @@ def test_criterion_7_synthesis_round_trips(corpus):
             assert decision.answer
             machine, prepared, pstart, cap = bwc_finite_strategy(mdp, query, decision=decision)
             assert cap <= 1 << 16
-            adapted, origin = adapt_to_original(machine, prepared, mdp, pstart)
-            exp = expected_mp(induced_chain(mdp, adapted, origin))
+            adapted = AdaptedMachine(machine, prepared, mdp, pstart)
+            exp = expected_mp(induced_chain(mdp, adapted, adapted.start))
             assert all(e > n for e, n in zip(exp, query.nu))
             for n in (1, 2, 4, 8, 16):
                 m2, p2, s2, _ = bwc_finite_strategy(mdp, query, cap=n, decision=decision)
-                a2, o2 = adapt_to_original(m2, p2, mdp, s2)
-                assert verify_worstcase(mdp, a2, query.mu, o2).ok
+                a2 = AdaptedMachine(m2, p2, mdp, s2)
+                assert verify_worstcase(mdp, a2, query.mu, a2.start).ok
 
         # General (infinite-memory) yes-instances: the worst-case fallback
         # verifies exactly; the monitored strategy itself is simulate-only.

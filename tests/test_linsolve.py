@@ -232,6 +232,6 @@ def test_sparse_simplex_matches_dense_tableau(monkeypatch):
         mdp, start = ensure_controller_start(mdp, rng.choice(mdp.state_ids))
         nu = [F(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(mdp.dimension)]
         for positivity in (False, True):
-            linsolve.solve(_flow_system(mdp, start, nu, mecs(mdp), positivity, positivity))
+            linsolve.solve(_flow_system(mdp, start, nu, mecs(mdp), positivity))
             solved += 1
     assert solved == 80

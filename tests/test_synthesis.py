@@ -10,12 +10,11 @@ from bwcmdp.machines import induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
 from bwcmdp.systems import decide, ec_expectation_system
 from bwcmdp.synthesis import (AdaptedMachine, CyclingMachine, MonitoredMachine,
-                              adapt_to_original, bas_strategy, bwc_finite_strategy,
-                              bwc_infinite_strategy, local_strategies,
-                              memoryless_wc_search, phase1_strategy)
+                              bas_strategy, bwc_finite_strategy, bwc_infinite_strategy,
+                              local_strategies, memoryless_wc_search, phase1_strategy)
 from bwcmdp.verification import (bscc_analysis, expected_mp, simulate,
                                  verify_almost_sure, verify_worstcase)
-from oracles import TotalPayoffMonitorStrategy, recovery_length, wec_combined
+from oracles import TotalPayoffMonitor, recovery_length, wec_combined
 
 
 def _query(mode, mu, nu, start="s"):
@@ -27,11 +26,11 @@ def _query(mode, mu, nu, start="s"):
 def test_phase1_trivial_witness(run_ex):
     dec = decide(run_ex, _query("bwc-fin", [0, 0], [0, 9]))
     plan = phase1_strategy(dec.witness)
-    assert plan.edge_distribution("s") == {0: F(1)}
-    assert plan.switch_probability("t") == 1
+    assert plan.continuation["s"] == {0: F(1)}
+    assert plan.switch["t"] == 1
     # Zero-inflow states carry an arbitrary fixed edge and stay unreachable.
-    assert plan.switch_probability("u") == 0
-    assert len(plan.edge_distribution("u")) == 1
+    assert plan.switch["u"] == 0
+    assert len(plan.continuation["u"]) == 1
 
 
 def test_lean_witness_synthesizes_the_same_file(run_ex, tmp_path, capsys):
@@ -58,9 +57,9 @@ def test_lean_witness_synthesizes_the_same_file(run_ex, tmp_path, capsys):
 def test_phase1_balanced_witness(run_ex):
     dec = decide(run_ex, _query("bwc-inf", [0, 0], [F(99, 10), F(99, 10)]))
     plan = phase1_strategy(dec.witness)
-    assert plan.edge_distribution("s") == {0: F(1, 2), 1: F(1, 2)}
-    assert plan.switch_probability("t") == 1
-    assert plan.switch_probability("u") == 1
+    assert plan.continuation["s"] == {0: F(1, 2), 1: F(1, 2)}
+    assert plan.switch["t"] == 1
+    assert plan.switch["u"] == 1
 
 
 # -- local strategies ----------------------------------------------------------
@@ -269,14 +268,6 @@ def test_bas_strategy_single_component(run_ex):
     assert all(e > n for e, n in zip(exp, (F(0), F(9))))
 
 
-def test_exp_mode_reuse(run_ex):
-    # Same construction with the per-component positivity rows dropped.
-    q = _query("exp", [0, 0], [F(12), F(0)])
-    machine, prepared, start = bas_strategy(run_ex, q, require_almost_sure=False)
-    exp = expected_mp(induced_chain(prepared, machine, start))
-    assert exp[0] > 12
-
-
 def test_bwc_finite_strategy_run_ex(run_ex):
     q = _query("bwc-fin", [0, 0], [0, 9])
     machine, prepared, start, cap = bwc_finite_strategy(run_ex, q)
@@ -292,8 +283,8 @@ def test_bwc_finite_from_random_start(run_ex):
     q = _query("bwc-fin", [0, 0], [0, 9], start="v")
     machine, prepared, start, cap = bwc_finite_strategy(run_ex, q)
     assert verify_worstcase(prepared, machine, [F(0), F(0)], start).ok
-    adapted, origin = adapt_to_original(machine, prepared, run_ex, start)
-    assert origin == "v"
+    adapted = AdaptedMachine(machine, prepared, run_ex, start)
+    assert adapted.start == "v"
     assert verify_worstcase(run_ex, adapted, [F(0), F(0)], "v").ok
 
 
@@ -325,8 +316,8 @@ def test_bwc_finite_picks_deterministic_rotation():
     machine, prepared, start, _ = bwc_finite_strategy(m, q)
     (rung,) = machine.machines
     assert isinstance(rung, CyclingMachine) and rung.deterministic and rung.dwell == 1
-    adapted, origin = adapt_to_original(machine, prepared, m, start)
-    assert verify_worstcase(m, adapted, q.mu, origin).ok
+    adapted = AdaptedMachine(machine, prepared, m, start)
+    assert verify_worstcase(m, adapted, q.mu, adapted.start).ok
 
 
 # gen.corpus seed 6 instance 76 and seed 11 instance 75: yes-instances
@@ -454,8 +445,8 @@ def test_synthesize_outputs_are_pinned(tmp_path, capsys):
 def test_adapted_machine_round_trip(run_ex_bas):
     q = _query("bas", [0, 0], [4, 4])
     machine, prepared, start = bas_strategy(run_ex_bas, q)
-    adapted, origin = adapt_to_original(machine, prepared, run_ex_bas, start)
-    assert origin == "s"
+    adapted = AdaptedMachine(machine, prepared, run_ex_bas, start)
+    assert adapted.start == "s"
     exp = expected_mp(induced_chain(run_ex_bas, adapted, "s"))  # raises on a bad machine
     assert all(e > 4 for e in exp)
 
@@ -490,18 +481,15 @@ def test_adapted_machine_surfaces_errors(run_ex):
 
 # -- the infinite-memory strategy ---------------------------------------------
 
-def test_monitor_floor_formula(run_ex):
-    g = memoryless(run_ex, {"s": 0, "t": 2, "u": 3})
-    fwc = g
-    strat = TotalPayoffMonitorStrategy(run_ex, g, fwc, period=10, monitor=[F(1), F(1)])
+def test_monitor_floor_formula():
+    strat = TotalPayoffMonitor(dimension=2, period=10, monitor=(F(1), F(1)))
     assert strat.floor(3) == (F(15), F(15))
     # The phase-end bound at the end of phase 2 is twice the next floor.
     assert tuple(2 * f for f in strat.floor(3)) == (F(30), F(30))
 
 
-def test_monitor_semantics_stepwise(run_ex):
-    g = memoryless(run_ex, {"s": 0, "t": 2, "u": 3})
-    strat = TotalPayoffMonitorStrategy(run_ex, g, g, period=2, monitor=[F(1), F(1)])
+def test_monitor_semantics_stepwise():
+    strat = TotalPayoffMonitor(dimension=2, period=2, monitor=(F(1), F(1)))
     st = strat.fresh()
     # Phase 0 has no running check: a terrible first step does not switch
     # until the phase-end comparison.
@@ -511,9 +499,8 @@ def test_monitor_semantics_stepwise(run_ex):
     assert st.mode == "worst-case"  # phase-end floor missed
 
 
-def test_monitor_never_fires_on_good_run(run_ex):
-    g = memoryless(run_ex, {"s": 0, "t": 2, "u": 3})
-    strat = TotalPayoffMonitorStrategy(run_ex, g, g, period=4, monitor=[F(2), F(6)])
+def test_monitor_never_fires_on_good_run():
+    strat = TotalPayoffMonitor(dimension=2, period=4, monitor=(F(2), F(6)))
     st = strat.fresh()
     for _ in range(400):
         st = strat.observe(st, (5, 15))

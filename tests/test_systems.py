@@ -270,7 +270,7 @@ def test_integer_rows_match_named_reference():
         nu = [F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(mdp.dimension)]
         comps = mecs(mdp)
         for positivity in (False, True):
-            _same_rows(_flow_system(mdp, start, nu, comps, positivity, positivity),
+            _same_rows(_flow_system(mdp, start, nu, comps, positivity),
                        named_flow_system(mdp, start, nu, comps, positivity, positivity))
         for comp in comps:
             for strict in (False, True):
