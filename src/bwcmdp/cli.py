@@ -44,13 +44,20 @@ class SystemExit2(RuntimeError):
     pass
 
 
-def _query(args, mdp: Mdp, mode=None) -> ThresholdQuery:
+def _vector(text, mdp: Mdp, zeros: bool = True):
+    """The threshold vector ``text``, which must have one component per
+    dimension of ``mdp``; when not given, zeros (None unless ``zeros``)."""
     d = mdp.dimension
-    mu = parse_vector(args.mu) if getattr(args, "mu", None) else tuple([Fraction(0)] * d)
-    nu = parse_vector(args.nu) if getattr(args, "nu", None) else tuple([Fraction(0)] * d)
-    if len(mu) != d or len(nu) != d:
+    if not text:
+        return tuple([Fraction(0)] * d) if zeros else None
+    vector = parse_vector(text)
+    if len(vector) != d:
         raise SystemExit2(f"threshold vectors must have {d} components")
-    return ThresholdQuery(mode or args.mode, args.frm, mu, nu)
+    return vector
+
+
+def _query(args, mdp: Mdp) -> ThresholdQuery:
+    return ThresholdQuery(args.mode, args.frm, _vector(args.mu, mdp), _vector(args.nu, mdp))
 
 
 def cmd_validate(args) -> int:
@@ -84,7 +91,7 @@ def cmd_decompose(args) -> int:
         comps = mecs(mdp)
         _emit({"kind": "mec", "components": [sorted(c.states) for c in comps]})
     else:
-        mu = parse_vector(args.mu) if args.mu else tuple([Fraction(0)] * mdp.dimension)
+        mu = _vector(args.mu, mdp)
         q = ThresholdQuery("wc", mdp.state_ids[0], mu, mu)
         from bwcmdp.model import normalize
 
@@ -97,7 +104,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_prune(args) -> int:
     mdp = _load(args)
-    mu = parse_vector(args.mu) if args.mu else tuple([Fraction(0)] * mdp.dimension)
+    mu = _vector(args.mu, mdp)
     q = ThresholdQuery("wc", args.frm, mu, mu)
     from bwcmdp.model import normalize
 
@@ -175,9 +182,7 @@ def cmd_verify(args) -> int:
     start = args.frm or mdp.initial
     if start is None:
         raise SystemExit2("no start state: pass --from or set the MDP's initial state")
-    d = mdp.dimension
-    mu = parse_vector(args.mu) if args.mu else tuple([Fraction(0)] * d)
-    nu = parse_vector(args.nu) if args.nu else tuple([Fraction(0)] * d)
+    mu, nu = _vector(args.mu, mdp), _vector(args.nu, mdp)
 
     if args.check == "wc":
         verdict = verify_worstcase(mdp, strategy, mu, start=start)
@@ -208,7 +213,7 @@ def cmd_simulate(args) -> int:
     start = args.frm or mdp.initial
     if start is None:
         raise SystemExit2("no start state: pass --from or set the MDP's initial state")
-    mu = parse_vector(args.mu) if args.mu else None
+    mu = _vector(args.mu, mdp, zeros=False)
     report = simulate(mdp, strategy, start, horizon=args.horizon, runs=args.runs,
                       seed=args.seed, mu=mu)
     _emit(report.to_json())

@@ -209,12 +209,7 @@ def restrict(mdp: Mdp, states: Iterable[str]) -> Mdp:
     for s in sset:
         if not any(mdp.edge_by_id[eid].source == s for eid in internal):
             raise ValueError(f"not an end component: {s} has no internal successor")
-
-    sub_states = tuple(so for so in mdp.states if so[0] in sset)
-    sub_edges = tuple(e for e in mdp.edges if e.eid in internal)
-    probs = {e.eid: mdp.probabilities[e.eid] for e in sub_edges if e.eid in mdp.probabilities}
-    init = mdp.initial if mdp.initial in sset else None
-    return Mdp(mdp.dimension, sub_states, sub_edges, probs, init)
+    return restrict_states(mdp, sset)
 
 
 def restrict_states(mdp: Mdp, states: Iterable[str]) -> Mdp:

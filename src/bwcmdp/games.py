@@ -32,9 +32,9 @@ their sum) has a positive total in every tracked dimension.  Only the
 components no test settles go to the exact LP ``positive_multicycle``.
 
 The unidimensional case gets a pseudo-polynomial fast path: a strict-win
-test via an energy-game progress measure in exact integers (which also
-yields a positional winning strategy).  Its losing states take their
-spoilers from the same enumeration, stopped once each has one.
+test via an energy-game progress measure in exact integers, which also
+yields a positional winning strategy (``energy_win``).  Its losing states
+take their spoilers from the same enumeration, stopped once each has one.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ def positive_multicycle(mdp: Mdp, component: Iterable[str],
     edge; y* > 0 certifies a finite-memory controller confined to the set
     achieving MP > 0 in all tracked dimensions, and the test is exact for
     infinite-memory controllers too (cycle-mean hull argument).
+
+    Every unit flow's mean is at least -W, W the largest |w_e[i]| over the
+    internal edges and tracked dimensions, so the LP maximizes the
+    non-negative z = y + W (rows sum x_e*w_e[i] - z >= -W) and y* = z* - W.
     """
     states = set(component)
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
@@ -100,8 +104,9 @@ def positive_multicycle(mdp: Mdp, component: Iterable[str],
         # No tracked dimension: any cycle works, slack is vacuously +inf-ish;
         # report 1 to signal a win.
         return Fraction(1)
-    # Variables x[k] for the k-th internal edge, then y = variable m.
+    # Variables x[k] for the k-th internal edge, then z = variable m.
     m = len(edges)
+    W = max(abs(e.weight[i]) for e in edges for i in dims)
     flow: dict[str, dict[int, int]] = {s: {} for s in states}
     for k, e in enumerate(edges):
         flow[e.target][k] = flow[e.target].get(k, 0) + 1
@@ -109,14 +114,14 @@ def positive_multicycle(mdp: Mdp, component: Iterable[str],
     rows = [linsolve.Row(row, EQ) for row in flow.values()]
     rows.append(linsolve.Row(dict.fromkeys(range(m), 1), EQ, 1))
     rows += (linsolve.Row({k: e.weight[i] for k, e in enumerate(edges) if e.weight[i]}
-                          | {m: -1}, GE) for i in dims)
+                          | {m: -1}, GE, -W) for i in dims)
     variables = [f"x{e.eid}" for e in edges]
-    status, _, value = linsolve.maximize(variables + ["y"], set(variables), rows, {m: 1})
+    status, _, value = linsolve.maximize(variables + ["z"], rows, {m: 1})
     if status == "infeasible":
         raise AssertionError("multicycle flow system cannot be infeasible on an SCC with edges")
     if status == "unbounded":
         raise AssertionError("multicycle slack is bounded by the largest weight")
-    return value
+    return value - W
 
 
 class _SpoilerKernel:
@@ -279,7 +284,7 @@ def wc_winning_region(mdp: Mdp, dims: Optional[Sequence[int]] = None,
     if not dims:
         return WinningRegion(frozenset(mdp.state_ids), dims, {})
     one_dim = len(dims) == 1
-    win = _energy_strict_win(mdp, dims[0])[0] if one_dim else set()
+    win = energy_win(mdp, dims[0])[0] if one_dim else set()
     ids = mdp.state_ids
     pending = [v for v, s in enumerate(ids) if s not in win]
     # Nothing pending (a 1-D game won everywhere): no kernel, no budget.
@@ -307,17 +312,18 @@ def revalidate_certificate(mdp: Mdp, state: str, sigma: AdversaryChoice,
 # Unidimensional machinery: energy progress measures.
 
 
-def energy_progress_measure(mdp: Mdp, dim: int
-                            ) -> tuple[dict[str, Optional[int]], dict[str, int]]:
-    """Least progress measure for the energy game on weights n*w - 1.
+def energy_win(mdp: Mdp, dim: int) -> tuple[set[str], dict[str, int]]:
+    """Strict-threshold win set for MP > 0 on one dimension, and a
+    positional strategy on it, from the least energy progress measure on
+    the weights n*w - 1.
 
     Game values are rationals with denominator at most n (the number of
     states), so value > 0 on the chosen dimension is equivalent to value
     >= 1/n, i.e. to MP >= 0 on the weights n*w - 1.  The controller
     (minimizer of required credit) wins that from states with a finite
-    measure; the returned strategy picks, at each winning controller
-    state, an edge witnessing the measure.  Standard lifting with top n*W;
-    exact integers throughout.
+    measure; the strategy picks, at each winning controller state in
+    declaration order, its first edge witnessing the measure.  Standard
+    lifting with top n*W; exact integers throughout.
     """
     n = len(mdp.state_ids)
     weights = {e.eid: e.weight[dim] * n - 1 for e in mdp.edges}
@@ -358,25 +364,13 @@ def energy_progress_measure(mdp: Mdp, dim: int
                     dirty.add(p)
                     queue.append(p)
 
+    win = {s for s in mdp.state_ids if f[s] < INF}
     strategy: dict[str, int] = {}
     for s in mdp.state_ids:
-        if not mdp.is_random(s) and f[s] < INF:
-            for e in mdp.out_edges[s]:
-                if lift_val(f[e.target], weights[e.eid]) <= f[s]:
-                    strategy[s] = e.eid
-                    break
-    measure = {s: (None if f[s] >= INF else f[s]) for s in mdp.state_ids}
-    return measure, strategy
-
-
-def _energy_strict_win(mdp: Mdp, dim: int):
-    """Strict-threshold win set for MP > 0 on one dimension, from the
-    energy progress measure.  Returns (win set, positional strategy,
-    progress measure).
-    """
-    measure, strategy = energy_progress_measure(mdp, dim)
-    win = {s for s, v in measure.items() if v is not None}
-    return win, strategy, measure
+        if s in win and not mdp.is_random(s):
+            strategy[s] = next(e.eid for e in mdp.out_edges[s]
+                               if lift_val(f[e.target], weights[e.eid]) <= f[s])
+    return win, strategy
 
 
 def wc_positional_strategy_unidim(mdp: Mdp, dim: int) -> Optional[dict[str, int]]:
@@ -384,10 +378,8 @@ def wc_positional_strategy_unidim(mdp: Mdp, dim: int) -> Optional[dict[str, int]
 
     Returns None unless every state wins the strict threshold.
     """
-    win, strategy, _ = _energy_strict_win(mdp, dim)
-    if win != set(mdp.state_ids):
-        return None
-    return strategy
+    win, strategy = energy_win(mdp, dim)
+    return strategy if len(win) == len(mdp.state_ids) else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ a single shared slack suffices because any fully strict solution has a
 positive minimum margin, and conversely y* > 0 makes every strict row
 strict at once.
 
+Every variable is non-negative, and the tableau keeps one column layout:
+column j is variable j, followed by one surplus column per inequality.  A
+quantity that may be negative is stated through a known lower bound
+instead (``games.positive_multicycle`` maximizes its mean plus the largest
+weight).
+
 Everything is exact; no floating point touches a decision anywhere.  A
 constraint is a ``Row``: integer coefficients keyed by variable index over
 one positive denominator, as the system builders emit them from integer
@@ -154,16 +160,15 @@ def solve(system: LinearSystem) -> LpOutcome:
     slack = n if strict else None
     if strict:
         variables = [*variables, _SLACK]
-    nonneg = set(variables)
     rows = system.constraints
-    status, assignment, _ = _simplex(variables, nonneg, rows, {n: 1} if strict else {}, slack)
+    status, assignment, _ = _simplex(variables, rows, {n: 1} if strict else {}, slack)
     if status == "infeasible":
         return LpOutcome("infeasible")
     if not strict:
         return LpOutcome("feasible", assignment, None)
     if status == "unbounded":
         # Re-solve with the slack pinned at 1 to hand back a concrete witness.
-        st2, asg2, _ = _simplex(variables, nonneg, [*rows, Row({n: 1}, EQ, 1)], {}, slack)
+        st2, asg2, _ = _simplex(variables, [*rows, Row({n: 1}, EQ, 1)], {}, slack)
         if st2 != "optimal":
             raise AssertionError("unbounded slack but capped system infeasible")
         asg2.pop(_SLACK)
@@ -172,19 +177,16 @@ def solve(system: LinearSystem) -> LpOutcome:
     return LpOutcome("feasible", assignment, y)
 
 
-def maximize(variables: Sequence[str], nonneg_vars: set[str], constraints: Sequence[Row],
+def maximize(variables: Sequence[str], constraints: Sequence[Row],
              objective: dict[int, int]) -> tuple[str, Optional[dict], Optional[Fraction]]:
     """Maximize a linear objective, integer coefficients keyed by variable
-    index, over {=, >=} ``Row``s.
+    index, over {=, >=} ``Row``s in non-negative variables.
 
     Returns (status, assignment, value) with status in
     {"optimal", "infeasible", "unbounded"}; on "unbounded" the assignment
     is a feasible point from which the objective ray leaves.
     """
-    st, asg, val = _simplex(variables, nonneg_vars, constraints, objective)
-    if st == "infeasible":
-        return "infeasible", None, None
-    return st, asg, val
+    return _simplex(variables, constraints, objective)
 
 
 def int_row(values: dict) -> tuple[dict, int]:
@@ -194,53 +196,35 @@ def int_row(values: dict) -> tuple[dict, int]:
     return {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}, den
 
 
-def _simplex(variables, nonneg, rows, objective, slack=None):
-    """Two-phase primal simplex over ``Row``s.
+def _simplex(variables, rows, objective, slack=None):
+    """Two-phase primal simplex over ``Row``s in non-negative variables.
 
-    Columns: the variables in order, a variable outside ``nonneg`` split
-    into a positive and a negative part, then one surplus column per
-    non-equality row in row order.  A strict row needs the index
-    ``slack`` of the shared slack variable y and is read as
+    Columns: the variables in order, so column j is variable j, then one
+    surplus column per non-equality row in row order.  A strict row needs
+    the index ``slack`` of the shared slack variable y and is read as
     ``row - y >= rhs``.  Bland's anti-cycling rule is used in both phases,
     so termination is guaranteed.
 
     Row i is ``tab[i] / dens[i]`` (see ``pivot``), in lowest terms and
     negated when its rhs is negative, with the rhs under key ``total``;
-    column ``art0 + i`` is row i's phase-1 artificial.
+    column ``art0 + i`` is row i's phase-1 artificial.  Zero entries of a
+    row or of the objective are dropped on entry.
     """
-    plus: list[int] = []
-    minus: dict[int, int] = {}
-    for j, v in enumerate(variables):
-        plus.append(len(plus) + len(minus))
-        if v not in nonneg:
-            minus[j] = plus[j] + 1
-    nvcols = len(plus) + len(minus)
-
-    def expand(coeffs):
-        if not minus:
-            return {j: a for j, a in coeffs.items() if a}
-        out = {}
-        for j, a in coeffs.items():
-            if a:
-                out[plus[j]] = a
-                if j in minus:
-                    out[minus[j]] = -a
-        return out
-
+    nvars = len(variables)
     nrows = len(rows)
-    art0 = nvcols + sum(1 for r in rows if r.relation != EQ)
+    art0 = nvars + sum(1 for r in rows if r.relation != EQ)
     total = art0 + nrows
-    surplus = nvcols
+    surplus = nvars
     tab, dens = [], []
     for i, (coeffs, rel, b, den) in enumerate(rows):
-        t = expand(coeffs)
+        t = {j: a for j, a in coeffs.items() if a}
         if den != 1:
             g = gcd(den, b, *t.values())
             if g != 1:
                 t, b, den = {j: a // g for j, a in t.items()}, b // g, den // g
         if rel != EQ:
             if rel == GT and slack is not None:
-                t[plus[slack]] = -den
+                t[slack] = -den
             elif rel != GE:
                 raise ValueError(f"unsupported relation {rel!r} at simplex level")
             t[surplus] = -den
@@ -273,27 +257,18 @@ def _simplex(variables, nonneg, rows, objective, slack=None):
     tab, dens = [t for t, _ in reduced], [den for _, den in reduced]
     basis = [basis[i] for i in kept]
 
-    status = _optimize(tab, dens, basis, total, expand(objective), 1)[0]
+    status = _optimize(tab, dens, basis, total, {j: a for j, a in objective.items() if a}, 1)[0]
 
-    # Only the nonzero basic values become Fractions.
-    values = {}
+    # Only the nonzero basic values of variables become Fractions.
+    assignment = dict.fromkeys(variables, _ZERO)
     for i, bvar in enumerate(basis):
         t = tab[i].get(total)
-        if t:
-            values[bvar] = _fraction(t, dens[i])
-    merged = dict.fromkeys(variables, _ZERO)
-    if minus:
-        for j, v in enumerate(variables):
-            x = values.get(plus[j], _ZERO)
-            merged[v] = x - values.get(minus[j], _ZERO) if j in minus else x
-    else:
-        for c, x in values.items():
-            if c < nvcols:
-                merged[variables[c]] = x
-    value = sum((a * merged[variables[j]] for j, a in objective.items()), _ZERO)
+        if t and bvar < nvars:
+            assignment[variables[bvar]] = _fraction(t, dens[i])
+    value = sum((a * assignment[variables[j]] for j, a in objective.items()), _ZERO)
     if status == "unbounded":
-        return "unbounded", merged, None
-    return "optimal", merged, value
+        return "unbounded", assignment, None
+    return "optimal", assignment, value
 
 
 def _optimize(tab, dens, basis, total, obj, den):

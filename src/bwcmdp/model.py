@@ -7,6 +7,19 @@ between the same pair of states are first class (everything is keyed by
 edge id), and probabilities are per edge, summing to one per random state.
 
 Values are immutable after construction; derived indexes are cached.
+
+Strictness.  Thresholds are strict (MP > mu), but a worst-case component
+at the boundary mu[i] = -W, W the largest absolute weight, is read as
+trivially met, like every mu[i] < -W (``detect_trivial``): a play whose
+mean is exactly -W there still counts as a win.  ``decide --mode wc``,
+``prune``, ``decompose --kind mwec`` and ``verify --check wc`` use that
+reading, and the benchmark's reference checks (``perfbench/checks.py``)
+mirror it.  The positivity tests drop no dimension: ``verify --check
+as``, ``systems.positively_winnable`` (the bas and bwc-inf component
+test) and ``games.positive_multicycle`` as bwc-fin calls it on each
+winning end component test every one.  So the modes can disagree on the
+boundary: a one-state MDP with a 0 self-loop answers wc with mu = 0 yes,
+but bas and bwc-fin no.
 """
 
 from __future__ import annotations

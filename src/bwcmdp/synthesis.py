@@ -623,7 +623,7 @@ class ComposedStrategy:
 
     def _draw_locks(self, state: str) -> dict[frozenset, Fraction]:
         """Joint distribution of lock coins for the successors of state."""
-        succs = sorted({self.mdp.edge_by_id[e.eid].target for e in self.mdp.out_edges[state]})
+        succs = sorted({e.target for e in self.mdp.out_edges[state]})
         dists: dict[frozenset, Fraction] = {frozenset(): Fraction(1)}
         for t in succs:
             q = self._lock_prob(t)
@@ -634,8 +634,7 @@ class ComposedStrategy:
                 if q < 1:
                     nxt[locks] = nxt.get(locks, Fraction(0)) + p * (1 - q)
                 locked = locks | {t}
-                if q > 0:
-                    nxt[locked] = nxt.get(locked, Fraction(0)) + p * q
+                nxt[locked] = nxt.get(locked, Fraction(0)) + p * q
             dists = nxt
         return dists
 

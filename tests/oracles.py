@@ -163,6 +163,29 @@ def lp_positive_component(mdp: Mdp, comp, internal, dims: Sequence[int]) -> bool
     return positive_multicycle(sub, comp, dims) > 0
 
 
+def free_multicycle(mdp: Mdp, comp, dims: Optional[Sequence[int]] = None) -> Optional[Fraction]:
+    """``positive_multicycle``'s optimum as the LP with a free variable y:
+    maximize y over unit circulations x >= 0 on the internal edges of
+    ``comp`` with sum x_e*w_e[i] >= y in every tracked dimension, solved
+    by ``fraction_simplex``, which splits y into two non-negative parts."""
+    dims = range(mdp.dimension) if dims is None else dims
+    edges = [e for e in mdp.edges if e.source in comp and e.target in comp]
+    if not edges:
+        return None
+    xs = [f"x{e.eid}" for e in edges]
+    rows = []
+    for s in sorted(comp):
+        coeffs = {}
+        for x, e in zip(xs, edges):
+            coeffs[x] = coeffs.get(x, 0) + (e.target == s) - (e.source == s)
+        rows.append((coeffs, "=", 0))
+    rows.append((dict.fromkeys(xs, 1), "=", 1))
+    rows += [({x: e.weight[i] for x, e in zip(xs, edges)} | {"y": -1}, ">=", 0) for i in dims]
+    status, _, value = fraction_simplex(xs + ["y"], set(xs), rows, {"y": 1})
+    assert status == "optimal"
+    return value
+
+
 def brute_wc_region(mdp: Mdp, dims: Sequence[int]):
     """Worst-case winning states and first spoilers by plain enumeration.
 

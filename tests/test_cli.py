@@ -257,6 +257,33 @@ def test_verify_worstcase_witness(capsys, run_path, tmp_path):
     assert data["dimension"] == 2 and data["witness_cycle"]
 
 
+@pytest.mark.parametrize("command, options, flag, value", [
+    ("verify", ("--check", "wc"), "--mu", "0"),
+    ("verify", ("--check", "exp"), "--nu", "0"),
+    ("verify", ("--check", "as"), "--mu", "0"),
+    ("verify", ("--check", "wc"), "--mu", "0,0,0"),
+    ("simulate", ("--runs", "5", "--horizon", "20"), "--mu", "0"),
+    ("simulate", ("--runs", "5", "--horizon", "20"), "--mu", "0,0,0"),
+    ("prune", ("--from", "s"), "--mu", "0"),
+    ("decompose", ("--kind", "mwec"), "--mu", "0"),
+])
+def test_threshold_of_the_wrong_length_exits_2(capsys, run_path, tmp_path, command, options,
+                                               flag, value):
+    from bwcmdp.machines import memoryless
+
+    run = fixture("RUN_EX")
+    strat = str(tmp_path / "m.json")
+    with open(strat, "w") as fh:
+        json.dump(jsonio.machine_to_json(run, memoryless(run, {"s": 1, "u": 4, "t": 2}), "s"), fh)
+    if command in ("verify", "simulate"):
+        options += ("--strategy", strat, "--from", "s")
+    code, out, err = run_cli(capsys, command, "--mdp", run_path, *options, flag, value)
+    assert (code, out) == (2, "")
+    assert "threshold vectors must have 2 components" in err
+    code, _, _ = run_cli(capsys, command, "--mdp", run_path, *options, flag, "0,0")
+    assert code in (0, 1)
+
+
 def test_strategy_keys_with_bar_in_state_ids(capsys, tmp_path):
     # Table keys are "state|mem": a state id holding "|" must load as itself.
     from bwcmdp.machines import memoryless

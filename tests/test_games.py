@@ -13,7 +13,8 @@ from bwcmdp.games import (AdversaryBudgetExceeded, AdversaryChoice, Unsatisfiabl
                           wc_positional_strategy_unidim, wc_winning_region)
 from bwcmdp.model import Mdp
 from conftest import random_game, random_mdp
-from oracles import brute_game_value, brute_wc_region, lp_positive_component, wc_value_unidim
+from oracles import (brute_game_value, brute_wc_region, free_multicycle, lp_positive_component,
+                     wc_value_unidim)
 
 
 def test_multicycle_single_loop(run_ex):
@@ -35,6 +36,26 @@ def test_multicycle_two_loops(approx_ex):
 def test_multicycle_no_edges(run_ex):
     sub = Mdp(2, (("s", "controller"),), (), {}, None)
     assert positive_multicycle(sub, {"s"}) is None
+
+
+def test_multicycle_matches_free_variable_lp():
+    # The LP in z = y + W >= 0 has the optimum of the LP with y free, on
+    # random SCCs in every dimension and each single one, on an all-zero
+    # component (W = 0), and where the optimum is negative.
+    rng = random.Random(1504)
+    values = []
+    for trial in range(80):
+        mdp = random_mdp(rng, max_weight=rng.choice([1, 3, 7]))
+        if trial % 10 == 0:
+            mdp = mdp.replace_weights({e.eid: (0,) * mdp.dimension for e in mdp.edges})
+        for comp in sccs(mdp):
+            for dims in [None] + [(i,) for i in range(mdp.dimension)]:
+                got = positive_multicycle(mdp, comp, dims)
+                assert got == free_multicycle(mdp, comp, dims), (trial, comp, dims)
+                values.append((got, mdp.max_abs_weight))
+    found = [v for v, _ in values if v is not None]
+    assert sum(v < 0 for v in found) >= 50 and sum(v > 0 for v in found) >= 50
+    assert sum(v == 0 and W == 0 for v, W in values) >= 10
 
 
 def _component(mdp, dims, comp, eids):

@@ -54,13 +54,8 @@ def test_undeclared_variable_rejected():
         s.add({"zz": 1}, "=", 0)
 
 
-def test_free_variable_objective():
-    status, asg, val = maximize(["t"], set(), [Row({0: -1}, ">=", 30)], {0: 1})
-    assert status == "optimal" and val == -30 and asg["t"] == -30
-
-
 def test_unbounded_objective():
-    status, asg, val = maximize(["x"], {"x"}, [Row({0: 1}, ">=", 0)], {0: 1})
+    status, asg, val = maximize(["x"], [Row({0: 1}, ">=", 0)], {0: 1})
     assert status == "unbounded" and asg is not None
 
 
@@ -102,55 +97,53 @@ def test_dump_text():
 
 
 def _random_rows(rng: random.Random):
-    """A random `_simplex` input: some free variables, =/>= rows, and an
-    objective that is sometimes empty."""
+    """A random `_simplex` input: non-negative variables, =/>= rows, and
+    an objective that is sometimes empty."""
     nvars = rng.randint(1, 5)
     variables = [f"v{i}" for i in range(nvars)]
-    nonneg = {v for v in variables if rng.random() < 0.7}
     rows = []
     for _ in range(rng.randint(1, 6)):
         coeffs = {v: F(rng.randint(-3, 3), rng.choice([1, 1, 2]))
                   for v in variables if rng.random() < 0.7}
         rows.append((coeffs, rng.choice(["=", ">=", ">="]), F(rng.randint(-4, 4), rng.choice([1, 2]))))
     objective = {v: F(rng.randint(-2, 2)) for v in variables if rng.random() < 0.5}
-    return variables, nonneg, rows, objective
+    return variables, rows, objective
 
 
 def _redundant_rows(rng: random.Random):
     """Equalities plus a combination of two of them: after phase 1 the
     combination's artificial stays basic on an all-zero row."""
-    variables, nonneg, rows, objective = _random_rows(rng)
+    variables, rows, objective = _random_rows(rng)
     eqs = [(c, F(rng.randint(0, 4))) for c, _, _ in rows[:2]]
     rows = [(c, "=", b) for c, b in eqs] + rows[2:]
     (c1, b1), (c2, b2) = eqs[0], eqs[-1]
     combo = {v: c1.get(v, 0) + 2 * c2.get(v, 0) for v in set(c1) | set(c2)}
     rows.append((combo, "=", b1 + 2 * b2))
-    return variables, nonneg, rows, objective
+    return variables, rows, objective
 
 
-def _same_as_dense(variables, nonneg, rows, objective, sparse=None):
+def _same_as_dense(variables, rows, objective, sparse=None):
     """Check the integer kernel against both references on named rows
     with rational values and an integer objective."""
     index = {v: j for j, v in enumerate(variables)}
     int_rows = [named_row(index, c, rel, b) for c, rel, b in rows]
     int_objective = {index[v]: int(a) for v, a in objective.items()}
-    return _same_as_references((variables, nonneg, int_rows, int_objective), rows, objective,
-                               sparse)
+    return _same_as_references((variables, int_rows, int_objective), rows, objective, sparse)
 
 
 def _same_as_references(kernel_args, rows, objective, sparse=None):
     """Run the integer kernel on ``kernel_args`` (its own signature) and
-    the dense and Fraction-row references on the same system as named
-    rows: the same result, every pivot checked (see
+    the dense and Fraction-row references (every variable non-negative)
+    on the same system as named rows: the same result, every pivot checked (see
     ``_same_as_fraction_rows``)."""
     import copy
 
     from bwcmdp import linsolve
     from oracles import dense_simplex
 
-    variables, nonneg = kernel_args[:2]
+    variables = kernel_args[0]
     got = _same_as_fraction_rows(sparse or linsolve._simplex, kernel_args, rows, objective)
-    want = dense_simplex(list(variables), set(nonneg), copy.deepcopy(rows), dict(objective))
+    want = dense_simplex(list(variables), set(variables), copy.deepcopy(rows), dict(objective))
     assert got == want
     if got[1] is not None:
         assert all(type(v) is F for v in got[1].values())
@@ -180,11 +173,11 @@ def _same_as_fraction_rows(simplex, kernel_args, rows, objective):
         fraction_pivot(tab, obj, basis, r, c)
         want_bases.append(list(basis))
 
-    variables, nonneg = kernel_args[:2]
+    variables = kernel_args[0]
     with mock.patch.object(linsolve, "pivot", checked), \
             mock.patch.object(oracles, "fraction_pivot", recorded):
         got = simplex(*copy.deepcopy(kernel_args))
-        want = oracles.fraction_simplex(list(variables), set(nonneg), copy.deepcopy(rows),
+        want = oracles.fraction_simplex(list(variables), set(variables), copy.deepcopy(rows),
                                         dict(objective))
     assert got == want and got_bases == want_bases
     return got
@@ -218,8 +211,8 @@ def test_sparse_simplex_matches_dense_tableau(monkeypatch):
     # Flow systems, solved through `solve` (strict rows, slack, capped re-solve).
     real = linsolve._simplex
 
-    def both(variables, nonneg, rows, objective, slack=None):
-        args = (variables, nonneg, rows, objective, slack)
+    def both(variables, rows, objective, slack=None):
+        args = (variables, rows, objective, slack)
         named = [_as_named(variables, row, slack) for row in rows]
         _same_as_references(args, named, {variables[j]: F(a) for j, a in objective.items()},
                             sparse=real)
