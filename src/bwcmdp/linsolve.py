@@ -22,7 +22,8 @@ weights and rational probabilities.  A tableau row is the same kind of
 sparse ``{column: int}`` dict over one positive ``int`` denominator, and a
 pivot eliminates fraction-free in the rows with an entry in its column
 (``pivot``); ``Fraction`` appears only where values leave the tableau.
-``verification.solve_linear`` runs Gauss-Jordan on the same ``pivot``.
+``verification.solve_linear`` runs Gauss-Jordan on the same ``pivot``,
+over sparse ``{column: rational}`` rows that ``int_row`` turns into these.
 """
 
 from __future__ import annotations

@@ -156,10 +156,11 @@ def _walk(mdp: Mdp, machine, start, node_limit: int):
                 raise MachineError(f"output at ({s}, {m!r}) uses non-outgoing edges {sorted(bad)}")
             out = edge_dist = _positive_part(out, f"output at ({s}, {m!r})")
         row: list[tuple[int, Fraction, tuple[int, ...], int]] = []
+        sure = len(up) == 1  # its one memory has probability 1 (_positive_part)
         for eid, pe in sorted(edge_dist.items()):
             edge = edge_by_id[eid]
             for m2, pm in up.items():
-                row.append((intern((edge.target, m2)), pe * pm, edge.weight, eid))
+                row.append((intern((edge.target, m2)), pe if sure else pe * pm, edge.weight, eid))
         transitions.append(row)
         updates.append(up)
         outputs.append(out)

@@ -487,14 +487,20 @@ def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
 
 def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
     """Memoryless tables (small components only), then cycling combiners,
-    each dwell up to 4 followed by its deterministic rotation."""
+    each dwell up to 4 followed by its deterministic rotation.  With
+    several local strategies a combiner's chain reaches all its
+    ``sum(counts)`` memories, which grow with the dwell: the rungs stop
+    at the first whose counters exceed CHAIN_LIMIT."""
     ctrl = [s for s in sub.state_ids if not sub.is_random(s)]
     options = [[e.eid for e in sub.out_edges[s]] for s in ctrl]
     if math.prod(len(o) for o in options) <= 256:
         for combo in itertools.product(*options):
             yield memoryless(sub, dict(zip(ctrl, combo)))
     for dwell in _doubling(DWELL_CAP):
-        yield CyclingMachine(sub, ec, locals_, dwell)
+        g = CyclingMachine(sub, ec, locals_, dwell)
+        if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:
+            return
+        yield g
         if dwell <= 4:
             yield CyclingMachine(sub, ec, locals_, dwell, deterministic=True)
 
@@ -535,7 +541,8 @@ class _Ladder:
     state, ``_least_bottom_mean``) when first reached, its worst case (from
     every state, each start under its own node limit) when some target
     first admits that expectation.  Rungs whose product outgrows the
-    limits never win.
+    limits never win; a cycling rung whose counters alone exceed
+    CHAIN_LIMIT is never built (``_plain_rungs``).
     """
 
     def __init__(self, mdp: Mdp, comp: EndComponent, locals_: list[LocalStrategy], dims):

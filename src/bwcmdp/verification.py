@@ -2,7 +2,8 @@
 
 Exact side: bottom-SCC analysis of induced chains with rational reach
 probabilities and stationary distributions (Gauss-Jordan on the
-simplex's sparse integer rows); minimum cycle means by Karp's algorithm in
+simplex's sparse integer rows, built straight from the chain's
+transitions; no dense matrix); minimum cycle means by Karp's algorithm in
 Python integers on support products (worst case); BSCC expectations
 (almost sure / expectation).  Every verdict is computed in exact
 arithmetic.
@@ -35,15 +36,16 @@ if TYPE_CHECKING:
 # Exact linear algebra: Gauss-Jordan on the simplex's sparse rows.
 
 
-def solve_linear(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve ``matrix @ X = rhs`` exactly; rhs holds the columns to solve for.
+def solve_linear(rows: list[dict[int, Fraction]], k: int) -> list[list[Fraction]]:
+    """Solve ``A @ X = B`` exactly for the k columns of B.
 
+    Row i is ``{column: rational}``: row i of A in columns 0..n-1 (n the
+    number of rows), of B in columns n..n+k-1, zero entries left out.
     Gauss-Jordan with ``linsolve.pivot`` on the simplex's sparse integer
-    rows (``linsolve.int_row``), the rhs columns after the matrix's.
+    rows (``linsolve.int_row``); returns X as n rows of k values.
     """
-    n = len(matrix)
-    k = len(rhs[0]) if rhs else 0
-    pairs = [int_row(dict(enumerate([*row, *r]))) for row, r in zip(matrix, rhs)]
+    n = len(rows)
+    pairs = [int_row(row) for row in rows]
     rows, dens = [t for t, _ in pairs], [den for _, den in pairs]
     basis = list(range(n))
     for col in range(n):
@@ -71,14 +73,11 @@ class Bscc:
 def _bottom_sccs(chain: InducedChain) -> list[list[int]]:
     """The chain's bottom SCCs, in ``index_sccs`` order."""
     comps = index_sccs([[t[0] for t in row] for row in chain.transitions])
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     is_bottom = [True] * len(comps)
     for i, row in enumerate(chain.transitions):
-        for j, p, _, _ in row:
-            if p > 0 and comp_of[j] != comp_of[i]:
+        for j, _, _, _ in row:
+            if comp_of[j] != comp_of[i]:
                 is_bottom[comp_of[i]] = False
     return [comp for ci, comp in enumerate(comps) if is_bottom[ci]]
 
@@ -88,27 +87,25 @@ def _stationary_mean(chain: InducedChain, comp: list[int]):
     pos = {v: i for i, v in enumerate(comp)}
     m = len(comp)
     # Stationary distribution: pi (P - I) = 0 with sum pi = 1, solved as
-    # columns of (P^T - I) with the last row replaced by ones.
-    mat = [[Fraction(0)] * m for _ in range(m)]
+    # the rows of (P^T - I), the last one replaced by ones with rhs 1.
+    rows: list[dict[int, Fraction]] = [{} for _ in range(m)]
     for v in comp:
+        c = pos[v]
+        rows[c][c] = -1
         for j, p, _, _ in chain.transitions[v]:
-            if p > 0:
-                mat[pos[j]][pos[v]] += p
-        mat[pos[v]][pos[v]] -= 1
-    for c in range(m):
-        mat[m - 1][c] = Fraction(1)
-    rhs = [[Fraction(0)] for _ in range(m)]
-    rhs[m - 1][0] = Fraction(1)
-    pi = solve_linear(mat, rhs)
+            row = rows[pos[j]]
+            row[c] = row.get(c, 0) + p
+    rows[m - 1] = dict.fromkeys(range(m + 1), 1)
+    pi = solve_linear(rows, 1)
     stationary = {v: pi[pos[v]][0] for v in comp}
     d = chain.mdp.dimension
     mean = [Fraction(0)] * d
     for v in comp:
         for j, p, w, _ in chain.transitions[v]:
-            if p > 0:
-                for i in range(d):
-                    if w[i]:
-                        mean[i] += stationary[v] * p * w[i]
+            q = stationary[v] * p
+            for i in range(d):
+                if w[i]:
+                    mean[i] += q * w[i]
     return stationary, tuple(mean)
 
 
@@ -121,10 +118,7 @@ def bottom_means(chain: InducedChain) -> list[tuple[Fraction, ...]]:
 def bscc_analysis(chain: InducedChain) -> list[Bscc]:
     """Bottom SCCs with exact reach probabilities and stationary distributions."""
     bsccs = _bottom_sccs(chain)
-    bscc_index = {}
-    for bi, comp in enumerate(bsccs):
-        for v in comp:
-            bscc_index[v] = bi
+    bscc_index = {v: bi for bi, comp in enumerate(bsccs) for v in comp}
 
     transient = [v for v in range(chain.node_count()) if v not in bscc_index]
     tpos = {v: i for i, v in enumerate(transient)}
@@ -134,22 +128,19 @@ def bscc_analysis(chain: InducedChain) -> list[Bscc]:
     # a single bottom component all mass reaches it; skip the solve.
     if nb == 1:
         absorb = [[Fraction(1)] for _ in transient]
-    elif transient:
-        m = len(transient)
-        mat = [[Fraction(0)] * m for _ in range(m)]
-        rhs = [[Fraction(0)] * nb for _ in range(m)]
-        for i, v in enumerate(transient):
-            mat[i][i] = Fraction(1)
-            for j, p, _, _ in chain.transitions[v]:
-                if p == 0:
-                    continue
-                if j in tpos:
-                    mat[i][tpos[j]] -= p
-                else:
-                    rhs[i][bscc_index[j]] += p
-        absorb = solve_linear(mat, rhs)
     else:
-        absorb = []
+        m = len(transient)
+        rows = []
+        for v in transient:
+            row = {tpos[v]: 1}
+            for j, p, _, _ in chain.transitions[v]:
+                if j in tpos:
+                    c, p = tpos[j], -p
+                else:
+                    c = m + bscc_index[j]
+                row[c] = row.get(c, 0) + p
+            rows.append(row)
+        absorb = solve_linear(rows, nb)
 
     reach = [Fraction(0)] * nb
     for v, p0 in chain.initial.items():
@@ -359,17 +350,14 @@ def verify_almost_sure(mdp: Mdp, machine, mu: Sequence[Fraction],
 
     Within a BSCC the mean payoff equals its expectation almost surely, so
     the condition is that every positively-reached BSCC has expected mean
-    payoff strictly above mu in all dimensions.  Reachability from the
-    initial distribution implies positive probability here because every
-    transition of the chain has positive probability.
+    payoff strictly above mu in all dimensions.  Every node of the chain is
+    reached with positive probability, as every transition has one, so
+    every BSCC counts and no reach probability is solved for
+    (``bottom_means``).
     """
     mu = [Fraction(x) for x in mu]
     chain = induced_chain(mdp, machine, start, node_limit)
-    for b in bscc_analysis(chain):
-        for i in range(mdp.dimension):
-            if b.mean[i] <= mu[i]:
-                return False
-    return True
+    return all(m > u for mean in bottom_means(chain) for m, u in zip(mean, mu))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ memoryless strategy pairs, cycle means by simple-cycle enumeration, and
 linear feasibility by vertex enumeration.  It also holds the helpers that
 only tests use: game values by value iteration, the dense simplex and the
 sparse Fraction-row simplex and Gauss-Jordan that the integer-row kernel
+must reproduce, the dense-matrix bottom-SCC analysis that the sparse one
 must reproduce, the named Fraction-row system builders that the integer
 row builders must reproduce, and scalar simulators, one run and one step at a time,
 that the block-stepped simulation kernel must reproduce.
@@ -21,13 +22,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from bwcmdp.decomposition import EndComponent, restrict
+from bwcmdp.decomposition import EndComponent, index_sccs, restrict
 from bwcmdp.linsolve import EQ, GE, GT, LinearSystem
 from bwcmdp.machines import InducedChain, induced_chain
 from bwcmdp.model import Mdp, require_valid
 from bwcmdp.rng import _M1, _MASK, run_key, splitmix64
 from bwcmdp.synthesis import MonitoredMachine, _guaranteed_floor
-from bwcmdp.verification import WeightedGraph, _cycle_sccs, _min_mean_cycle
+from bwcmdp.verification import Bscc, WeightedGraph, _cycle_sccs, _min_mean_cycle
 
 
 def brute_reachable(mdp: Mdp, start: str) -> set[str]:
@@ -974,6 +975,56 @@ def fraction_solve_linear(matrix: list[list[Fraction]], rhs: list[list[Fraction]
         rows[col], rows[piv] = rows[piv], rows[col]
         fraction_pivot(rows, None, basis, col, col)
     return [[Fraction(row.get(j, 0)) for j in range(n, n + k)] for row in rows]
+
+
+def dense_bscc_analysis(chain: InducedChain) -> list[Bscc]:
+    """Bottom SCCs with reach probabilities, stationary distributions and
+    means, on dense Fraction matrices solved by ``fraction_solve_linear``:
+    absorption (I - Q) X = R over the transient nodes, solved for every
+    number of bottom SCCs, and per bottom SCC the columns of P^T - I with
+    the last row replaced by ones."""
+    comps = index_sccs([[t[0] for t in row] for row in chain.transitions])
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    bsccs = [comp for ci, comp in enumerate(comps)
+             if all(comp_of[j] == ci for v in comp for j, _, _, _ in chain.transitions[v])]
+    bscc_index = {v: bi for bi, comp in enumerate(bsccs) for v in comp}
+    transient = [v for v in range(chain.node_count()) if v not in bscc_index]
+    tpos = {v: i for i, v in enumerate(transient)}
+    nb, m = len(bsccs), len(transient)
+    mat = [[Fraction(int(i == k)) for k in range(m)] for i in range(m)]
+    rhs = [[Fraction(0)] * nb for _ in range(m)]
+    for i, v in enumerate(transient):
+        for j, p, _, _ in chain.transitions[v]:
+            if j in tpos:
+                mat[i][tpos[j]] -= p
+            else:
+                rhs[i][bscc_index[j]] += p
+    absorb = fraction_solve_linear(mat, rhs) if m else []
+    reach = [Fraction(0)] * nb
+    for v, p0 in chain.initial.items():
+        if v in bscc_index:
+            reach[bscc_index[v]] += p0
+        else:
+            for bi in range(nb):
+                reach[bi] += p0 * absorb[tpos[v]][bi]
+    out = []
+    for bi, comp in enumerate(bsccs):
+        pos = {v: i for i, v in enumerate(comp)}
+        k = len(comp)
+        mat = [[Fraction(0)] * k for _ in range(k)]
+        for v in comp:
+            for j, p, _, _ in chain.transitions[v]:
+                mat[pos[j]][pos[v]] += p
+            mat[pos[v]][pos[v]] -= 1
+        mat[k - 1] = [Fraction(1)] * k
+        rhs = [[Fraction(int(i == k - 1))] for i in range(k)]
+        pi = fraction_solve_linear(mat, rhs)
+        stationary = {v: pi[pos[v]][0] for v in comp}
+        mean = tuple(sum((stationary[v] * p * w[i] for v in comp
+                          for _, p, w, _ in chain.transitions[v]), Fraction(0))
+                     for i in range(chain.mdp.dimension))
+        out.append(Bscc(tuple(comp), reach[bi], stationary, mean))
+    return out
 
 
 # ---------------------------------------------------------------------------

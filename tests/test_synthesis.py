@@ -6,10 +6,11 @@ import pytest
 
 from bwcmdp import linsolve
 from bwcmdp.decomposition import mecs, restrict
-from bwcmdp.machines import induced_chain, memoryless
+from bwcmdp.machines import MachineError, induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
 from bwcmdp.systems import decide, ec_expectation_system
-from bwcmdp.synthesis import (AdaptedMachine, CyclingMachine, MonitoredMachine,
+from bwcmdp.synthesis import (CHAIN_LIMIT, DWELL_CAP, AdaptedMachine, CyclingMachine,
+                              MonitoredMachine, _doubling, _plain_rungs, _witness_parts,
                               bas_strategy, bwc_finite_strategy, bwc_infinite_strategy,
                               local_strategies, memoryless_wc_search, phase1_strategy)
 from bwcmdp.verification import (bscc_analysis, expected_mp, simulate,
@@ -356,6 +357,79 @@ def test_bwc_finite_ladder_checks_every_state(case, tmp_path, capsys):
     assert main(["verify", *common, "--strategy", strat, "--check", "wc", f"--mu={mu}"]) == 0
     assert main(["verify", *common, "--strategy", strat, "--check", "exp", f"--nu={nu}"]) == 0
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def ladder_components(run_ex):
+    """(mdp, component, local strategies) of the bwc-fin ladders of
+    TASK_EX, of RUN_EX and of seeded random yes-instances."""
+    import random
+
+    from conftest import random_mdp, random_query
+
+    def components(mdp, q, decision=None):
+        w, _, _, entries = _witness_parts(mdp, q, decision)
+        return [(w.mdp, comp, locals_) for comp, locals_, _ in entries]
+
+    task = negate_weights(fixture("TASK_EX"), halve=True)
+    out = {"task": components(task, _query("bwc-fin", [F(-49, 8), F(-64)],
+                                            [F(-49, 8), F(-29, 8)], start="0")),
+           "run": components(run_ex, _query("bwc-fin", [0, 0], [0, 9])),
+           "random": []}
+    rng = random.Random(5)
+    for _ in range(350):
+        mdp = random_mdp(rng, max_states=8)
+        q = random_query(rng, mdp, "bwc-fin")
+        decision = decide(mdp, q)
+        if decision.answer:
+            out["random"] += components(mdp, q, decision)
+    return out
+
+
+def _outgrown_rungs(mdp, comp, locals_, dwells) -> int:
+    """Build both variants of the component's cycling combiners at
+    ``dwells``; check that each one with several local strategies whose
+    counters exceed CHAIN_LIMIT, the rungs ``_plain_rungs`` does not build,
+    has a chain from every state beyond that limit.  Returns their number."""
+    sub = restrict(mdp, comp.states)
+    count = 0
+    for dwell in dwells:
+        for deterministic in (False, True):
+            g = CyclingMachine(sub, comp, locals_, dwell, deterministic=deterministic)
+            if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:
+                with pytest.raises(MachineError):
+                    induced_chain(sub, g, sub.state_ids, node_limit=CHAIN_LIMIT)
+                count += 1
+    return count
+
+
+def test_cut_cycling_rungs_outgrow_the_chain_limit(ladder_components):
+    dwells = list(_doubling(DWELL_CAP))
+    cut = {name: sum(_outgrown_rungs(*c, dwells) for c in ladder_components[name])
+           for name in ("task", "run")}
+    # TASK_EX's two local strategies count [313, 351] steps at dwell 1, so
+    # every dwell goes, in both variants; RUN_EX's one component has a
+    # single local strategy and no step counters.
+    assert cut == {"task": 2 * len(dwells), "run": 0}
+    # Random components, also at dwells past DWELL_CAP so that their
+    # counters exceed the limit.
+    assert sum(_outgrown_rungs(*c, [*dwells, 256, 1024])
+               for c in ladder_components["random"]) >= 20
+
+
+def test_plain_rungs_stop_at_the_first_outgrown_combiner(ladder_components):
+    dwells = list(_doubling(DWELL_CAP))
+    cuts = []
+    for mdp, comp, locals_ in [c for cs in ladder_components.values() for c in cs]:
+        sub = restrict(mdp, comp.states)
+        kept = [(g.dwell, g.deterministic) for g in _plain_rungs(sub, comp, locals_)
+                if isinstance(g, CyclingMachine)]
+        fits = [d for d in dwells if len(locals_) == 1
+                or sum(CyclingMachine(sub, comp, locals_, d).counts) <= CHAIN_LIMIT]
+        assert kept == [(d, det) for d in fits for det in (False, True) if not det or d <= 4]
+        cuts.append(len(fits))
+    # Cut before the first rung (TASK_EX), inside the ladder, and never.
+    assert {0, len(dwells)} < set(cuts)
 
 
 def _synthesize_digests(tmp_path, capsys):

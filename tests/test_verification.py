@@ -70,6 +70,42 @@ def test_bscc_cycle_uniform(approx_ex):
     assert set(b.stationary.values()) == {F(1, 4)}
 
 
+def _random_table_machine(rng: random.Random, mdp: Mdp) -> TableMachine:
+    """Up to three memories; half of the updates keep the memory, so chains
+    split into several bottom SCCs with transient nodes before them."""
+    mems = list(range(rng.randint(1, 3)))
+
+    def dist(keys):
+        keys = rng.sample(keys, rng.randint(1, len(keys)))
+        weights = [rng.randint(1, 3) for _ in keys]
+        return {k: F(x, sum(weights)) for k, x in zip(keys, weights)}
+
+    update, output = {}, {}
+    for s in mdp.state_ids:
+        for m in mems:
+            update[(s, m)] = {m: F(1)} if rng.random() < 0.5 else dist(mems)
+            if not mdp.is_random(s):
+                output[(s, m)] = dist([e.eid for e in mdp.out_edges[s]])
+    return TableMachine(mems, dist(mems), update, output)
+
+
+def test_sparse_bscc_analysis_matches_dense_reference():
+    from oracles import dense_bscc_analysis
+
+    rng = random.Random(23)
+    several = transient = 0
+    for _ in range(240):
+        mdp = random_mdp(rng)
+        starts = rng.sample(mdp.state_ids, rng.randint(1, 2))
+        chain = induced_chain(mdp, _random_table_machine(rng, mdp), starts)
+        ref = dense_bscc_analysis(chain)
+        assert bscc_analysis(chain) == ref
+        assert bottom_means(chain) == [b.mean for b in ref]
+        several += len(ref) > 1
+        transient += sum(len(b.nodes) for b in ref) < chain.node_count()
+    assert several >= 40 and transient >= 100
+
+
 def test_expected_mp_examples(run_ex):
     assert expected_mp(induced_chain(run_ex, t_loop_machine(run_ex), "s")) == (F(5), F(15))
     assert expected_mp(induced_chain(run_ex, uv_machine(run_ex), "s")) == (F(15), F(5))
@@ -315,6 +351,9 @@ def test_solve_linear_solves_random_systems():
     from bwcmdp.verification import solve_linear
     from oracles import fraction_solve_linear
 
+    def sparse(a, b):  # the dense system as solve_linear's rows: A's columns, then b's
+        return [{j: v for j, v in enumerate([*row, *r]) if v} for row, r in zip(a, b)]
+
     rng = random.Random(31)
     solved = 0
     while solved < 60:
@@ -326,7 +365,7 @@ def test_solve_linear_solves_random_systems():
         a = [[entry() for _ in range(n)] for _ in range(n)]
         b = [[entry() for _ in range(k)] for _ in range(n)]
         try:
-            x = solve_linear(a, b)
+            x = solve_linear(sparse(a, b), k)
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
                 fraction_solve_linear(a, b)
@@ -338,4 +377,4 @@ def test_solve_linear_solves_random_systems():
             for j in range(k):
                 assert sum(a[i][m] * x[m][j] for m in range(n)) == b[i][j]
     with pytest.raises(ArithmeticError):
-        solve_linear([[1, 2], [2, 4]], [[1], [2]])
+        solve_linear(sparse([[1, 2], [2, 4]], [[1], [2]]), 1)
