@@ -58,6 +58,7 @@ DEFAULT_SEARCH_CAP = 1 << 16
 ENUM_BUDGET = 1 << 20  # memoryless_wc_search candidates
 DWELL_CAP = 64  # largest dwell of the bwc-fin ladder, bwc-inf and (by default) bas
 CHAIN_LIMIT = 600  # product nodes a bwc-fin rung's expectation may take
+REPLAY_RUNS = 64  # runs the bwc-inf monitor replays at once (bounds its temporaries)
 
 
 class SynthesisError(RuntimeError):
@@ -487,16 +488,18 @@ def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
 
 def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
     """Memoryless tables (small components only), then cycling combiners,
-    each dwell up to 4 followed by its deterministic rotation.  With
-    several local strategies a combiner's chain reaches all its
-    ``sum(counts)`` memories, which grow with the dwell: the rungs stop
-    at the first whose counters exceed CHAIN_LIMIT."""
+    each dwell up to 4 followed by its deterministic rotation.  With one
+    local strategy a combiner keeps no step counters, so every dwell
+    plays as dwell 1: only dwell 1 and its rotation are built.  With
+    several, a combiner's chain reaches all its ``sum(counts)`` memories,
+    which grow with the dwell: the rungs stop at the first whose counters
+    exceed CHAIN_LIMIT."""
     ctrl = [s for s in sub.state_ids if not sub.is_random(s)]
     options = [[e.eid for e in sub.out_edges[s]] for s in ctrl]
     if math.prod(len(o) for o in options) <= 256:
         for combo in itertools.product(*options):
             yield memoryless(sub, dict(zip(ctrl, combo)))
-    for dwell in _doubling(DWELL_CAP):
+    for dwell in _doubling(1 if len(locals_) == 1 else DWELL_CAP):
         g = CyclingMachine(sub, ec, locals_, dwell)
         if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:
             return
@@ -508,7 +511,10 @@ def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
 def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], dims):
     """The paper's combined strategy: a cycling combiner alternating with
     a worst-case machine under a payoff monitor, over a small grid of
-    periods, recovery lengths and dwells."""
+    periods, recovery lengths and dwells.  Dwell 2 is left out where it
+    plays as dwell 1: with one local strategy (no step counters), or when
+    the monitor resets the combiner at every period end before stage 0's
+    counter at dwell 1 can run out."""
     try:
         fwc = memoryless_wc_search(sub, dims)
     except FallbackUnavailable:
@@ -517,9 +523,11 @@ def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], d
     floor_min = min((floor[i] for i in dims), default=Fraction(1))
     if floor_min <= 0:
         return
+    first_stage = CyclingMachine(sub, ec, locals_, 1).counts[0]
     for period in (1, 2, 4):
+        dwells = (1,) if len(locals_) == 1 or period <= first_stage else (1, 2)
         for rec in (4, 16, 64):
-            for dwell in (1, 2):
+            for dwell in dwells:
                 g = CyclingMachine(sub, ec, locals_, dwell)
                 yield MonitoredMachine(sub, g, fwc, period, rec, floor, floor_min / 2, dims)
 
@@ -870,13 +878,15 @@ class BranchedInfiniteStrategy:
         ``mdp``'s weights.  Runs walk one union chain with
         ``step_blocks``: the composed chain's nodes, then the fallback
         chain's; a monitor trip jumps to the fallback node of the same
-        state.  Draw layout matches the chain simulator.  Monitor
-        comparisons run in int64; magnitudes are bounded and checked on
-        entry.
+        state.  The monitor runs once per block, on the transitions
+        taken: runs that cannot trip in the block add its weight sum,
+        the others replay its steps under the per-step rule.  Draw
+        layout matches the chain simulator.  Monitor comparisons run in
+        int64; magnitudes are bounded and checked on entry.
         """
         import numpy as np
 
-        from bwcmdp.verification import _chain_arrays, _initial_nodes, step_blocks
+        from bwcmdp.verification import BLOCK, _chain_arrays, _initial_nodes, step_blocks
 
         origin = self.start
         if origin not in mdp.owner:  # a pre-state stands for its one target
@@ -916,64 +926,103 @@ class BranchedInfiniteStrategy:
         if bound >= 2**62:
             raise OverflowError("monitor arithmetic exceeds int64 range")
 
-        # Per run, in phase i of its monitor: x = 2*den*(payoff since the
-        # lock), which must stay above floor = num*i*K (MIN in phase 0),
-        # and end = the step count t+1 that closes the phase.  Before the
-        # lock and after a trip, den2 = 0 (so x is 0 at the lock), floor =
-        # MIN and end = NEVER: neither test can fail.
+        # Per run and dimension (dimension-major), in phase i of its
+        # monitor: x = 2*den*(payoff since the lock), which must stay above
+        # floor = num*i*K (MIN in phase 0), and end = the step count t+1
+        # that closes the phase.  Before the lock and after a trip, den2 =
+        # 0 (so x is 0 at the lock), floor = MIN and end = NEVER: neither
+        # test can fail.  No step of a block lowers x by more than
+        # den2 * drop, so a run with x > guard = floor - den2*drop, no
+        # phase end and no lock in a block cannot trip in it.
         MIN, NEVER = np.iinfo(np.int64).min, horizon + 1
-        x = np.zeros((runs, d), dtype=np.int64)
-        den2 = np.zeros((runs, d), dtype=np.int64)
-        rate = np.zeros((runs, d), dtype=np.int64)
-        floor = np.full((runs, d), MIN, dtype=np.int64)
+        x = np.zeros((d, runs), dtype=np.int64)
+        den2 = np.zeros((d, runs), dtype=np.int64)
+        rate = np.zeros((d, runs), dtype=np.int64)
+        floor = np.full((d, runs), MIN, dtype=np.int64)
+        guard = floor.copy()
         t_lock = np.zeros(runs, dtype=np.int64)
         end = np.full(runs, NEVER, dtype=np.int64)
-        lock = np.full(runs, -1, dtype=np.int64)  # -1, then past every branch id
-        unlocked, soonest = runs, NEVER
+        waiting = np.ones(runs, dtype=bool)  # not locked yet
+        drop = np.minimum(weight.min(axis=0), 0)[:, None] * min(BLOCK, horizon)
+        # The branch each transition enters, -1 off the components.
+        enters = branch.take(target).astype(np.min_scalar_type(-len(self.monitors)))
+        prepared = np.ascontiguousarray(weight.T)  # one row per dimension
+        # Chunks of at most K steps hold at most one phase end of a run,
+        # and none after a lock.
+        chunk = min(K, BLOCK)
+        step_index = np.arange(BLOCK)[:, None]
 
-        def lock_new(node, t):
-            # Runs arriving at a component start its monitor there.
-            nonlocal unlocked, soonest
-            new = branch.take(node) > lock
-            if new.any():
-                b = branch[node[new]]
-                lock[new] = len(self.monitors)
-                unlocked -= int(np.count_nonzero(new))
-                den2[new] = 2 * mon_den[b]
-                rate[new] = mon_num[b]
-                t_lock[new] = t
-                end[new] = t + K
-                soonest = min(soonest, t + K)
+        def lock(r, b, t):
+            # Runs r arrive at branches b after t steps.
+            den2[:, r] = 2 * mon_den[b].T
+            rate[:, r] = mon_num[b].T
+            t_lock[r] = t
+            end[r] = t + K
+            waiting[r] = False
+            guard[:, r] = MIN - den2[:, r] * drop
 
-        def monitor(t, e, node):
-            nonlocal soonest
-            x[:] += weight.take(e, axis=0) * den2
-            # floor_i = rate*i*K/2, strict: tp*2*den > num*i*K
-            low = x <= floor
-            trip = low.any(axis=1) if low.any() else None
-            if t + 1 == soonest:
-                # end of phase i: tp > rate*(i+1)*K = rate*steps
-                ends = end == soonest
-                steps = (soonest - t_lock)[:, None]
-                missed = ends & (x <= 2 * rate * steps).any(axis=1)
-                trip = missed if trip is None else trip | missed
-                floor[ends] = (rate * steps)[ends]
-                end[ends] += K
-            if trip is not None:
-                node = np.where(trip, jump.take(node), node)
-                den2[trip] = 0
-                floor[trip] = MIN
-                end[trip] = NEVER
-            if t + 1 == soonest:
-                soonest = int(end.min())
-            if unlocked:
-                lock_new(node, t + 1)
-            return node
+        def replay(t0, taken, r):
+            # The exact per-step rule for runs r over the block, chunk by
+            # chunk, each chunk vectorized over its steps; returns the trips.
+            trips = []
+            for c0 in range(0, len(taken), chunk):
+                e = taken[c0:c0 + chunk, r]
+                k = step_index[:len(e)]
+                w = prepared.take(e, axis=1)
+                wait = waiting.take(r)
+                if wait.any():
+                    hit = enters.take(e) >= 0
+                    j = np.where(wait & hit.any(axis=0), hit.argmax(axis=0), -1)
+                    new = np.flatnonzero(j >= 0)
+                    lock(r[new], enters.take(e[j[new], new]), t0 + c0 + j[new] + 1)
+                    w *= k > j  # a run counts only the steps after its lock
+                acc = np.cumsum(w, axis=1)
+                acc *= den2[:, r][:, None, :]
+                acc += x[:, r][:, None, :]
+                fl, en = floor[:, r], end.take(r)
+                p = en - (t0 + c0 + 1)  # the chunk's step that ends a phase
+                ending = p < len(e)
+                closed = np.where(ending, rate[:, r] * (en - t_lock.take(r)), fl)
+                low = (acc <= np.where(k > p, closed[:, None, :], fl[:, None, :])).any(axis=0)
+                if ending.any():
+                    low |= (k == p) & (acc <= 2 * closed[:, None, :]).any(axis=0)
+                x[:, r], floor[:, r] = acc[:, -1], closed
+                end[r] = np.where(ending, en + K, en)
+                trip = np.flatnonzero(low.any(axis=0))
+                if len(trip):
+                    i = low.argmax(axis=0)[trip]
+                    gone = r[trip]
+                    den2[:, gone] = 0
+                    floor[:, gone] = MIN
+                    end[gone] = NEVER
+                    trips.append((gone, c0 + i, jump.take(target.take(e[i, trip]))))
+            guard[:, r] = floor[:, r] - den2[:, r] * drop
+            return trips
+
+        def on_block(t0, taken, sums):
+            cand = (x <= guard).any(axis=0)
+            cand |= end <= t0 + len(taken)
+            if waiting.any():
+                cand |= waiting & (enters.take(taken) >= 0).any(axis=0)
+            x[:] += den2 * sums[:, :d].T * ~cand  # candidates replay the block instead
+            if not cand.any():
+                return None
+            r = np.flatnonzero(cand)
+            trips = []
+            for s in range(0, len(r), REPLAY_RUNS):  # bounds the temporaries
+                trips += replay(t0, taken, r[s:s + REPLAY_RUNS])
+            if not trips:
+                return None
+            return tuple(np.concatenate(parts) for parts in zip(*trips))
 
         keys = rng.run_keys_array(seed, runs)
         node = _initial_nodes(chain, keys)
-        lock_new(node, 0)
-        return step_blocks((cols, base, target), reported, node, keys, horizon, monitor)
+        first = branch.take(node)
+        r = np.flatnonzero(first >= 0)
+        lock(r, first[r], 0)
+        tp = step_blocks((cols, base, target), np.concatenate([weight, reported], axis=1),
+                         node, keys, horizon, on_block)
+        return np.ascontiguousarray(tp[:, d:])
 
 
 def _reported_weights(mdp: Mdp, *chains) -> np.ndarray:

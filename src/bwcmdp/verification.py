@@ -364,7 +364,8 @@ def verify_almost_sure(mdp: Mdp, machine, mu: Sequence[Fraction],
 # Seeded Monte Carlo simulation.
 
 # Steps per block of draws and of buffered transitions; runs are also
-# checked for the closed-form finish once a block.  On the benchmark's
+# checked for the closed-form finish, or by the bwc-inf monitor, once a
+# block.  On the benchmark's
 # chains and monitor (1,000 runs; 2 vCPUs, Python 3.11), blocks of 16 and
 # 32 steps simulate equally fast and 8 or 64 up to 15% slower; the block
 # buffers, a few BLOCK * runs arrays of 8-byte numbers, grow with it.
@@ -495,7 +496,7 @@ def _cycle_tables(base: np.ndarray, target: np.ndarray, weight: np.ndarray):
 
 
 def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
-                horizon: int, on_step=None) -> np.ndarray:
+                horizon: int, on_block=None) -> np.ndarray:
     """The simulation loop: every run walks ``horizon`` steps from ``node``.
 
     ``tables`` are ``_chain_arrays``' first three.  Step t of run r uses
@@ -506,14 +507,21 @@ def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
     starts from the transition taken before (a run's position): the
     position tables, built once, hold the base and thresholds of the
     transition's target node.  The transitions taken are buffered, and at
-    the end of each block the flat table ``weight`` is summed over them.
-    Returns those per-run sums, exact in int64.
+    the end of each block the flat table ``weight`` is summed over them
+    with one gather of its rows.  Returns those per-run sums, exact in
+    int64.
 
-    ``on_step(t, e, node)``, if given, sees the transitions ``e`` taken at
-    step t and the nodes reached, and returns the nodes to go on from: the
-    array it was given, unchanged, or a new one.  Without it, once every
-    run is on a cycle of single-transition nodes at the end of a block,
-    the rest of the walk is summed in closed form.
+    ``on_block(t0, taken, sums)``, if given, is called after each block's
+    walk: ``taken[i]`` holds every run's transition at step t0 + i and
+    ``sums[r]`` run r's weight sums over the block (exact, in a narrow
+    integer type).  It
+    may return ``(runs, steps, nodes)`` to redirect run ``runs[j]`` to
+    node ``nodes[j]`` after step ``t0 + steps[j]`` (at most once per run
+    and block): the run walks the rest of the block again from there,
+    with its own draws, and its sums and ``taken`` column are rewritten
+    before they count.  Without it, once every run is on a cycle of
+    single-transition nodes at the end of a block, the rest of the walk
+    is summed in closed form.
     """
     import numpy as np
 
@@ -524,8 +532,23 @@ def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
     at = np.concatenate([target, np.arange(len(base), dtype=np.int64)])
     pos_base = base.take(at)
     pos_thresholds = np.ceil(cols * float(1 << 53)).astype(np.uint64).take(at, axis=1)
-    cycles = None if on_step is not None else _cycle_tables(base, target, weight)
-    weight_cols = np.ascontiguousarray(weight.T)
+
+    def walk(pos, bits, out):
+        # out[i] = the transitions of the step driven by bits[i].
+        for z, e in zip(bits, out):
+            # Indices are in range by construction; "clip" skips the check
+            # and the output buffer that "raise" needs.
+            pos_base.take(pos, out=e, mode="clip")
+            for row in pos_thresholds:
+                e += z >= row.take(pos, mode="clip")
+            pos = e
+
+    cycles = None if on_block is not None else _cycle_tables(base, target, weight)
+    # A block's sums gather whole rows of ``weight`` and add them in the
+    # least integer type that holds any sum of a block's weights: 1 or 2
+    # bytes an entry for small weights, not 8.
+    narrow = np.min_scalar_type(-min(BLOCK, horizon) * int(np.abs(weight).max()) - 1)
+    weight_rows = weight.astype(narrow)
     total = np.zeros((len(node), weight.shape[1]), dtype=np.int64)
     taken = np.empty((BLOCK, len(node)), dtype=np.int64)
     pos = node + n_edges
@@ -539,21 +562,25 @@ def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
                 return total
         b = min(BLOCK, horizon - t0)
         bits = rng.bits_block(keys, t0 + 1, b)
-        for i in range(b):
-            z, e = bits[i], taken[i]
-            # Indices are in range by construction; "clip" skips the check
-            # and the output buffer that "raise" needs.
-            pos_base.take(pos, out=e, mode="clip")
-            for row in pos_thresholds:
-                e += z >= row.take(pos, mode="clip")
-            pos = e
-            if on_step is not None:
-                reached = target.take(e)
-                node = on_step(t0 + i, e, reached)
-                if node is not reached:
-                    pos = node + n_edges
-        for k, w in enumerate(weight_cols):  # one BLOCK * runs temporary at a time
-            total[:, k] += w.take(taken[:b]).sum(axis=0)
+        block = taken[:b]
+        walk(pos, bits, block)
+        sums = weight_rows.take(block, axis=0).sum(axis=0, dtype=narrow)
+        pos = block[-1]
+        jumps = None if on_block is None else on_block(t0, block, sums)
+        if jumps is not None:
+            runs, steps, nodes = jumps
+            for i in sorted(set(steps.tolist())):  # np.unique would import numpy.ma
+                sel = steps == i
+                r = runs[sel]
+                if i == b - 1:
+                    pos = pos.copy()  # pos is the buffer's last row
+                    pos[r] = nodes[sel] + n_edges
+                    continue
+                out = np.empty((b - i - 1, len(r)), dtype=np.int64)
+                walk(nodes[sel] + n_edges, bits[i + 1:, r], out)
+                block[i + 1:, r] = out
+            sums[runs] = weight_rows.take(block[:, runs], axis=0).sum(axis=0, dtype=narrow)
+        total += sums
     return total
 
 

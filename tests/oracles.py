@@ -1126,9 +1126,10 @@ class TotalPayoffMonitor:
 def scalar_monitor_totals(strategy, mdp: Mdp, horizon: int, runs: int, seed: int):
     """Replay a ``BranchedInfiniteStrategy`` run by run with ``observe``.
 
-    Returns the total payoffs on ``mdp``'s weights, the number of runs
-    that tripped, and the number of steps after which a run stayed in
-    expectation mode at or below the floor of the phase it was in.
+    Returns the total payoffs on ``mdp``'s weights, the step of every
+    monitor trip (one per tripped run), and the number of steps after
+    which a run stayed in expectation mode at or below the floor of the
+    phase it was in.
     """
     chain = induced_chain(strategy.mdp, strategy.composed, strategy.start, node_limit=100_000)
     fchain = induced_chain(strategy.mdp, strategy.fwc, strategy.mdp.state_ids)
@@ -1142,7 +1143,7 @@ def scalar_monitor_totals(strategy, mdp: Mdp, horizon: int, runs: int, seed: int
             return strategy.branch_map.get(mem)
         return mem[1] if isinstance(mem, tuple) and mem and mem[0] == "in" else None
 
-    totals, trips, breaches = [], 0, 0
+    totals, trips, breaches = [], [], 0
     for r in range(runs):
         key = run_key(seed, r)
         cur, node = chain, _first_node(chain, key)
@@ -1164,7 +1165,7 @@ def scalar_monitor_totals(strategy, mdp: Mdp, horizon: int, runs: int, seed: int
                 phase = st.phase
                 st = monitor.observe(st, w)
                 if st.mode == "worst-case":
-                    trips += 1
+                    trips.append(t)
                     cur, node = fchain, fchain.index[(chain.nodes[node][0], f0)]
                 elif phase >= 1 and not monitor._above(st.total, monitor.floor(phase)):
                     breaches += 1

@@ -174,14 +174,25 @@ codes.append(cli("verify", "--mdp", run, "--strategy", fin, "--from", "s", "--ch
 before = "numpy" in sys.modules
 code, report = cli("simulate", "--mdp", bas, "--strategy", sb, "--from", "s", "--runs", "200",
                    "--horizon", "300", "--seed", "11", "--mu=0,0")
+# A bwc-inf simulate whose monitors trip every run (floor rates tripled).
+from fractions import Fraction
+from bwcmdp.model import ThresholdQuery
+monitored = bwcmdp.synthesis.bwc_infinite_strategy(
+    fixture("RUN_EX"), ThresholdQuery.build("bwc-inf", "s", [0, 0], [Fraction(99, 10)] * 2),
+    period=5)
+monitored.monitors = [tuple(3 * r for r in rates) for rates in monitored.monitors]
+monitored.simulate_runs(fixture("RUN_EX"), "s", 53, 33, 0)
 print(json.dumps({"codes": codes + [code], "numpy_before": before,
-                  "numpy_after": "numpy" in sys.modules, "report": json.loads(report)}))
+                  "numpy_after": "numpy" in sys.modules, "numpy_ma": "numpy.ma" in sys.modules,
+                  "report": json.loads(report)}))
 """
 
 
 def test_decide_path_never_imports_numpy(tmp_path):
     # Importing NumPy costs about 14 MB of RSS and 0.1 s: decide, synthesize
-    # and verify never load it, simulate does.
+    # and verify never load it, simulate does.  Simulation never loads
+    # numpy.ma (about 1 MB more; np.unique imports it), not even for the
+    # rare monitor trip.
     src = os.path.dirname(os.path.dirname(bwcmdp.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -190,7 +201,7 @@ def test_decide_path_never_imports_numpy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     got = json.loads(done.stdout)
     assert got["codes"] == [0] * 9
-    assert not got["numpy_before"] and got["numpy_after"]
+    assert not got["numpy_before"] and got["numpy_after"] and not got["numpy_ma"]
     assert got["report"] == {
         "exceed_fraction": 0.985, "horizon": 300, "max": [14.9, 14.95],
         "mean": [10.140000000000022, 9.901000000000016],

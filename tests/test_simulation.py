@@ -1,7 +1,10 @@
 """The block-stepped simulation kernel against scalar one-run replays."""
 
 import importlib.util
+import json
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -82,6 +85,15 @@ def _chains():
                     choices[s] = {e.eid: F(p, sum(parts))
                                   for e, p in zip(mdp.out_edges[s], parts)}
             out.append(induced_chain(mdp, memoryless(mdp, choices), mdp.state_ids))
+    # Block sums add a block's weights in the least integer type that holds
+    # BLOCK times the largest |weight|: weights on either side of each
+    # type's edge, on a coin between two loops.
+    for w in (7, 8, 2047, 2048, 2**27, 2**28, 2**56):
+        for sign in (1, -1):
+            mdp = Mdp.build(2, [("r", "random")],
+                            [(0, "r", "r", [sign * w, -sign * w]), (1, "r", "r", [sign * w, 0])],
+                            {0: F(1, 2), 1: F(1, 2)})
+            out.append(induced_chain(mdp, memoryless(mdp, {}), "r"))
     return out
 
 
@@ -194,19 +206,57 @@ def test_monitor_kernel_matches_scalar_replay():
                        [(0, "a", "a", [1]), (1, "a", "r", [0]), (2, "r", "a", [12]),
                         (3, "r", "a", [-4])], {2: F(1, 2), 3: F(1, 2)}, initial="a")
     cases.append((gamble, ThresholdQuery.build("bwc-inf", "a", [0], [F(3, 2)]), (8, 16), 3))
-    trips = 0
+    trips = []
+
+    def check(mdp, start, strategy, horizon, runs, seed):
+        want, tripped, breaches = scalar_monitor_totals(strategy, mdp, horizon, runs, seed)
+        got = strategy.simulate_runs(mdp, start, horizon, runs, seed)
+        assert got.tolist() == want, (seed, strategy.period, strategy.monitors, horizon, runs)
+        assert breaches == 0
+        trips.extend((t, horizon) for t in tripped)
+
     for mdp, query, periods, seed in cases:
+        strategy = bwc_infinite_strategy(mdp, query, period=periods[0])
+        # A copy loaded from its file reads branches off ``branch_map``.
+        loaded = jsonio.procedural_from_json(
+            mdp, json.loads(json.dumps(jsonio.procedural_to_json(mdp, strategy))))
+        assert loaded.branch_map
         for period in periods:
-            strategy = bwc_infinite_strategy(mdp, query, period=period)
             for horizon in HORIZONS:
                 for runs in (1, 7):
-                    want, tripped, breaches = scalar_monitor_totals(strategy, mdp, horizon,
-                                                                    runs, seed)
-                    got = strategy.simulate_runs(mdp, query.start, horizon, runs, seed)
-                    assert got.tolist() == want, (seed, period, horizon, runs)
-                    assert breaches == 0
-                    trips += tripped
-    assert trips > 0  # the trip jump is exercised
+                    check(mdp, query.start, replace(strategy, period=period), horizon, runs,
+                          seed)
+        # Periods shorter and longer than a block, and floor rates two and
+        # three times the synthesized ones, which trip many runs and at
+        # every position in a block.  With periods of two blocks, runs also
+        # trip in blocks without a phase end.
+        for period in (1, 2, 3, BLOCK - 1, BLOCK + 1, 2 * BLOCK):
+            for factor in (1, 2, 3):
+                monitors = [tuple(factor * r for r in rates) for rates in loaded.monitors]
+                check(mdp, query.start, replace(loaded, period=period, monitors=monitors),
+                      max(3 * BLOCK + 5, 3 * period), 33, seed)
+    # Trips are exercised mid-block (the rest of the block is walked
+    # again) and on a block's last step with steps left.
+    assert any(t % BLOCK < BLOCK - 1 for t, _ in trips)
+    assert any(t % BLOCK == BLOCK - 1 and t < horizon - 1 for t, horizon in trips)
+
+
+def test_monitor_simulation_memory():
+    # The benchmark's bwc-inf simulate (RUN_EX, 1,000 runs x 4,000 steps,
+    # the strategy loaded from its file): the block monitor replays its
+    # candidate runs REPLAY_RUNS at a time, so the traced peak stays near
+    # the walk's own buffers (0.69 MB with NumPy 2.4 on CPython 3.11).
+    run = fixture("RUN_EX")
+    query = ThresholdQuery.build("bwc-inf", "s", [0, 0], [F(99, 10), F(99, 10)])
+    record = jsonio.procedural_to_json(run, bwc_infinite_strategy(run, query, period=2048))
+    strategy = jsonio.procedural_from_json(run, json.loads(json.dumps(record)))
+    tracemalloc.start()
+    try:
+        simulate(run, strategy, "s", horizon=4000, runs=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 800_000
 
 
 def test_monitor_overflow(tmp_path, capsys):

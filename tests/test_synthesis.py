@@ -424,12 +424,81 @@ def test_plain_rungs_stop_at_the_first_outgrown_combiner(ladder_components):
         sub = restrict(mdp, comp.states)
         kept = [(g.dwell, g.deterministic) for g in _plain_rungs(sub, comp, locals_)
                 if isinstance(g, CyclingMachine)]
-        fits = [d for d in dwells if len(locals_) == 1
-                or sum(CyclingMachine(sub, comp, locals_, d).counts) <= CHAIN_LIMIT]
+        if len(locals_) == 1:
+            # No step counters: every dwell would play as dwell 1.
+            assert kept == [(1, False), (1, True)]
+            continue
+        fits = [d for d in dwells
+                if sum(CyclingMachine(sub, comp, locals_, d).counts) <= CHAIN_LIMIT]
         assert kept == [(d, det) for d in fits for det in (False, True) if not det or d <= 4]
         cuts.append(len(fits))
     # Cut before the first rung (TASK_EX), inside the ladder, and never.
     assert {0, len(dwells)} < set(cuts)
+
+
+def _chain_shape(sub, machine):
+    """The machine's chain from every state of ``sub`` with its memories
+    left out (None past 4 * CHAIN_LIMIT nodes): machines with equal
+    shapes have equal exact analyses."""
+    try:
+        chain = induced_chain(sub, machine, sub.state_ids, node_limit=4 * CHAIN_LIMIT)
+    except MachineError:
+        return None
+    return [(s, row) for (s, _), row in zip(chain.nodes, chain.transitions)]
+
+
+def test_skipped_rungs_play_as_the_rungs_kept(ladder_components):
+    # The rungs the ladder no longer builds: cycling combiners of one local
+    # strategy at dwells past 1, and monitored dwell 2 where the period
+    # ends before stage 0's counter at dwell 1 runs out.
+    compared = 0
+    for mdp, comp, locals_ in [c for cs in ladder_components.values() for c in cs]:
+        sub = restrict(mdp, comp.states)
+        if len(locals_) == 1:
+            for det in (False, True):
+                want = _chain_shape(sub, CyclingMachine(sub, comp, locals_, 1, det))
+                for dwell in (2, DWELL_CAP):
+                    assert _chain_shape(sub, CyclingMachine(sub, comp, locals_, dwell, det)) \
+                        == want
+                    compared += want is not None
+        fwc = memoryless(sub, {s: sub.out_edges[s][0].eid
+                               for s in sub.state_ids if not sub.is_random(s)})
+        dims = range(sub.dimension)
+        first_stage = CyclingMachine(sub, comp, locals_, 1).counts[0]
+        for period in (1, 2, 4):
+            if len(locals_) == 1 or period <= first_stage:
+                one, two = (_chain_shape(sub, MonitoredMachine(
+                    sub, CyclingMachine(sub, comp, locals_, dwell), fwc, period, 4,
+                    [F(0)] * sub.dimension, F(0), dims)) for dwell in (1, 2))
+                assert one == two
+                compared += one is not None
+    assert compared >= 500
+
+
+def test_task_ex_ladder_analyses(monkeypatch):
+    # TASK_EX's bwc-fin synthesis (as in the synth-sim benchmark) analyses
+    # each rung it reaches once: 16 memoryless tables (its cycling rungs
+    # outgrow CHAIN_LIMIT), 8 monitored machines (dwell 1 only: stage 0
+    # counts 313 steps), and 4 worst cases.
+    from bwcmdp import synthesis
+
+    calls = {"plain": 0, "monitored": 0, "worst case": 0}
+    expectation, worst_case = synthesis._Ladder._expectation, synthesis._Ladder._wins_worstcase
+
+    def counted_expectation(self, machine):
+        calls["monitored" if isinstance(machine, MonitoredMachine) else "plain"] += 1
+        return expectation(self, machine)
+
+    def counted_worst_case(self, machine):
+        calls["worst case"] += 1
+        return worst_case(self, machine)
+
+    monkeypatch.setattr(synthesis._Ladder, "_expectation", counted_expectation)
+    monkeypatch.setattr(synthesis._Ladder, "_wins_worstcase", counted_worst_case)
+    task = negate_weights(fixture("TASK_EX"), halve=True)
+    bwc_finite_strategy(task, _query("bwc-fin", [F(-49, 8), F(-64)], [F(-49, 8), F(-29, 8)],
+                                     start="0"))
+    assert calls == {"plain": 16, "monitored": 8, "worst case": 4}
 
 
 def _synthesize_digests(tmp_path, capsys):
