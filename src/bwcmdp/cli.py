@@ -15,10 +15,11 @@ from functools import cache
 
 from bwcmdp import games, jsonio, linsolve
 from bwcmdp.decomposition import mecs, sccs
-from bwcmdp.model import Mdp, ThresholdQuery, validate
+from bwcmdp.machines import induced_chain
+from bwcmdp.model import Mdp, ThresholdQuery, normalize, validate
 from bwcmdp.rationals import format_rational, parse_vector
 from bwcmdp.systems import Decision, decide
-from bwcmdp.verification import simulate, verify_almost_sure, verify_worstcase
+from bwcmdp.verification import expected_mp, simulate, verify_almost_sure, verify_worstcase
 
 
 def _emit(data) -> None:
@@ -93,8 +94,6 @@ def cmd_decompose(args) -> int:
     else:
         mu = _vector(args.mu, mdp)
         q = ThresholdQuery("wc", mdp.state_ids[0], mu, mu)
-        from bwcmdp.model import normalize
-
         dims = games.nontrivial_dims(q, mdp.max_abs_weight)
         nmdp, _ = normalize(mdp, q)
         comps = games.mwecs(nmdp, dims, args.budget)
@@ -106,8 +105,6 @@ def cmd_prune(args) -> int:
     mdp = _load(args)
     mu = _vector(args.mu, mdp)
     q = ThresholdQuery("wc", args.frm, mu, mu)
-    from bwcmdp.model import normalize
-
     dims = games.nontrivial_dims(q, mdp.max_abs_weight)
     nmdp, _ = normalize(mdp, q)
     region = games.wc_winning_region(nmdp, dims, args.budget)
@@ -197,9 +194,6 @@ def cmd_verify(args) -> int:
         _emit({"check": "as", "ok": ok})
         return 0 if ok else 1
     if args.check == "exp":
-        from bwcmdp.machines import induced_chain
-        from bwcmdp.verification import expected_mp
-
         exp = expected_mp(induced_chain(mdp, strategy, start))
         ok = all(e > n for e, n in zip(exp, nu))
         _emit({"check": "exp", "ok": ok, "expectation": [format_rational(e) for e in exp]})

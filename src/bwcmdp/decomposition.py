@@ -151,9 +151,7 @@ def mecs(mdp: Mdp) -> list[EndComponent]:
                 continue
             # A random state must keep every original edge, inside its SCC:
             # losing any of them disqualifies it from every end component.
-            bad = any(e.eid not in alive_edges
-                      or e.target not in alive_states
-                      or comp_of.get(e.target) != comp_of.get(s)
+            bad = any(e.eid not in alive_edges or comp_of.get(e.target) != comp_of.get(s)
                       for e in mdp.out_edges[s])
             if bad:
                 alive_states.discard(s)
@@ -162,14 +160,13 @@ def mecs(mdp: Mdp) -> list[EndComponent]:
                 for e in mdp.in_edges[s]:
                     alive_edges.discard(e.eid)
                 changed = True
+        # Only random states die, and with all their edges: a controller
+        # edge leaving its SCC is the one left to drop.
         for e in mdp.edges:
-            if e.eid in alive_edges:
-                if e.source not in alive_states or e.target not in alive_states:
-                    alive_edges.discard(e.eid)
-                    changed = True
-                elif not mdp.is_random(e.source) and comp_of.get(e.source) != comp_of.get(e.target):
-                    alive_edges.discard(e.eid)
-                    changed = True
+            if e.eid in alive_edges and not mdp.is_random(e.source) \
+                    and comp_of.get(e.source) != comp_of.get(e.target):
+                alive_edges.discard(e.eid)
+                changed = True
 
     result = []
     for comp in sccs(mdp, alive_edges):

@@ -48,7 +48,7 @@ from bwcmdp import linsolve
 from bwcmdp.decomposition import (EndComponent, index_sccs, mecs, reachable, restrict,
                                   restrict_states)
 from bwcmdp.linsolve import EQ, GE
-from bwcmdp.model import Mdp, ThresholdQuery, shared
+from bwcmdp.model import Mdp, ThresholdQuery, detect_trivial, shared
 from bwcmdp.verification import _karp_scc, _tight_cycle
 
 DEFAULT_ADVERSARY_BUDGET = 1 << 20
@@ -387,8 +387,6 @@ def wc_positional_strategy_unidim(mdp: Mdp, dim: int) -> Optional[dict[str, int]
 
 
 def nontrivial_dims(query: ThresholdQuery, W: int) -> tuple[int, ...]:
-    from bwcmdp.model import detect_trivial
-
     trivial = detect_trivial(query, W)
     return shared(tuple(i for i in range(len(query.mu)) if i not in trivial))
 

@@ -46,10 +46,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from bwcmdp import games, rng
 from bwcmdp.decomposition import EndComponent, restrict, sccs
-from bwcmdp.machines import MachineError, induced_chain, memoryless
+from bwcmdp.machines import MachineError, TableMachine, induced_chain, memoryless, support_product
 from bwcmdp.model import Mdp, ThresholdQuery
 from bwcmdp.systems import Decision, Witness, decide, xe, ye, ys
-from bwcmdp.verification import bottom_means, bscc_analysis, expected_mp, verify_worstcase
+from bwcmdp.verification import (WeightedGraph, bottom_means, bscc_analysis, expected_mp,
+                                 karp_min_mean, verify_worstcase)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,7 +59,6 @@ DEFAULT_SEARCH_CAP = 1 << 16
 ENUM_BUDGET = 1 << 20  # memoryless_wc_search candidates
 DWELL_CAP = 64  # largest dwell of the bwc-fin ladder, bwc-inf and (by default) bas
 CHAIN_LIMIT = 600  # product nodes a bwc-fin rung's expectation may take
-REPLAY_RUNS = 64  # runs the bwc-inf monitor replays at once (bounds its temporaries)
 
 
 class SynthesisError(RuntimeError):
@@ -276,9 +276,7 @@ class CyclingMachine:
         return len(self.locals) == 1
 
     def _rot_lookup(self, i: int, pos: tuple, state: str) -> tuple[int, tuple]:
-        seq = self._rotations[i].get(state)
-        if seq is None:
-            raise KeyError(state)
+        seq = self._rotations[i][state]
         cur = dict(pos).get(state, 0)
         nxt = tuple(sorted((dict(pos) | {state: (cur + 1) % len(seq)}).items())) \
             if len(seq) > 1 else pos
@@ -375,8 +373,6 @@ def _wc_candidates(mdp: Mdp):
 
 
 def _two_memory_machine(mdp: Mdp, upd: dict, out: dict):
-    from bwcmdp.machines import TableMachine
-
     update = {(s, m): {upd[(s, m)]: Fraction(1)} for s in mdp.state_ids for m in (0, 1)}
     output = {(s, m): {out[(s, m)]: Fraction(1)}
               for s in mdp.state_ids if not mdp.is_random(s) for m in (0, 1)}
@@ -469,9 +465,6 @@ class MonitoredMachine:
 
 
 def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
-    from bwcmdp.machines import support_product
-    from bwcmdp.verification import WeightedGraph, karp_min_mean
-
     nodes, edges, init = support_product(mdp, machine, mdp.state_ids)
     graph = WeightedGraph(tuple(nodes), tuple(edges), tuple(init))
     floor = [Fraction(0)] * mdp.dimension
@@ -524,7 +517,7 @@ def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], d
     if floor_min <= 0:
         return
     first_stage = CyclingMachine(sub, ec, locals_, 1).counts[0]
-    for period in (1, 2, 4):
+    for period in (1, 2, 4, 8):
         dwells = (1,) if len(locals_) == 1 or period <= first_stage else (1, 2)
         for rec in (4, 16, 64):
             for dwell in dwells:
@@ -880,7 +873,8 @@ class BranchedInfiniteStrategy:
         chain's; a monitor trip jumps to the fallback node of the same
         state.  The monitor runs once per block, on the transitions
         taken: runs that cannot trip in the block add its weight sum,
-        the others replay its steps under the per-step rule.  Draw
+        the others replay its steps under the per-step rule, one step at
+        a time for all of them at once.  Draw
         layout matches the chain simulator.  Monitor comparisons run in
         int64; magnitudes are bounded and checked on entry.
         """
@@ -932,14 +926,13 @@ class BranchedInfiniteStrategy:
         # that closes the phase.  Before the lock and after a trip, den2 =
         # 0 (so x is 0 at the lock), floor = MIN and end = NEVER: neither
         # test can fail.  No step of a block lowers x by more than
-        # den2 * drop, so a run with x > guard = floor - den2*drop, no
-        # phase end and no lock in a block cannot trip in it.
+        # den2 * drop, so a run with x > floor - den2*drop, no phase end
+        # and no lock in a block cannot trip in it.
         MIN, NEVER = np.iinfo(np.int64).min, horizon + 1
         x = np.zeros((d, runs), dtype=np.int64)
         den2 = np.zeros((d, runs), dtype=np.int64)
         rate = np.zeros((d, runs), dtype=np.int64)
         floor = np.full((d, runs), MIN, dtype=np.int64)
-        guard = floor.copy()
         t_lock = np.zeros(runs, dtype=np.int64)
         end = np.full(runs, NEVER, dtype=np.int64)
         waiting = np.ones(runs, dtype=bool)  # not locked yet
@@ -947,10 +940,6 @@ class BranchedInfiniteStrategy:
         # The branch each transition enters, -1 off the components.
         enters = branch.take(target).astype(np.min_scalar_type(-len(self.monitors)))
         prepared = np.ascontiguousarray(weight.T)  # one row per dimension
-        # Chunks of at most K steps hold at most one phase end of a run,
-        # and none after a lock.
-        chunk = min(K, BLOCK)
-        step_index = np.arange(BLOCK)[:, None]
 
         def lock(r, b, t):
             # Runs r arrive at branches b after t steps.
@@ -959,58 +948,43 @@ class BranchedInfiniteStrategy:
             t_lock[r] = t
             end[r] = t + K
             waiting[r] = False
-            guard[:, r] = MIN - den2[:, r] * drop
 
         def replay(t0, taken, r):
-            # The exact per-step rule for runs r over the block, chunk by
-            # chunk, each chunk vectorized over its steps; returns the trips.
+            # The exact per-step rule for runs r over the block, one step
+            # at a time; returns the trips.
             trips = []
-            for c0 in range(0, len(taken), chunk):
-                e = taken[c0:c0 + chunk, r]
-                k = step_index[:len(e)]
-                w = prepared.take(e, axis=1)
-                wait = waiting.take(r)
-                if wait.any():
-                    hit = enters.take(e) >= 0
-                    j = np.where(wait & hit.any(axis=0), hit.argmax(axis=0), -1)
-                    new = np.flatnonzero(j >= 0)
-                    lock(r[new], enters.take(e[j[new], new]), t0 + c0 + j[new] + 1)
-                    w *= k > j  # a run counts only the steps after its lock
-                acc = np.cumsum(w, axis=1)
-                acc *= den2[:, r][:, None, :]
-                acc += x[:, r][:, None, :]
-                fl, en = floor[:, r], end.take(r)
-                p = en - (t0 + c0 + 1)  # the chunk's step that ends a phase
-                ending = p < len(e)
-                closed = np.where(ending, rate[:, r] * (en - t_lock.take(r)), fl)
-                low = (acc <= np.where(k > p, closed[:, None, :], fl[:, None, :])).any(axis=0)
-                if ending.any():
-                    low |= (k == p) & (acc <= 2 * closed[:, None, :]).any(axis=0)
-                x[:, r], floor[:, r] = acc[:, -1], closed
-                end[r] = np.where(ending, en + K, en)
-                trip = np.flatnonzero(low.any(axis=0))
-                if len(trip):
-                    i = low.argmax(axis=0)[trip]
-                    gone = r[trip]
+            for i, row in enumerate(taken):
+                t = t0 + i + 1
+                e = row.take(r)
+                x[:, r] += den2[:, r] * prepared.take(e, axis=1)
+                low = (x[:, r] <= floor[:, r]).any(axis=0)
+                ending = np.flatnonzero(end.take(r) == t)
+                if len(ending):
+                    q = r[ending]
+                    closed = rate[:, q] * (t - t_lock.take(q))
+                    low[ending] |= (x[:, q] <= 2 * closed).any(axis=0)
+                    floor[:, q] = closed
+                    end[q] += K
+                if low.any():
+                    gone = r[low]
                     den2[:, gone] = 0
                     floor[:, gone] = MIN
                     end[gone] = NEVER
-                    trips.append((gone, c0 + i, jump.take(target.take(e[i, trip]))))
-            guard[:, r] = floor[:, r] - den2[:, r] * drop
+                    trips.append((gone, np.full(len(gone), i), jump.take(target.take(e[low]))))
+                    r, e = r[~low], e[~low]
+                new = np.flatnonzero(waiting.take(r) & (enters.take(e) >= 0))
+                lock(r[new], enters.take(e[new]), t)
             return trips
 
         def on_block(t0, taken, sums):
-            cand = (x <= guard).any(axis=0)
+            cand = (x <= floor - den2 * drop).any(axis=0)
             cand |= end <= t0 + len(taken)
             if waiting.any():
                 cand |= waiting & (enters.take(taken) >= 0).any(axis=0)
             x[:] += den2 * sums[:, :d].T * ~cand  # candidates replay the block instead
             if not cand.any():
                 return None
-            r = np.flatnonzero(cand)
-            trips = []
-            for s in range(0, len(r), REPLAY_RUNS):  # bounds the temporaries
-                trips += replay(t0, taken, r[s:s + REPLAY_RUNS])
+            trips = replay(t0, taken, np.flatnonzero(cand))
             if not trips:
                 return None
             return tuple(np.concatenate(parts) for parts in zip(*trips))

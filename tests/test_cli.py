@@ -120,6 +120,29 @@ def test_decompose(capsys, run_path):
     assert sorted(map(tuple, comps)) == [("t",), ("u", "v")]
     code, out, _ = run_cli(capsys, "decompose", "--mdp", run_path, "--kind", "mwec")
     assert json.loads(out)["components"] == [["t"]]
+    code, out, _ = run_cli(capsys, "decompose", "--mdp", run_path, "--kind", "scc")
+    assert code == 0 and json.loads(out)["kind"] == "scc"
+    assert sorted(map(tuple, json.loads(out)["components"])) == [("s",), ("t",), ("u", "v")]
+
+
+def test_synthesize_no_instance_writes_nothing(capsys, run_path, tmp_path):
+    strat = tmp_path / "strategy.json"
+    code, out, _ = run_cli(capsys, "synthesize", "--mdp", run_path, "--mode", "bwc-fin",
+                           "--from", "s", "--mu", "0,0", "--nu", "9,9", "--out", str(strat))
+    assert code == 1 and not strat.exists()
+    assert json.loads(out) == {"answer": "no", "failure": "threshold system infeasible",
+                               "mode": "bwc-fin"}
+
+
+def test_synthesize_without_out_prints_the_record(capsys, run_path, tmp_path):
+    strat = tmp_path / "strategy.json"
+    args = ["synthesize", "--mdp", run_path, "--mode", "bwc-fin", "--from", "s",
+            "--mu", "0,0", "--nu", "0,9"]
+    code, printed, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *args, "--out", str(strat))
+    assert code == 0 and json.loads(out) == {"written": str(strat), "kind": "machine"}
+    assert printed == strat.read_text()
 
 
 def test_prune_exit(capsys, bas_path):

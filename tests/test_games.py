@@ -1,6 +1,7 @@
 """Worst-case game solving: multicycle certificates, regions, values, pruning."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -365,6 +366,26 @@ def test_mwecs_task_after_trivial(task_ex):
     nmdp, _ = normalize(neg, q)
     comps = mwecs(nmdp, dims=(0,))
     assert [sorted(ec.states) for ec in comps] == [["0", "0,0", "0,1", "1", "1,0", "1,1"]]
+
+
+def test_mwecs_recurse_into_the_winning_part(tmp_path, capsys):
+    # The MEC {r, x, y} is not winning (from r the adversary goes to y,
+    # which can only loop at -1 or come back), but its winning part {x}
+    # holds a winning end component of its own; {z} wins outright.
+    from bwcmdp import jsonio
+    from bwcmdp.cli import main
+
+    mdp = Mdp.build(1, [("r", "random"), ("x", "controller"), ("y", "controller"),
+                        ("z", "controller")],
+                    [(0, "r", "x", [0]), (1, "r", "y", [0]), (2, "x", "x", [1]),
+                     (3, "x", "r", [0]), (4, "y", "y", [-1]), (5, "y", "r", [0]),
+                     (6, "y", "z", [0]), (7, "z", "z", [1])],
+                    {0: F(1, 2), 1: F(1, 2)})
+    assert [sorted(ec.states) for ec in mwecs(mdp)] == [["x"], ["z"]]
+    path = str(tmp_path / "mdp.json")
+    jsonio.save_mdp(path, mdp)
+    assert main(["decompose", "--mdp", path, "--kind", "mwec", "--mu", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["components"] == [["x"], ["z"]]
 
 
 def test_mwecs_are_wecs_and_disjoint(run_ex):

@@ -244,8 +244,9 @@ def test_monitor_kernel_matches_scalar_replay():
 def test_monitor_simulation_memory():
     # The benchmark's bwc-inf simulate (RUN_EX, 1,000 runs x 4,000 steps,
     # the strategy loaded from its file): the block monitor replays its
-    # candidate runs REPLAY_RUNS at a time, so the traced peak stays near
-    # the walk's own buffers (0.69 MB with NumPy 2.4 on CPython 3.11).
+    # candidate runs one step at a time, with temporaries of one row per
+    # dimension, so the traced peak stays near the walk's own buffers
+    # (0.67 MB with NumPy 2.4 on CPython 3.11).
     run = fixture("RUN_EX")
     query = ThresholdQuery.build("bwc-inf", "s", [0, 0], [F(99, 10), F(99, 10)])
     record = jsonio.procedural_to_json(run, bwc_infinite_strategy(run, query, period=2048))

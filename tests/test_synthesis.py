@@ -291,6 +291,40 @@ def test_bwc_finite_from_random_start(run_ex):
 
 # -- rungs of the bwc-fin ladder that some instance needs ------------------------
 
+# gen.corpus seed 2 instance 365: a yes-instance whose one winning
+# component (q0-q3, one local strategy) is won by no plain rung and by no
+# monitored rung of period 1, 2 or 4.
+_PERIOD_8_CASE = (
+    Mdp.build(2, [("q0", "controller"), ("q1", "random"), ("q2", "random"),
+                  ("q3", "controller"), ("q4", "controller")],
+              [(0, "q0", "q1", [2, 1]), (1, "q0", "q3", [-2, 1]), (2, "q0", "q1", [2, 1]),
+               (3, "q1", "q0", [-3, 0]), (4, "q1", "q3", [-1, 3]),
+               (5, "q2", "q1", [-2, -3]), (6, "q2", "q0", [1, 3]),
+               (7, "q3", "q2", [1, -3]), (8, "q3", "q0", [2, 2]), (9, "q3", "q2", [3, 1]),
+               (10, "q4", "q1", [-3, 0])],
+              {3: F(1, 4), 4: F(3, 4), 5: F(1, 2), 6: F(1, 2)}),
+    "q4", "-7/3,1", "-2,-5")
+
+
+def test_bwc_finite_picks_a_monitored_rung_of_period_8(tmp_path, capsys):
+    from bwcmdp import jsonio
+    from bwcmdp.cli import main
+
+    mdp, start, mu, nu = _PERIOD_8_CASE
+    q = _query("bwc-fin", [F(-7, 3), 1], [-2, -5], start=start)
+    machine, _, _, _ = bwc_finite_strategy(mdp, q)
+    (rung,) = machine.machines
+    assert isinstance(rung, MonitoredMachine) and (rung.period, rung.recovery) == (8, 16)
+    path, strat = str(tmp_path / "mdp.json"), str(tmp_path / "strat.json")
+    jsonio.save_mdp(path, mdp)
+    common = ["--mdp", path, "--from", start]
+    assert main(["synthesize", *common, "--mode", "bwc-fin", f"--mu={mu}", f"--nu={nu}",
+                 "--out", strat]) == 0
+    assert main(["verify", *common, "--strategy", strat, "--check", "wc", f"--mu={mu}"]) == 0
+    assert main(["verify", *common, "--strategy", strat, "--check", "exp", f"--nu={nu}"]) == 0
+    capsys.readouterr()
+
+
 def test_bwc_finite_task_ex_picks_monitored_rung():
     # No memoryless table, cycling combiner or rotation wins both the
     # worst case and the shrunk target here: only the combined strategy.
@@ -465,7 +499,7 @@ def test_skipped_rungs_play_as_the_rungs_kept(ladder_components):
                                for s in sub.state_ids if not sub.is_random(s)})
         dims = range(sub.dimension)
         first_stage = CyclingMachine(sub, comp, locals_, 1).counts[0]
-        for period in (1, 2, 4):
+        for period in (1, 2, 4, 8):
             if len(locals_) == 1 or period <= first_stage:
                 one, two = (_chain_shape(sub, MonitoredMachine(
                     sub, CyclingMachine(sub, comp, locals_, dwell), fwc, period, 4,
