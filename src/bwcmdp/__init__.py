@@ -6,7 +6,7 @@ strategies as stochastic Moore machines, and verifies them both exactly
 and by seeded simulation.
 """
 
-from bwcmdp.model import Mdp, ThresholdQuery, fixture, max_abs_weight, normalize, validate
+from bwcmdp.model import Mdp, ThresholdQuery, fixture, normalize, validate
 from bwcmdp.systems import Decision, decide
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "Decision",
     "decide",
     "fixture",
-    "max_abs_weight",
     "normalize",
     "validate",
 ]

@@ -144,13 +144,12 @@ def cmd_synthesize(args) -> int:
         return 1
 
     if query.mode == "bas":
-        machine, prepared, pstart = synthesis.bas_strategy(
-            mdp, query, decision=decision, search_cap=args.search_cap)
+        machine, prepared, pstart = synthesis.bas_strategy(mdp, query, decision=decision)
         adapted = synthesis.AdaptedMachine(machine, prepared, mdp, pstart)
         record = jsonio.machine_to_json(mdp, adapted, adapted.start)
     elif query.mode == "bwc-fin":
         machine, prepared, pstart, cap = synthesis.bwc_finite_strategy(
-            mdp, query, decision=decision, cap_limit=args.search_cap)
+            mdp, query, decision=decision)
         adapted = synthesis.AdaptedMachine(machine, prepared, mdp, pstart)
         record = jsonio.machine_to_json(mdp, adapted, adapted.start)
         record["phase_cap"] = cap
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu")
     sp.add_argument("--out", help="write the strategy JSON here")
     sp.add_argument("--period", type=int, default=2048, help="phase length for bwc-inf")
-    sp.add_argument("--search-cap", type=int, default=1 << 16,
-                    help="parameter search bound")
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("verify", help="exact verification of a strategy file")

@@ -66,10 +66,9 @@ def _mem_key(mem) -> str:
     return repr(mem)
 
 
-def machine_to_json(mdp: Mdp, machine, start: str, node_limit: int = 50_000) -> dict:
+def machine_to_json(mdp: Mdp, machine, start: str) -> dict:
     """Serialize a (possibly lazy) machine over its reachable part."""
-    table = machine if isinstance(machine, TableMachine) else materialize(
-        mdp, machine, start, node_limit)
+    table = machine if isinstance(machine, TableMachine) else materialize(mdp, machine, start)
     mems = [_mem_key(m) for m in table.memory]
     out = {
         "kind": "machine",
@@ -114,7 +113,7 @@ def machine_from_json(data: dict) -> TableMachine:
     return TableMachine(memory, initial, update, output)
 
 
-def procedural_to_json(mdp: Mdp, strategy, node_limit: int = 50_000) -> dict:
+def procedural_to_json(mdp: Mdp, strategy) -> dict:
     """Parameter record for a total-payoff-monitor strategy.
 
     The record carries the prepared MDP the strategy was synthesized on
@@ -123,7 +122,7 @@ def procedural_to_json(mdp: Mdp, strategy, node_limit: int = 50_000) -> dict:
     of that MDP; the memory->branch map lets a loaded copy route runs to
     the right monitor.
     """
-    composed = materialize(strategy.mdp, strategy.composed, strategy.start, node_limit)
+    composed = materialize(strategy.mdp, strategy.composed, strategy.start)
     branch_map = {}
     for m in composed.memory:
         if isinstance(m, tuple) and m and m[0] == "in":
@@ -134,10 +133,9 @@ def procedural_to_json(mdp: Mdp, strategy, node_limit: int = 50_000) -> dict:
         "period": strategy.period,
         "start": strategy.start,
         "monitors": [[format_rational(x) for x in rates] for rates in strategy.monitors],
-        "transient": machine_to_json(strategy.mdp, composed, strategy.start, node_limit),
+        "transient": machine_to_json(strategy.mdp, composed, strategy.start),
         "memory_branch": branch_map,
-        "fallback": machine_to_json(strategy.mdp, strategy.fwc, strategy.mdp.state_ids,
-                                    node_limit),
+        "fallback": machine_to_json(strategy.mdp, strategy.fwc, strategy.mdp.state_ids),
     }
 
 

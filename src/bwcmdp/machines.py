@@ -21,6 +21,7 @@ from typing import Hashable, Optional
 from bwcmdp.model import Mdp
 
 Mem = Hashable
+MATERIALIZE_LIMIT = 50_000  # (state, memory) pairs a frozen table may have
 
 
 class MachineError(ValueError):
@@ -201,10 +202,11 @@ def support_product(mdp: Mdp, machine, start=None,
     return chain.nodes, edges, sorted(chain.initial)
 
 
-def materialize(mdp: Mdp, machine, start, node_limit: int = 50_000) -> TableMachine:
+def materialize(mdp: Mdp, machine, start) -> TableMachine:
     """Freeze a lazy machine into explicit tables over its reachable part
-    (from one state or from a collection of states)."""
-    chain, updates, outputs = _walk(mdp, machine, start, node_limit)
+    (from one state or from a collection of states), of at most
+    MATERIALIZE_LIMIT (state, memory) pairs."""
+    chain, updates, outputs = _walk(mdp, machine, start, MATERIALIZE_LIMIT)
     init = {m: p for m, p in machine.initial_dist().items() if p > 0}
     mems = list(dict.fromkeys(m for _, m in chain.nodes))
     update = dict(zip(chain.nodes, updates))

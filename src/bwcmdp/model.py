@@ -241,11 +241,6 @@ def require_valid(mdp: Mdp) -> None:
         raise ValueError("invalid MDP: " + "; ".join(report))
 
 
-def max_abs_weight(mdp: Mdp) -> int:
-    """W, the largest absolute weight component appearing in the graph."""
-    return mdp.max_abs_weight
-
-
 def normalize(mdp: Mdp, query: ThresholdQuery) -> tuple[Mdp, ThresholdQuery]:
     """Shift-and-scale so the worst-case threshold becomes the zero vector.
 

@@ -34,6 +34,8 @@ Parameters (dwell A, phase cap N, period K, recovery length L) are found
 by verified search: synthesize, verify exactly, grow.  Existence is
 guaranteed by the feasibility of the threshold system; the searches are
 budgeted and report failure rather than returning unverified strategies.
+Each range ends near the largest value a seeded instance (pinned by a
+test) needs; the bwc-inf period K is the caller's, not searched.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ from bwcmdp.verification import (WeightedGraph, bottom_means, bscc_analysis, exp
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_SEARCH_CAP = 1 << 16
 ENUM_BUDGET = 1 << 20  # memoryless_wc_search candidates
-DWELL_CAP = 64  # largest dwell of the bwc-fin ladder, bwc-inf and (by default) bas
+DWELL_CAP = 64  # largest dwell of every cycling combiner: bas, the bwc-fin ladder, bwc-inf
+PHASE_CAP_LIMIT = 1 << 16  # largest bwc-fin step cap
 CHAIN_LIMIT = 600  # product nodes a bwc-fin rung's expectation may take
 
 
@@ -479,35 +481,37 @@ def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
 # Per-component recurrent-phase ladder.
 
 
+def _dwells(locals_: Sequence[LocalStrategy]):
+    """The dwells a cycling combiner of ``locals_`` is tried at.  With one
+    local strategy it keeps no step counters and plays every dwell as
+    dwell 1, so dwell 1 alone; otherwise doubling up to DWELL_CAP."""
+    return _doubling(1 if len(locals_) == 1 else DWELL_CAP)
+
+
 def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
-    """Memoryless tables (small components only), then cycling combiners,
-    each dwell up to 4 followed by its deterministic rotation.  With one
-    local strategy a combiner keeps no step counters, so every dwell
-    plays as dwell 1: only dwell 1 and its rotation are built.  With
-    several, a combiner's chain reaches all its ``sum(counts)`` memories,
-    which grow with the dwell: the rungs stop at the first whose counters
-    exceed CHAIN_LIMIT."""
+    """Memoryless tables (small components only), then cycling combiners
+    (``_dwells``); with one local strategy, dwell 1 is followed by its
+    deterministic rotation.  With several, a combiner's chain reaches all
+    its ``sum(counts)`` memories, which grow with the dwell: the rungs stop
+    at the first whose counters exceed CHAIN_LIMIT."""
     ctrl = [s for s in sub.state_ids if not sub.is_random(s)]
     options = [[e.eid for e in sub.out_edges[s]] for s in ctrl]
     if math.prod(len(o) for o in options) <= 256:
         for combo in itertools.product(*options):
             yield memoryless(sub, dict(zip(ctrl, combo)))
-    for dwell in _doubling(1 if len(locals_) == 1 else DWELL_CAP):
+    for dwell in _dwells(locals_):
         g = CyclingMachine(sub, ec, locals_, dwell)
         if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:
             return
         yield g
-        if dwell <= 4:
-            yield CyclingMachine(sub, ec, locals_, dwell, deterministic=True)
+    if len(locals_) == 1:
+        yield CyclingMachine(sub, ec, locals_, 1, deterministic=True)
 
 
 def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], dims):
-    """The paper's combined strategy: a cycling combiner alternating with
-    a worst-case machine under a payoff monitor, over a small grid of
-    periods, recovery lengths and dwells.  Dwell 2 is left out where it
-    plays as dwell 1: with one local strategy (no step counters), or when
-    the monitor resets the combiner at every period end before stage 0's
-    counter at dwell 1 can run out."""
+    """The paper's combined strategy: the dwell-1 cycling combiner
+    alternating with a worst-case machine under a payoff monitor, at
+    period 1, 4 or 8 and recovery length 4 or 16."""
     try:
         fwc = memoryless_wc_search(sub, dims)
     except FallbackUnavailable:
@@ -516,13 +520,10 @@ def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], d
     floor_min = min((floor[i] for i in dims), default=Fraction(1))
     if floor_min <= 0:
         return
-    first_stage = CyclingMachine(sub, ec, locals_, 1).counts[0]
-    for period in (1, 2, 4, 8):
-        dwells = (1,) if len(locals_) == 1 or period <= first_stage else (1, 2)
-        for rec in (4, 16, 64):
-            for dwell in dwells:
-                g = CyclingMachine(sub, ec, locals_, dwell)
-                yield MonitoredMachine(sub, g, fwc, period, rec, floor, floor_min / 2, dims)
+    g = CyclingMachine(sub, ec, locals_, 1)
+    for period in (1, 4, 8):
+        for rec in (4, 16):
+            yield MonitoredMachine(sub, g, fwc, period, rec, floor, floor_min / 2, dims)
 
 
 def _least_bottom_mean(sub: Mdp, machine, node_limit: int = 200_000) -> tuple[Fraction, ...]:
@@ -748,20 +749,20 @@ def _witness_parts(mdp: Mdp, query: ThresholdQuery, decision: Optional[Decision]
 
 
 def bas_strategy(mdp: Mdp, query: ThresholdQuery,
-                 decision: Optional[Decision] = None,
-                 search_cap: int = DWELL_CAP):
+                 decision: Optional[Decision] = None):
     """Finite machine for a yes beyond-almost-sure decision.
 
     Composes the phase-1 plan with one cycling machine per positive-mass
-    component; the dwell parameter is grown until the machine verifies,
-    both read off one bottom-SCC analysis of its chain: exact expectation
-    above the (normalized) target, and every reachable bottom component
-    above the (normalized) worst-case threshold, zero.  Returns (machine,
-    prepared mdp, prepared start).
+    component; the dwell parameter (``_dwells`` of the component with the
+    most local strategies) is grown until the machine verifies, both read
+    off one bottom-SCC analysis of its chain: exact expectation above the
+    (normalized) target, and every reachable bottom component above the
+    (normalized) worst-case threshold, zero.  Returns (machine, prepared
+    mdp, prepared start).
     """
     w, plan, component_of, entries = _witness_parts(mdp, query, decision)
 
-    for dwell in _doubling(search_cap):
+    for dwell in _dwells(max((locals_ for _, locals_, _ in entries), key=len, default=())):
         machines = [CyclingMachine(restrict(w.mdp, comp.states), comp, locals_, dwell)
                     for comp, locals_, _ in entries]
         composed = ComposedStrategy(w.mdp, plan, component_of, machines)
@@ -769,24 +770,23 @@ def bas_strategy(mdp: Mdp, query: ThresholdQuery,
         exp = [sum(b.reach * b.mean[i] for b in bsccs) for i in range(w.mdp.dimension)]
         if all(e > n for e, n in zip(exp, w.nu)) and all(m > 0 for b in bsccs for m in b.mean):
             return composed, w.mdp, w.start
-    raise FallbackUnavailable(f"no dwell parameter up to {search_cap} verified")
+    raise FallbackUnavailable(f"no dwell parameter up to {DWELL_CAP} verified")
 
 
 def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
                         cap: Optional[int] = None,
-                        decision: Optional[Decision] = None,
-                        cap_limit: int = DEFAULT_SEARCH_CAP):
+                        decision: Optional[Decision] = None):
     """Finite machine for a yes finite-memory beyond-worst-case decision.
 
     Shape: play the phase-1 flow with per-visit locking into per-component
     machines; at the step cap, runs inside a winning component switch to
     its machine and all others to the worst-case fallback.  The worst case
     then holds for every cap (prefix independence); the cap is grown until
-    the exact expectation clears the target.  Each component's machine is
-    the first rung of its ladder (see ``_Ladder``) that meets the
-    component's target, shrunk by growing fractions of the slack; the
-    monitored rungs join at the last fraction.  Returns (machine,
-    prepared mdp, prepared start, cap used).
+    the exact expectation clears the target, up to PHASE_CAP_LIMIT.  Each
+    component's machine is the first rung of its ladder (see ``_Ladder``)
+    that meets the component's target, shrunk by growing fractions of the
+    slack; the monitored rungs join at the last fraction.  Returns
+    (machine, prepared mdp, prepared start, cap used).
     """
     w, plan, component_of, entries = _witness_parts(mdp, query, decision)
 
@@ -814,14 +814,14 @@ def bwc_finite_strategy(mdp: Mdp, query: ThresholdQuery,
     else:
         raise FallbackUnavailable("no verified machine for some winning component")
 
-    caps = [cap] if cap is not None else _doubling(cap_limit)
+    caps = [cap] if cap is not None else _doubling(PHASE_CAP_LIMIT)
     for n in caps:
         composed = ComposedStrategy(w.mdp, plan, component_of, machines,
                                     cap=n, fallback=fallback)
         exp = expected_mp(induced_chain(w.mdp, composed, w.start))
         if cap is not None or all(exp[i] > w.nu[i] for i in range(w.mdp.dimension)):
             return composed, w.mdp, w.start, n
-    raise FallbackUnavailable(f"no step cap up to {cap_limit} cleared the expectation target")
+    raise FallbackUnavailable(f"no step cap up to {PHASE_CAP_LIMIT} cleared the expectation target")
 
 
 def _doubling(limit: int):
@@ -1060,8 +1060,8 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
     """Infinite-memory strategy for a yes general beyond-worst-case decision.
 
     Each positive-mass component runs its expectation machine (the first
-    cycling combiner, dwell doubling up to DWELL_CAP, with a positive
-    expectation from every component state, ``_least_bottom_mean``) under
+    cycling combiner, over ``_dwells``, with a positive expectation from
+    every component state, ``_least_bottom_mean``) under
     a total-payoff monitor whose per-dimension floor
     rates are half that expectation; on a monitor trip the strategy
     switches permanently to the worst-case fallback.
@@ -1074,7 +1074,7 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
     monitors = []
     for comp, locals_, _ in entries:
         sub = restrict(w.mdp, comp.states)
-        for dwell in _doubling(DWELL_CAP):
+        for dwell in _dwells(locals_):
             g = CyclingMachine(sub, comp, locals_, dwell)
             exp = _least_bottom_mean(sub, g)
             if all(e > 0 for e in exp):

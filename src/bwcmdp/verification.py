@@ -344,8 +344,7 @@ def verify_worstcase(mdp: Mdp, machine, mu: Sequence[Fraction],
 
 
 def verify_almost_sure(mdp: Mdp, machine, mu: Sequence[Fraction],
-                       start: Optional[str] = None,
-                       node_limit: int = 200_000) -> bool:
+                       start: Optional[str] = None) -> bool:
     """Exact almost-sure check: Prob(MP > mu) = 1.
 
     Within a BSCC the mean payoff equals its expectation almost surely, so
@@ -356,7 +355,7 @@ def verify_almost_sure(mdp: Mdp, machine, mu: Sequence[Fraction],
     (``bottom_means``).
     """
     mu = [Fraction(x) for x in mu]
-    chain = induced_chain(mdp, machine, start, node_limit)
+    chain = induced_chain(mdp, machine, start)
     return all(m > u for mean in bottom_means(chain) for m, u in zip(mean, mu))
 
 

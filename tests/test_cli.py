@@ -145,6 +145,16 @@ def test_synthesize_without_out_prints_the_record(capsys, run_path, tmp_path):
     assert printed == strat.read_text()
 
 
+def test_synthesize_has_no_search_cap(capsys, run_path, tmp_path):
+    # The search ranges are the module's constants; no option widens them.
+    strat = tmp_path / "strategy.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--mdp", run_path, "--mode", "bwc-fin", "--from", "s",
+              "--mu", "0,0", "--nu", "0,9", "--out", str(strat), "--search-cap", "4"])
+    assert exc.value.code == 2 and not strat.exists()
+    assert "unrecognized arguments: --search-cap 4" in capsys.readouterr().err
+
+
 def test_prune_exit(capsys, bas_path):
     code, out, _ = run_cli(capsys, "prune", "--mdp", bas_path, "--from", "s")
     assert code == 0 and json.loads(out)["states"] == ["s", "t"]

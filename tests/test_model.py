@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from bwcmdp.model import (Mdp, ThresholdQuery, detect_trivial, fixture, max_abs_weight,
-                          negate_weights, normalize, validate)
+from bwcmdp.model import (Mdp, ThresholdQuery, detect_trivial, fixture, negate_weights,
+                          normalize, validate)
 from bwcmdp.rationals import format_rational, parse_rational, parse_vector
 
 
@@ -47,10 +47,10 @@ def test_unknown_fixture():
 
 
 def test_max_abs_weight(run_ex, task_ex):
-    assert max_abs_weight(run_ex) == 80
-    assert max_abs_weight(task_ex) == 64
+    assert run_ex.max_abs_weight == 80
+    assert task_ex.max_abs_weight == 64
     zero = Mdp.build(1, [("a", "controller")], [(0, "a", "a", [0])])
-    assert max_abs_weight(zero) == 0
+    assert zero.max_abs_weight == 0
 
 
 def test_prob_denominator_metric(run_ex):
@@ -137,7 +137,7 @@ def test_normalize_idempotent(run_ex):
 # -- trivial components -----------------------------------------------------
 
 def test_detect_trivial(task_ex):
-    W = max_abs_weight(task_ex)
+    W = task_ex.max_abs_weight
     assert W == 64
     q = _q("bwc-fin", [F(-49, 4), F(-64)], [0, 0], "0")
     assert detect_trivial(q, W) == {1}

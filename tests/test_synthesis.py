@@ -355,6 +355,97 @@ def test_bwc_finite_picks_deterministic_rotation():
     assert verify_worstcase(m, adapted, q.mu, adapted.start).ok
 
 
+# gen.corpus yes-instances (seed/index) that need the largest value of a
+# synthesis search range: the ranges stop there.
+_SEARCH_CASES = {
+    "16/22": (
+        Mdp.build(3, [("q0", "random"), ("q1", "controller"), ("q2", "controller"),
+                      ("q3", "controller")],
+                  [(0, "q0", "q0", [2, -3, -1]), (1, "q0", "q3", [2, 1, 0]),
+                   (2, "q0", "q2", [3, 3, -1]), (3, "q1", "q1", [-1, 1, 3]),
+                   (4, "q1", "q0", [-1, -2, -1]), (5, "q1", "q2", [1, 3, -1]),
+                   (6, "q2", "q2", [0, 0, 3]), (7, "q2", "q1", [3, -3, -1]),
+                   (8, "q2", "q3", [2, 1, -1]), (9, "q3", "q3", [3, 0, -1]),
+                   (10, "q3", "q2", [1, -1, -1])],
+                  {0: F(1, 4), 1: F(1, 2), 2: F(1, 4)}),
+        "q2", "-11/4,-7/4,5/3", "1/2,-12,-1/2"),
+    "20/163": (
+        Mdp.build(2, [("q0", "random"), *((f"q{i}", "controller") for i in range(1, 6))],
+                  [(0, "q0", "q1", [2, 0]), (1, "q0", "q4", [0, -3]), (2, "q0", "q5", [-1, 2]),
+                   (3, "q1", "q5", [2, 0]), (4, "q2", "q0", [-2, -2]), (5, "q2", "q5", [3, 1]),
+                   (6, "q3", "q2", [3, 0]), (7, "q3", "q3", [-3, -3]), (8, "q4", "q1", [3, -3]),
+                   (9, "q4", "q4", [1, 3]), (10, "q5", "q2", [-3, -1]),
+                   (11, "q5", "q3", [1, 0]), (12, "q5", "q1", [2, -3])],
+                  {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}),
+        "q4", "-2/3,5/3", "3/2,-3/2"),
+    "9/596": (
+        Mdp.build(1, [("q0", "random"), ("q1", "controller"), ("q2", "random")],
+                  [(0, "q0", "q0", [2]), (1, "q0", "q2", [3]), (2, "q1", "q1", [-2]),
+                   (3, "q1", "q1", [1]), (4, "q2", "q1", [-3]), (5, "q2", "q0", [-3])],
+                  {0: F(1, 2), 1: F(1, 2), 4: F(1, 4), 5: F(3, 4)}),
+        "q0", "-11/3", "-1"),
+    "14/602": (
+        Mdp.build(3, [("q0", "controller"), ("q1", "random"), ("q2", "random")],
+                  [(0, "q0", "q2", [1, -2, -3]), (1, "q0", "q2", [3, -3, 3]),
+                   (2, "q0", "q0", [-2, 2, -1]), (3, "q1", "q1", [3, 2, 0]),
+                   (4, "q1", "q2", [2, -1, -3]), (5, "q1", "q0", [3, 1, 2]),
+                   (6, "q2", "q2", [3, 3, 2]), (7, "q2", "q0", [1, 3, -2])],
+                  {3: F(1, 3), 4: F(1, 3), 5: F(1, 3), 6: F(3, 4), 7: F(1, 4)}),
+        "q0", "-4,0,-1/2", "-4,-4/3,-3/4"),
+    "11/122": (
+        Mdp.build(2, [("q0", "controller"), ("q1", "random"), ("q2", "random"),
+                      ("q3", "controller"), ("q4", "controller"), ("q5", "controller")],
+                  [(0, "q0", "q4", [-1, 0]), (1, "q1", "q2", [-3, 0]), (2, "q1", "q2", [-1, -1]),
+                   (3, "q1", "q3", [3, 3]), (4, "q2", "q4", [-2, -2]), (5, "q2", "q1", [2, -3]),
+                   (6, "q2", "q2", [3, 3]), (7, "q3", "q4", [-3, 1]), (8, "q3", "q1", [0, 1]),
+                   (9, "q3", "q4", [0, -2]), (10, "q4", "q2", [-1, -3]),
+                   (11, "q4", "q4", [0, 0]), (12, "q5", "q5", [2, -3])],
+                  {1: F(1, 2), 2: F(1, 4), 3: F(1, 4), 4: F(1, 4), 5: F(1, 4), 6: F(1, 2)}),
+        "q2", "-9/2,-7/3", "1/2,-1"),
+}
+
+
+def _search_case(name, mode):
+    mdp, start, mu, nu = _SEARCH_CASES[name]
+    return mdp, ThresholdQuery.build(mode, start, mu.split(","), nu.split(","))
+
+
+def test_cycling_dwell_reaches_32_in_bwc_fin_and_8_in_bas_and_bwc_inf():
+    machine, _, _ = bas_strategy(*_search_case("16/22", "bas"))
+    assert [g.dwell for g in machine.machines] == [8]
+    machine, _, _, cap = bwc_finite_strategy(*_search_case("16/22", "bwc-fin"))
+    (rung,) = machine.machines
+    assert isinstance(rung, CyclingMachine) and len(rung.locals) == 2
+    assert (rung.dwell, rung.deterministic, cap) == (32, False, 1)
+    strat = bwc_infinite_strategy(*_search_case("16/22", "bwc-inf"), period=64)
+    assert [g.dwell for g in strat.composed.machines] == [8]
+
+
+def test_bas_dwell_reaches_16():
+    machine, _, _ = bas_strategy(*_search_case("20/163", "bas"))
+    assert [(g.dwell, len(g.locals)) for g in machine.machines] == [(16, 2)]
+
+
+def test_bwc_finite_phase_cap_reaches_8():
+    _, _, _, cap = bwc_finite_strategy(*_search_case("9/596", "bwc-fin"))
+    assert cap == 8
+
+
+def test_bwc_finite_picks_a_monitored_rung_of_period_1_recovery_16():
+    # Both worst-case machines, the monitored rung's and the fallback, need
+    # two memories.
+    machine, _, _, _ = bwc_finite_strategy(*_search_case("14/602", "bwc-fin"))
+    (rung,) = machine.machines
+    assert isinstance(rung, MonitoredMachine) and (rung.period, rung.recovery) == (1, 16)
+    assert len(rung.fwc.memory) == len(machine.fallback.memory) == 2
+
+
+def test_bwc_finite_picks_a_monitored_rung_of_period_4_recovery_4():
+    machine, _, _, _ = bwc_finite_strategy(*_search_case("11/122", "bwc-fin"))
+    (rung,) = machine.machines
+    assert isinstance(rung, MonitoredMachine) and (rung.period, rung.recovery) == (4, 4)
+
+
 # gen.corpus seed 6 instance 76 and seed 11 instance 75: yes-instances
 # whose component tables were once checked from the component's first state
 # only, so a table whose chain from another state sinks into a poorer bottom
@@ -464,7 +555,7 @@ def test_plain_rungs_stop_at_the_first_outgrown_combiner(ladder_components):
             continue
         fits = [d for d in dwells
                 if sum(CyclingMachine(sub, comp, locals_, d).counts) <= CHAIN_LIMIT]
-        assert kept == [(d, det) for d in fits for det in (False, True) if not det or d <= 4]
+        assert kept == [(d, False) for d in fits]
         cuts.append(len(fits))
     # Cut before the first rung (TASK_EX), inside the ladder, and never.
     assert {0, len(dwells)} < set(cuts)
@@ -482,38 +573,26 @@ def _chain_shape(sub, machine):
 
 
 def test_skipped_rungs_play_as_the_rungs_kept(ladder_components):
-    # The rungs the ladder no longer builds: cycling combiners of one local
-    # strategy at dwells past 1, and monitored dwell 2 where the period
-    # ends before stage 0's counter at dwell 1 runs out.
+    # The ladder builds the cycling combiners of one local strategy at
+    # dwell 1 only: every dwell past 1 plays as it.
     compared = 0
     for mdp, comp, locals_ in [c for cs in ladder_components.values() for c in cs]:
+        if len(locals_) > 1:
+            continue
         sub = restrict(mdp, comp.states)
-        if len(locals_) == 1:
-            for det in (False, True):
-                want = _chain_shape(sub, CyclingMachine(sub, comp, locals_, 1, det))
-                for dwell in (2, DWELL_CAP):
-                    assert _chain_shape(sub, CyclingMachine(sub, comp, locals_, dwell, det)) \
-                        == want
-                    compared += want is not None
-        fwc = memoryless(sub, {s: sub.out_edges[s][0].eid
-                               for s in sub.state_ids if not sub.is_random(s)})
-        dims = range(sub.dimension)
-        first_stage = CyclingMachine(sub, comp, locals_, 1).counts[0]
-        for period in (1, 2, 4, 8):
-            if len(locals_) == 1 or period <= first_stage:
-                one, two = (_chain_shape(sub, MonitoredMachine(
-                    sub, CyclingMachine(sub, comp, locals_, dwell), fwc, period, 4,
-                    [F(0)] * sub.dimension, F(0), dims)) for dwell in (1, 2))
-                assert one == two
-                compared += one is not None
-    assert compared >= 500
+        for det in (False, True):
+            want = _chain_shape(sub, CyclingMachine(sub, comp, locals_, 1, det))
+            for dwell in (2, DWELL_CAP):
+                assert _chain_shape(sub, CyclingMachine(sub, comp, locals_, dwell, det)) == want
+                compared += want is not None
+    assert compared >= 300
 
 
 def test_task_ex_ladder_analyses(monkeypatch):
     # TASK_EX's bwc-fin synthesis (as in the synth-sim benchmark) analyses
     # each rung it reaches once: 16 memoryless tables (its cycling rungs
-    # outgrow CHAIN_LIMIT), 8 monitored machines (dwell 1 only: stage 0
-    # counts 313 steps), and 4 worst cases.
+    # outgrow CHAIN_LIMIT), the 4 monitored machines up to period 4,
+    # recovery 16, and 3 worst cases.
     from bwcmdp import synthesis
 
     calls = {"plain": 0, "monitored": 0, "worst case": 0}
@@ -532,7 +611,7 @@ def test_task_ex_ladder_analyses(monkeypatch):
     task = negate_weights(fixture("TASK_EX"), halve=True)
     bwc_finite_strategy(task, _query("bwc-fin", [F(-49, 8), F(-64)], [F(-49, 8), F(-29, 8)],
                                      start="0"))
-    assert calls == {"plain": 16, "monitored": 8, "worst case": 4}
+    assert calls == {"plain": 16, "monitored": 4, "worst case": 3}
 
 
 def _synthesize_digests(tmp_path, capsys):
