@@ -34,8 +34,9 @@ Parameters (dwell A, phase cap N, period K, recovery length L) are found
 by verified search: synthesize, verify exactly, grow.  Existence is
 guaranteed by the feasibility of the threshold system; the searches are
 budgeted and report failure rather than returning unverified strategies.
-Each range ends near the largest value a seeded instance (pinned by a
-test) needs; the bwc-inf period K is the caller's, not searched.
+Rotations and monitored rungs are those a seeded instance (pinned by a
+test) wins; DWELL_CAP and PHASE_CAP_LIMIT exceed what any one needs.
+The bwc-inf monitor's period is the caller's, not searched.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ if TYPE_CHECKING:
 ENUM_BUDGET = 1 << 20  # memoryless_wc_search candidates
 DWELL_CAP = 64  # largest dwell of every cycling combiner: bas, the bwc-fin ladder, bwc-inf
 PHASE_CAP_LIMIT = 1 << 16  # largest bwc-fin step cap
+MONITORED_RUNGS = ((1, 4), (1, 16), (4, 4), (4, 16), (8, 16))  # (period, recovery), in order
 CHAIN_LIMIT = 600  # product nodes a bwc-fin rung's expectation may take
 
 
@@ -481,11 +483,11 @@ def _guaranteed_floor(mdp: Mdp, machine, dims) -> list[Fraction]:
 # Per-component recurrent-phase ladder.
 
 
-def _dwells(locals_: Sequence[LocalStrategy]):
-    """The dwells a cycling combiner of ``locals_`` is tried at.  With one
-    local strategy it keeps no step counters and plays every dwell as
-    dwell 1, so dwell 1 alone; otherwise doubling up to DWELL_CAP."""
-    return _doubling(1 if len(locals_) == 1 else DWELL_CAP)
+def _dwells(several: bool):
+    """Dwells doubling up to DWELL_CAP when ``several`` local strategies
+    take turns, else dwell 1 alone: a combiner of one keeps no step
+    counters, so it plays every dwell as dwell 1."""
+    return _doubling(DWELL_CAP if several else 1)
 
 
 def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
@@ -499,7 +501,7 @@ def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
     if math.prod(len(o) for o in options) <= 256:
         for combo in itertools.product(*options):
             yield memoryless(sub, dict(zip(ctrl, combo)))
-    for dwell in _dwells(locals_):
+    for dwell in _dwells(len(locals_) > 1):
         g = CyclingMachine(sub, ec, locals_, dwell)
         if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:
             return
@@ -510,8 +512,8 @@ def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
 
 def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], dims):
     """The paper's combined strategy: the dwell-1 cycling combiner
-    alternating with a worst-case machine under a payoff monitor, at
-    period 1, 4 or 8 and recovery length 4 or 16."""
+    alternating with a worst-case machine under a payoff monitor, at the
+    (period, recovery length) pairs of MONITORED_RUNGS."""
     try:
         fwc = memoryless_wc_search(sub, dims)
     except FallbackUnavailable:
@@ -521,9 +523,8 @@ def _monitored_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy], d
     if floor_min <= 0:
         return
     g = CyclingMachine(sub, ec, locals_, 1)
-    for period in (1, 4, 8):
-        for rec in (4, 16):
-            yield MonitoredMachine(sub, g, fwc, period, rec, floor, floor_min / 2, dims)
+    for period, rec in MONITORED_RUNGS:
+        yield MonitoredMachine(sub, g, fwc, period, rec, floor, floor_min / 2, dims)
 
 
 def _least_bottom_mean(sub: Mdp, machine, node_limit: int = 200_000) -> tuple[Fraction, ...]:
@@ -753,16 +754,16 @@ def bas_strategy(mdp: Mdp, query: ThresholdQuery,
     """Finite machine for a yes beyond-almost-sure decision.
 
     Composes the phase-1 plan with one cycling machine per positive-mass
-    component; the dwell parameter (``_dwells`` of the component with the
-    most local strategies) is grown until the machine verifies, both read
-    off one bottom-SCC analysis of its chain: exact expectation above the
-    (normalized) target, and every reachable bottom component above the
-    (normalized) worst-case threshold, zero.  Returns (machine, prepared
-    mdp, prepared start).
+    component; the dwell parameter (``_dwells``, doubling when some
+    component has several local strategies) is grown until the machine
+    verifies, both read off one bottom-SCC analysis of its chain: exact
+    expectation above the (normalized) target, and every reachable bottom
+    component above the (normalized) worst-case threshold, zero.  Returns
+    (machine, prepared mdp, prepared start).
     """
     w, plan, component_of, entries = _witness_parts(mdp, query, decision)
 
-    for dwell in _dwells(max((locals_ for _, locals_, _ in entries), key=len, default=())):
+    for dwell in _dwells(any(len(locals_) > 1 for _, locals_, _ in entries)):
         machines = [CyclingMachine(restrict(w.mdp, comp.states), comp, locals_, dwell)
                     for comp, locals_, _ in entries]
         composed = ComposedStrategy(w.mdp, plan, component_of, machines)
@@ -1074,7 +1075,7 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
     monitors = []
     for comp, locals_, _ in entries:
         sub = restrict(w.mdp, comp.states)
-        for dwell in _dwells(locals_):
+        for dwell in _dwells(len(locals_) > 1):
             g = CyclingMachine(sub, comp, locals_, dwell)
             exp = _least_bottom_mean(sub, g)
             if all(e > 0 for e in exp):

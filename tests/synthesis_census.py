@@ -12,9 +12,10 @@ Each line is ``seed index mode exit sha256``: the digest of the strategy
 file when `synthesize` exits 0, else of its stdout and stderr (the
 decision of a no-instance, the message of an error).  The instances are
 ``perfbench/gen.py``'s ``corpus(seed, size)``.  A call that runs past
-``--timeout`` seconds (the worst-case fallback search of a few bwc
+``TIMEOUT`` seconds (the worst-case fallback search of a few bwc
 instances enumerates a million candidates before it fails) is cut and
-its line reads ``timeout`` instead.
+its line reads ``timeout`` instead.  The modes and the timeout are fixed
+(``MODES``, ``TIMEOUT``) so that two runs digest the same calls.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+MODES = ("bas", "bwc-fin", "bwc-inf")
+TIMEOUT = 10.0  # seconds per synthesize call
 
 
 class _Timeout(BaseException):  # not an Exception: the CLI's handler lets it pass
@@ -53,8 +56,6 @@ def main(argv=None) -> int:
     p.add_argument("--src", required=True, help="the source tree whose bwcmdp is run")
     p.add_argument("--seeds", required=True, type=_seeds, help="corpus seeds, e.g. 1-20,150408211")
     p.add_argument("--size", type=int, default=672, help="instances per seed")
-    p.add_argument("--modes", default="bas,bwc-fin,bwc-inf")
-    p.add_argument("--timeout", type=float, default=10.0, help="seconds per synthesize call")
     args = p.parse_args(argv)
 
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(os.path.dirname(HERE), "perfbench")]
@@ -62,7 +63,6 @@ def main(argv=None) -> int:
     from bwcmdp import cli, jsonio
     from bwcmdp.rationals import format_rational
 
-    modes = args.modes.split(",")
     started, synthesized = time.process_time(), 0
     signal.signal(signal.SIGALRM, _alarm)
     with tempfile.TemporaryDirectory() as work:
@@ -71,11 +71,11 @@ def main(argv=None) -> int:
             for k, (mdp, q) in enumerate(gen.corpus(seed, args.size)):
                 jsonio.save_mdp(path, mdp)
                 mu, nu = (",".join(map(format_rational, v)) for v in (q.mu, q.nu))
-                for mode in modes:
+                for mode in MODES:
                     if os.path.exists(strat):
                         os.remove(strat)
                     out, err = io.StringIO(), io.StringIO()
-                    signal.setitimer(signal.ITIMER_REAL, args.timeout)
+                    signal.setitimer(signal.ITIMER_REAL, TIMEOUT)
                     try:
                         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                             code = cli.main(["synthesize", "--mdp", path, "--mode", mode,
