@@ -373,15 +373,6 @@ def energy_win(mdp: Mdp, dim: int) -> tuple[set[str], dict[str, int]]:
     return win, strategy
 
 
-def wc_positional_strategy_unidim(mdp: Mdp, dim: int) -> Optional[dict[str, int]]:
-    """Positional controller strategy with MP > 0 on ``dim`` from every state.
-
-    Returns None unless every state wins the strict threshold.
-    """
-    win, strategy = energy_win(mdp, dim)
-    return strategy if len(win) == len(mdp.state_ids) else None
-
-
 # ---------------------------------------------------------------------------
 # Trivial dimensions, MWEC decomposition, pruning.
 

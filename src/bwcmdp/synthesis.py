@@ -35,8 +35,9 @@ by verified search: synthesize, verify exactly, grow.  Existence is
 guaranteed by the feasibility of the threshold system; the searches are
 budgeted and report failure rather than returning unverified strategies.
 Rotations and monitored rungs are those a seeded instance (pinned by a
-test) wins; DWELL_CAP and PHASE_CAP_LIMIT exceed what any one needs.
-The bwc-inf monitor's period is the caller's, not searched.
+test) wins, and every search range stops at the largest value one of
+them wins: ENUM_BUDGET, DWELL_CAP and PHASE_CAP_LIMIT.  The bwc-inf
+monitor's period is the caller's, not searched.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ from bwcmdp.verification import (WeightedGraph, bottom_means, bscc_analysis, exp
 if TYPE_CHECKING:
     import numpy as np
 
-ENUM_BUDGET = 1 << 20  # memoryless_wc_search candidates
-DWELL_CAP = 64  # largest dwell of every cycling combiner: bas, the bwc-fin ladder, bwc-inf
-PHASE_CAP_LIMIT = 1 << 16  # largest bwc-fin step cap
+ENUM_BUDGET = 1 << 11  # memoryless_wc_search candidates
+DWELL_CAP = 32  # largest dwell of every cycling combiner: bas, the bwc-fin ladder, bwc-inf
+PHASE_CAP_LIMIT = 8  # largest bwc-fin step cap
 MONITORED_RUNGS = ((1, 4), (1, 16), (4, 4), (4, 16), (8, 16))  # (period, recovery), in order
 CHAIN_LIMIT = 600  # product nodes a bwc-fin rung's expectation may take
 
@@ -189,9 +190,10 @@ class CyclingMachine:
     dwells often are too, and callers verify exactly.
 
     Memory: ("reach", i) heading to sub-component i, locking on entry;
-    ("play", i, k) with k plays remaining.  With deterministic=True the
-    local randomization is replaced by per-state weighted round-robin
-    rotations (positions live in the memory), giving a pure machine.
+    ("play", i, k) with k plays remaining.  With deterministic=True, for
+    one local strategy only, its randomization is replaced by per-state
+    weighted round-robin rotations, giving a pure machine with memories
+    ("reach", 0, ()) and ("play", 0, positions, 0).
     """
 
     def __init__(self, mdp: Mdp, ec: EndComponent, locals_: Sequence[LocalStrategy],
@@ -209,7 +211,9 @@ class CyclingMachine:
         self.counts = [int(loc.frequency * denom_lcm) * dwell for loc in self.locals]
         self._reach_edge = [self._reach_table(loc) for loc in self.locals]
         if deterministic:
-            self._rotations = [self._rotation_table(loc) for loc in self.locals]
+            if len(self.locals) > 1:
+                raise ValueError("a deterministic rotation plays one local strategy")
+            self._rotation = self._rotation_table(self.locals[0])
 
     def _reach_table(self, loc: LocalStrategy) -> dict[str, int]:
         # Shortest-path-to-target edge per controller state of the EC.
@@ -267,20 +271,10 @@ class CyclingMachine:
     # Moore interface -------------------------------------------------
 
     def initial_dist(self):
-        return {self._enter_mem(0): Fraction(1)}
+        return {("reach", 0, ()) if self.deterministic else ("reach", 0): Fraction(1)}
 
-    def _enter_mem(self, i: int):
-        if self.deterministic:
-            return ("reach", i, ())
-        return ("reach", i)
-
-    @property
-    def _solo(self) -> bool:
-        # One sub-component: no stage switching, hence no step counters.
-        return len(self.locals) == 1
-
-    def _rot_lookup(self, i: int, pos: tuple, state: str) -> tuple[int, tuple]:
-        seq = self._rotations[i][state]
+    def _rot_lookup(self, pos: tuple, state: str) -> tuple[int, tuple]:
+        seq = self._rotation[state]
         cur = dict(pos).get(state, 0)
         nxt = tuple(sorted((dict(pos) | {state: (cur + 1) % len(seq)}).items())) \
             if len(seq) > 1 else pos
@@ -292,34 +286,22 @@ class CyclingMachine:
         if kind == "reach" and state not in loc.states:
             return {self._reach_edge[i][state]: Fraction(1)}
         if self.deterministic:
-            pos = mem[2] if kind != "reach" else ()
-            eid, _ = self._rot_lookup(i, pos, state)
-            return {eid: Fraction(1)}
+            return {self._rot_lookup(mem[2], state)[0]: Fraction(1)}
         return dict(loc.choices[state])
 
     def update(self, state: str, mem) -> dict:
         kind, i = mem[0], mem[1]
         loc = self.locals[i]
-        if kind == "reach":
-            if state not in loc.states:
-                return {mem: Fraction(1)}
-            remaining = self.counts[i]
-            pos = ()
-        else:
-            remaining = mem[2] if not self.deterministic else mem[3]
-            pos = mem[2] if self.deterministic else None
-        if self.deterministic and state in loc.choices:
-            _, pos = self._rot_lookup(i, pos, state)
-        if self._solo:
-            if self.deterministic:
-                return {("play", i, pos, 0): Fraction(1)}
-            return {("play", i, 0): Fraction(1)}
-        remaining -= 1
-        if remaining <= 0:
-            nxt = (i + 1) % len(self.locals)
-            return {self._enter_mem(nxt): Fraction(1)}
+        if kind == "reach" and state not in loc.states:
+            return {mem: Fraction(1)}
         if self.deterministic:
-            return {("play", i, pos, remaining): Fraction(1)}
+            pos = self._rot_lookup(mem[2], state)[1] if state in loc.choices else mem[2]
+            return {("play", 0, pos, 0): Fraction(1)}
+        if len(self.locals) == 1:  # no stage switching, hence no step counters
+            return {("play", 0, 0): Fraction(1)}
+        remaining = (self.counts[i] if kind == "reach" else mem[2]) - 1
+        if remaining <= 0:
+            return {("reach", (i + 1) % len(self.locals)): Fraction(1)}
         return {("play", i, remaining): Fraction(1)}
 
 
@@ -340,8 +322,8 @@ def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None):
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
     mu = _check_vector(mdp, dims)
     if len(dims) == 1:
-        choice = games.wc_positional_strategy_unidim(mdp, dims[0])
-        if choice is not None:
+        win, choice = games.energy_win(mdp, dims[0])
+        if len(win) == len(mdp.state_ids):
             return memoryless(mdp, choice)
         reason = "found no positional strategy winning from every state"
     else:
@@ -359,28 +341,32 @@ def memoryless_wc_search(mdp: Mdp, dims: Optional[Sequence[int]] = None):
     raise FallbackUnavailable(f"worst-case fallback search {reason}")
 
 
+def _options(mdp: Mdp, memories: Sequence = (0,)):
+    """(state, memory) pairs of the controller states and each one's
+    out-edge ids."""
+    keys = [(s, m) for s in mdp.state_ids if not mdp.is_random(s) for m in memories]
+    return keys, [[e.eid for e in mdp.out_edges[s]] for s, _ in keys]
+
+
+def _memoryless_tables(mdp: Mdp):
+    """Every pure memoryless machine, in product order of the out-edges."""
+    keys, options = _options(mdp)
+    for combo in itertools.product(*options):
+        yield memoryless(mdp, {s: eid for (s, _), eid in zip(keys, combo)})
+
+
 def _wc_candidates(mdp: Mdp):
-    """Pure memoryless machines (when at most ENUM_BUDGET of them), then
-    pure 2-memory machines starting in memory 0."""
-    ctrl = [s for s in mdp.state_ids if not mdp.is_random(s)]
-    options = [[e.eid for e in mdp.out_edges[s]] for s in ctrl]
-    if math.prod(len(o) for o in options) <= ENUM_BUDGET:
-        for combo in itertools.product(*options):
-            yield memoryless(mdp, dict(zip(ctrl, combo)))
+    """Pure memoryless machines, then pure 2-memory machines starting in
+    memory 0; memoryless_wc_search stops after ENUM_BUDGET of them."""
+    yield from _memoryless_tables(mdp)
     mems = (0, 1)
-    out_options = list(itertools.product(*[o for o in options for _ in mems])) if ctrl else [()]
-    for upd in itertools.product(mems, repeat=2 * len(mdp.state_ids)):
-        table_u = dict(zip(((s, m) for s in mdp.state_ids for m in mems), upd))
-        for outs in out_options:
-            table_o = dict(zip(((s, m) for s in ctrl for m in mems), outs))
-            yield _two_memory_machine(mdp, table_u, table_o)
-
-
-def _two_memory_machine(mdp: Mdp, upd: dict, out: dict):
-    update = {(s, m): {upd[(s, m)]: Fraction(1)} for s in mdp.state_ids for m in (0, 1)}
-    output = {(s, m): {out[(s, m)]: Fraction(1)}
-              for s in mdp.state_ids if not mdp.is_random(s) for m in (0, 1)}
-    return TableMachine([0, 1], {0: Fraction(1)}, update, output)
+    keys, options = _options(mdp, mems)
+    every = [(s, m) for s in mdp.state_ids for m in mems]
+    for upd in itertools.product(mems, repeat=len(every)):
+        update = {key: {u: Fraction(1)} for key, u in zip(every, upd)}
+        for outs in itertools.product(*options):
+            output = {key: {eid: Fraction(1)} for key, eid in zip(keys, outs)}
+            yield TableMachine([0, 1], {0: Fraction(1)}, update, output)
 
 
 def _check_vector(mdp: Mdp, dims: Sequence[int]) -> list[Fraction]:
@@ -496,11 +482,8 @@ def _plain_rungs(sub: Mdp, ec: EndComponent, locals_: list[LocalStrategy]):
     deterministic rotation.  With several, a combiner's chain reaches all
     its ``sum(counts)`` memories, which grow with the dwell: the rungs stop
     at the first whose counters exceed CHAIN_LIMIT."""
-    ctrl = [s for s in sub.state_ids if not sub.is_random(s)]
-    options = [[e.eid for e in sub.out_edges[s]] for s in ctrl]
-    if math.prod(len(o) for o in options) <= 256:
-        for combo in itertools.product(*options):
-            yield memoryless(sub, dict(zip(ctrl, combo)))
+    if math.prod(map(len, _options(sub)[1])) <= 256:
+        yield from _memoryless_tables(sub)
     for dwell in _dwells(len(locals_) > 1):
         g = CyclingMachine(sub, ec, locals_, dwell)
         if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:

@@ -12,9 +12,8 @@ Each line is ``seed index mode exit sha256``: the digest of the strategy
 file when `synthesize` exits 0, else of its stdout and stderr (the
 decision of a no-instance, the message of an error).  The instances are
 ``perfbench/gen.py``'s ``corpus(seed, size)``.  A call that runs past
-``TIMEOUT`` seconds (the worst-case fallback search of a few bwc
-instances enumerates a million candidates before it fails) is cut and
-its line reads ``timeout`` instead.  The modes and the timeout are fixed
+``TIMEOUT`` seconds is cut and its line reads ``timeout`` instead; no
+call over seeds 1-20 comes near it.  The modes and the timeout are fixed
 (``MODES``, ``TIMEOUT``) so that two runs digest the same calls.
 """
 

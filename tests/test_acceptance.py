@@ -15,7 +15,7 @@ from bwcmdp import linsolve
 from bwcmdp.decomposition import mecs
 from bwcmdp.machines import induced_chain
 from bwcmdp.model import ThresholdQuery, fixture, negate_weights, normalize
-from bwcmdp.synthesis import (AdaptedMachine, CyclingMachine, bas_strategy,
+from bwcmdp.synthesis import (PHASE_CAP_LIMIT, AdaptedMachine, CyclingMachine, bas_strategy,
                               bwc_finite_strategy, bwc_infinite_strategy, local_strategies,
                               memoryless_wc_search)
 from bwcmdp.systems import decide, ec_expectation_system
@@ -204,7 +204,7 @@ def test_criterion_7_synthesis_round_trips(corpus):
             decision = decide(mdp, query)
             assert decision.answer
             machine, prepared, pstart, cap = bwc_finite_strategy(mdp, query, decision=decision)
-            assert cap <= 1 << 16
+            assert cap <= PHASE_CAP_LIMIT
             adapted = AdaptedMachine(machine, prepared, mdp, pstart)
             exp = expected_mp(induced_chain(mdp, adapted, adapted.start))
             assert all(e > n for e, n in zip(exp, query.nu))

@@ -9,9 +9,9 @@ import pytest
 
 from bwcmdp import games
 from bwcmdp.decomposition import index_sccs, mecs, restrict, sccs
-from bwcmdp.games import (AdversaryBudgetExceeded, AdversaryChoice, Unsatisfiable, mwecs,
-                          positive_multicycle, prune, revalidate_certificate,
-                          wc_positional_strategy_unidim, wc_winning_region)
+from bwcmdp.games import (AdversaryBudgetExceeded, AdversaryChoice, Unsatisfiable,
+                          energy_win, mwecs, positive_multicycle, prune,
+                          revalidate_certificate, wc_winning_region)
 from bwcmdp.model import Mdp
 from conftest import random_game, random_mdp
 from oracles import (brute_game_value, brute_wc_region, free_multicycle, lp_positive_component,
@@ -346,8 +346,8 @@ def test_positional_strategy_strictly_wins():
         if not all(v > 0 for v in vals.values()):
             continue
         found += 1
-        choice = wc_positional_strategy_unidim(game, 0)
-        assert choice is not None
+        win, choice = energy_win(game, 0)
+        assert win == set(game.state_ids)
         machine = memoryless(game, choice)
         for s in game.state_ids:
             assert verify_worstcase(game, machine, [F(0)], start=s).ok

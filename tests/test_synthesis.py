@@ -6,13 +6,14 @@ import pytest
 
 from bwcmdp import linsolve
 from bwcmdp.decomposition import mecs, restrict
-from bwcmdp.machines import MachineError, induced_chain, memoryless
+from bwcmdp.machines import MachineError, TableMachine, induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
 from bwcmdp.systems import decide, ec_expectation_system
-from bwcmdp.synthesis import (CHAIN_LIMIT, DWELL_CAP, AdaptedMachine, CyclingMachine,
-                              MonitoredMachine, _doubling, _plain_rungs, _witness_parts,
-                              bas_strategy, bwc_finite_strategy, bwc_infinite_strategy,
-                              local_strategies, memoryless_wc_search, phase1_strategy)
+from bwcmdp.synthesis import (CHAIN_LIMIT, DWELL_CAP, ENUM_BUDGET, AdaptedMachine,
+                              CyclingMachine, MonitoredMachine, _doubling, _plain_rungs,
+                              _wc_candidates, _witness_parts, bas_strategy,
+                              bwc_finite_strategy, bwc_infinite_strategy, local_strategies,
+                              memoryless_wc_search, phase1_strategy)
 from bwcmdp.verification import (bscc_analysis, expected_mp, simulate,
                                  verify_almost_sure, verify_worstcase)
 from oracles import TotalPayoffMonitor, recovery_length, wec_combined
@@ -120,12 +121,23 @@ def test_global_unichain_single_component(run_ex):
 
 
 def test_global_unichain_deterministic_variant(approx_ex):
-    ec = mecs(approx_ex)[0]
-    locs = local_strategies(approx_ex, ec, _ec_solution(approx_ex, ec, [F(1, 2), F(1, 2)]))
-    g = CyclingMachine(approx_ex, ec, locs, 2, deterministic=True)
-    chain = induced_chain(approx_ex, g, "s")
+    from bwcmdp.decomposition import EndComponent
+
+    # One local strategy mixing two loops 50/50: its rotation alternates
+    # them, a pure machine with the same expectation.
+    m = Mdp.build(2, [("a", "controller")], [(0, "a", "a", [2, -1]), (1, "a", "a", [-1, 2])])
+    ec = EndComponent(frozenset({"a"}), frozenset({0, 1}))
+    (loc,) = local_strategies(m, ec, {"x[0]": F(1, 2), "x[1]": F(1, 2)})
+    g = CyclingMachine(m, ec, [loc], 2, deterministic=True)
+    chain = induced_chain(m, g, "a")
     assert len(bscc_analysis(chain)) == 1
     assert all(len(row) == 1 for row in chain.transitions)  # pure machine
+    assert expected_mp(chain) == loc.mean == (F(1, 2), F(1, 2))
+    # Several local strategies take no rotation.
+    ec = mecs(approx_ex)[0]
+    locs = local_strategies(approx_ex, ec, _ec_solution(approx_ex, ec, [F(1, 2), F(1, 2)]))
+    with pytest.raises(ValueError):
+        CyclingMachine(approx_ex, ec, locs, 1, deterministic=True)
 
 
 def test_global_unichain_rejects_bad_dwell(approx_ex):
@@ -163,14 +175,19 @@ def test_wec_combined_parameters(approx_ex):
     ec = mecs(approx_ex)[0]
     locs = local_strategies(approx_ex, ec, _ec_solution(approx_ex, ec, [F(1, 2), F(1, 2)]))
     g = CyclingMachine(approx_ex, ec, locs, 1)
-    fwc = CyclingMachine(approx_ex, ec, locs, 1, deterministic=True)
+    # Memory 0 plays the state's loop, memory 1 its cross edge: the s and t
+    # loops alternate, each once per four steps.
+    fwc = TableMachine([0, 1], {0: F(1)},
+                       {(s, m): {1 - m: F(1)} for s in "st" for m in (0, 1)},
+                       {("s", 0): {0: F(1)}, ("s", 1): {1: F(1)},
+                        ("t", 0): {2: F(1)}, ("t", 1): {3: F(1)}})
     machine = wec_combined(approx_ex, ec, g, fwc, period=100, delta=F(1, 8),
-                           wc_memory_size=4)
-    # The dwell-1 rotation guarantees floor 1/(2+2) per dimension; the
+                           wc_memory_size=2)
+    # The alternation guarantees floor 1/(2+2) per dimension; the
     # recovery length is the closed form at that floor.
     assert machine.period == 100
     assert machine.floor == [F(1, 4), F(1, 4)]
-    m = 4 * 2
+    m = 2 * 2
     want = recovery_length(100, 1, F(1, 4), F(1, 8), m)
     assert machine.recovery == want
 
@@ -402,6 +419,23 @@ _SEARCH_CASES = {
                    (11, "q4", "q4", [0, 0]), (12, "q5", "q5", [2, -3])],
                   {1: F(1, 2), 2: F(1, 4), 3: F(1, 4), 4: F(1, 4), 5: F(1, 4), 6: F(1, 2)}),
         "q2", "-9/2,-7/3", "1/2,-1"),
+    "20/639": (
+        Mdp.build(2, [(f"q{i}", "controller") for i in range(3)],
+                  [(0, "q0", "q1", [3, 2]), (1, "q0", "q0", [-3, 3]), (2, "q1", "q0", [1, -3]),
+                   (3, "q1", "q0", [-1, 3]), (4, "q2", "q2", [3, -3]), (5, "q2", "q0", [3, -1])]),
+        "q2", "5/4,-1/2", "-1,1"),
+    "7/333": (
+        Mdp.build(3, [(f"q{i}", "controller") for i in range(6)],
+                  [(0, "q0", "q5", [1, 3, 3]), (1, "q0", "q2", [0, -3, -3]),
+                   (2, "q0", "q2", [3, 1, 1]), (3, "q1", "q3", [-1, 0, 3]),
+                   (4, "q1", "q2", [-2, 1, 0]), (5, "q1", "q4", [-3, 2, 3]),
+                   (6, "q2", "q4", [-1, -1, 2]), (7, "q2", "q4", [-3, 1, 0]),
+                   (8, "q3", "q4", [1, -3, 0]), (9, "q3", "q3", [2, 1, -2]),
+                   (10, "q3", "q1", [2, 3, -2]), (11, "q4", "q2", [1, 1, 3]),
+                   (12, "q4", "q1", [-2, 0, -3]), (13, "q4", "q2", [0, -2, -2]),
+                   (14, "q5", "q5", [-2, 3, -2]), (15, "q5", "q3", [2, -3, -1]),
+                   (16, "q5", "q4", [1, 3, -1])]),
+        "q5", "0,-1/3,2", "-3/4,-1,-3"),
 }
 
 
@@ -444,6 +478,36 @@ def test_bwc_finite_picks_a_monitored_rung_of_period_4_recovery_4():
     machine, _, _, _ = bwc_finite_strategy(*_search_case("11/122", "bwc-fin"))
     (rung,) = machine.machines
     assert isinstance(rung, MonitoredMachine) and (rung.period, rung.recovery) == (4, 4)
+
+
+def test_fallback_search_reaches_candidate_1551():
+    # The worst-case fallback is a 2-memory machine, the search's 1,551st
+    # candidate: ENUM_BUDGET stops past it.
+    machine, prepared, _, _ = bwc_finite_strategy(*_search_case("20/639", "bwc-fin"))
+    assert len(machine.fallback.memory) == 2
+    spent = 1 + next(i for i, cand in enumerate(_wc_candidates(prepared))
+                     if cand == machine.fallback)
+    assert spent == 1551 <= ENUM_BUDGET
+
+
+@pytest.mark.parametrize("mode", ["bwc-fin", "bwc-inf"])
+def test_fallback_search_stops_at_its_budget(tmp_path, capsys, mode):
+    # A yes-instance whose fallback search once enumerated a million
+    # candidates, for minutes of CPU, before it failed.
+    import time
+
+    from bwcmdp import jsonio
+    from bwcmdp.cli import main
+
+    mdp, start, mu, nu = _SEARCH_CASES["7/333"]
+    path = str(tmp_path / "mdp.json")
+    jsonio.save_mdp(path, mdp)
+    started = time.process_time()
+    assert main(["synthesize", "--mdp", path, "--mode", mode, "--from", start,
+                 f"--mu={mu}", f"--nu={nu}", "--out", str(tmp_path / "strat.json")]) == 2
+    assert time.process_time() - started < 2
+    assert capsys.readouterr().err == (
+        f"error: worst-case fallback search exhausted its budget of {ENUM_BUDGET} candidates\n")
 
 
 # gen.corpus seed 6 instance 76 and seed 11 instance 75: yes-instances
@@ -512,19 +576,18 @@ def ladder_components(run_ex):
 
 
 def _outgrown_rungs(mdp, comp, locals_, dwells) -> int:
-    """Build both variants of the component's cycling combiners at
-    ``dwells``; check that each one with several local strategies whose
-    counters exceed CHAIN_LIMIT, the rungs ``_plain_rungs`` does not build,
-    has a chain from every state beyond that limit.  Returns their number."""
+    """Build the component's cycling combiners at ``dwells``; check that
+    each one with several local strategies whose counters exceed
+    CHAIN_LIMIT, the rungs ``_plain_rungs`` does not build, has a chain
+    from every state beyond that limit.  Returns their number."""
     sub = restrict(mdp, comp.states)
     count = 0
     for dwell in dwells:
-        for deterministic in (False, True):
-            g = CyclingMachine(sub, comp, locals_, dwell, deterministic=deterministic)
-            if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:
-                with pytest.raises(MachineError):
-                    induced_chain(sub, g, sub.state_ids, node_limit=CHAIN_LIMIT)
-                count += 1
+        g = CyclingMachine(sub, comp, locals_, dwell)
+        if len(locals_) > 1 and sum(g.counts) > CHAIN_LIMIT:
+            with pytest.raises(MachineError):
+                induced_chain(sub, g, sub.state_ids, node_limit=CHAIN_LIMIT)
+            count += 1
     return count
 
 
@@ -533,13 +596,13 @@ def test_cut_cycling_rungs_outgrow_the_chain_limit(ladder_components):
     cut = {name: sum(_outgrown_rungs(*c, dwells) for c in ladder_components[name])
            for name in ("task", "run")}
     # TASK_EX's two local strategies count [313, 351] steps at dwell 1, so
-    # every dwell goes, in both variants; RUN_EX's one component has a
-    # single local strategy and no step counters.
-    assert cut == {"task": 2 * len(dwells), "run": 0}
+    # every dwell goes; RUN_EX's one component has a single local strategy
+    # and no step counters.
+    assert cut == {"task": len(dwells), "run": 0}
     # Random components, also at dwells past DWELL_CAP so that their
     # counters exceed the limit.
     assert sum(_outgrown_rungs(*c, [*dwells, 256, 1024])
-               for c in ladder_components["random"]) >= 20
+               for c in ladder_components["random"]) >= 10
 
 
 def test_plain_rungs_stop_at_the_first_outgrown_combiner(ladder_components):
