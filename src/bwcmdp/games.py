@@ -8,11 +8,22 @@ strictly positive in every tracked dimension).  Memoryless adversaries
 suffice to spoil, so enumerating them is exact; the enumeration is capped
 and intended for desk-scale instances.
 
-One integer-indexed kernel (``_SpoilerKernel``) serves every spoiler of a
-``wc_winning_region`` call, and is built only when some state is still
-undecided.  It indexes the states and edges once, shares the controller
-states' successor lists among all spoilers (a spoiler swaps in only its
-random states' chosen arcs), and builds each edge's Karp arc once.
+With several tracked dimensions, a pre-pass first certifies sure winners:
+an SCC of the controller states' own graph that carries a positive
+multi-cycle is won whatever the spoiler does, and so is its attractor (a
+controller state with an edge into the set, a random state with all of
+its edges).  Spoilers are then enumerated only for the other states,
+until each has lost once.  Certified states do win, so every losing
+state still gets the first spoiler, in enumeration order, that beats it.
+With a single spoiler the pre-pass would cost as much as the spoiler,
+and is skipped.
+
+One integer-indexed kernel (``_SpoilerKernel``) serves the pre-pass and
+every spoiler of a ``wc_winning_region`` call, and is built only when
+some state is still undecided.  It indexes the states and edges once,
+shares the controller states' successor lists among all spoilers (a
+spoiler swaps in only its random states' chosen arcs), and builds each
+edge's Karp arc once.
 ``index_sccs`` lists the one-player graph's SCCs in reverse topological
 order, so one pass marks the winning ones: an SCC wins if it has an arc
 into a winning SCC or carries a positive multi-cycle.
@@ -128,8 +139,12 @@ class _SpoilerKernel:
     """One region call's spoiler-independent work and what its SCC
     verdicts have taught it (see the module notes).
 
+    ``sure_winners`` certifies the states won against every spoiler,
+    and ``spoil`` beats the states it is given; both settle SCCs through
+    ``positive``, so what one learns serves the other.
     States are indexed in declaration order and edges by their position
     in ``mdp.edges``; edge sets are bitmasks over those positions.
+    ``random`` tells the random states apart.
     ``memo`` maps an SCC's sorted internal edge positions to its
     verdict.  ``cycles`` holds the edges of one positive cycle per
     positive SCC settled: its tight cycle, or all its internal edges when
@@ -139,21 +154,71 @@ class _SpoilerKernel:
 
     def __init__(self, mdp: Mdp, dims: tuple[int, ...]):
         self.mdp, self.dims = mdp, dims
-        self.index = {s: i for i, s in enumerate(mdp.state_ids)}
-        index = self.index
-        self.target = [index[e.target] for e in mdp.edges]
-        # Column c < len(dims) is dimension dims[c] negated; the last is
-        # the negated sum of the tracked dimensions.
-        self.arcs = [(index[e.source], index[e.target],
-                      tuple(-e.weight[i] for i in dims) + (-sum(e.weight[i] for i in dims),), k)
-                     for k, e in enumerate(mdp.edges)]
+        self.index = index = {s: i for i, s in enumerate(mdp.state_ids)}
+        self.target: list[int] = []
+        self.arcs: list[tuple] = []
         self.outs: list[Sequence[int]] = [[] for _ in index]
         for k, e in enumerate(mdp.edges):
-            self.outs[index[e.source]].append(k)
+            i, t = index[e.source], index[e.target]
+            # Column c < len(dims) is dimension dims[c] negated; the last
+            # is the negated sum of the tracked dimensions.
+            cols = [-e.weight[d] for d in dims]
+            cols.append(sum(cols))
+            self.arcs.append((i, t, tuple(cols), k))
+            self.target.append(t)
+            self.outs[i].append(k)
         self.succ = [[self.target[k] for k in ks] for ks in self.outs]
+        self.random = [mdp.is_random(s) for s in mdp.state_ids]
         self.memo: dict[tuple[int, ...], bool] = {}
         self.cycles: list[int] = []
         self.losing: list[int] = []
+
+    def sure_winners(self) -> list[bool]:
+        """Per state index, whether the controller is certified to win
+        against every spoiler.
+
+        The seeds are the SCCs of the controller states' own graph (arcs
+        between controller states only) whose internal edges ``positive``
+        accepts: the controller keeps the play inside one whatever the
+        spoiler does, and wins there.  The set is then closed under the
+        attractor: a controller state joins with one edge into it, a
+        random state with all of its edges.  With a single spoiler it
+        certifies nothing: trying that spoiler costs no more.
+        """
+        random, succ, target = self.random, self.succ, self.target
+        sure = [False] * len(succ)
+        if all(len(ws) == 1 for v, ws in enumerate(succ) if random[v]):
+            return sure
+        queue: list[int] = []
+        for comp in index_sccs([[] if random[v] else [w for w in ws if not random[w]]
+                                for v, ws in enumerate(succ)]):
+            if random[comp[0]]:
+                continue
+            members = set(comp)
+            inner = sorted(k for v in comp for k in self.outs[v] if target[k] in members)
+            if inner and self.positive(comp, inner):
+                for v in comp:
+                    sure[v] = True
+                queue += comp
+        if not queue:
+            return sure
+        preds: list[list[int]] = [[] for _ in succ]
+        for v, ws in enumerate(succ):
+            for w in ws:
+                preds[w].append(v)
+        # Out-edges of each random state not yet known to enter the set.
+        left = [len(ws) for ws in succ]
+        while queue:
+            for v in preds[queue.pop()]:
+                if sure[v]:
+                    continue
+                if random[v]:
+                    left[v] -= 1
+                    if left[v]:
+                        continue
+                sure[v] = True
+                queue.append(v)
+        return sure
 
     def spoil(self, pending: list[int], budget: int) -> dict[int, AdversaryChoice]:
         """Beat what can be beaten of ``pending`` (state indices).
@@ -169,7 +234,7 @@ class _SpoilerKernel:
         options: list[list[tuple[int, tuple[str, int]]]] = []
         count = 1
         for i, s in enumerate(mdp.state_ids):
-            if mdp.is_random(s):
+            if self.random[i]:
                 ks = self.outs[i]
                 count *= len(ks)
                 if count > budget:
@@ -277,22 +342,29 @@ def wc_winning_region(mdp: Mdp, dims: Optional[Sequence[int]] = None,
     Expects a valid normalized MDP (mu = 0) with trivial dimensions
     already dropped from ``dims``.  Each losing state carries as its certificate
     the first spoiler, in enumeration order, that beats it.  With one
-    tracked dimension the energy game decides the region, and spoilers
-    are enumerated only until every losing state has its certificate.
+    tracked dimension the energy game decides the region; with several,
+    the states ``sure_winners`` certifies are won without a spoiler.
+    Either way, spoilers are enumerated only until every state left
+    undecided is beaten.
     """
     dims = tuple(dims) if dims is not None else tuple(range(mdp.dimension))
     if not dims:
         return WinningRegion(frozenset(mdp.state_ids), dims, {})
-    one_dim = len(dims) == 1
-    win = energy_win(mdp, dims[0])[0] if one_dim else set()
     ids = mdp.state_ids
-    pending = [v for v, s in enumerate(ids) if s not in win]
-    # Nothing pending (a 1-D game won everywhere): no kernel, no budget.
-    beaten = _SpoilerKernel(mdp, dims).spoil(pending, budget) if pending else {}
-    if one_dim and pending:
-        raise AssertionError(f"no spoiler found for losing states {[ids[v] for v in pending]}")
-    return WinningRegion(frozenset(win if one_dim else (ids[v] for v in pending)), dims,
-                         {ids[v]: sigma for v, sigma in beaten.items()})
+    if len(dims) == 1:
+        win = energy_win(mdp, dims[0])[0]
+        pending = [v for v, s in enumerate(ids) if s not in win]
+        # Nothing pending (a game won everywhere): no kernel, no budget.
+        beaten = _SpoilerKernel(mdp, dims).spoil(pending, budget) if pending else {}
+        if pending:
+            raise AssertionError(f"no spoiler found for losing states {[ids[v] for v in pending]}")
+    else:
+        kernel = _SpoilerKernel(mdp, dims)
+        sure = kernel.sure_winners()
+        pending = [v for v, won in enumerate(sure) if not won]
+        beaten = kernel.spoil(pending, budget) if pending else {}
+        win = {ids[v] for v, won in enumerate(sure) if won}.union(ids[v] for v in pending)
+    return WinningRegion(frozenset(win), dims, {ids[v]: sigma for v, sigma in beaten.items()})
 
 
 def revalidate_certificate(mdp: Mdp, state: str, sigma: AdversaryChoice,
@@ -324,52 +396,50 @@ def energy_win(mdp: Mdp, dim: int) -> tuple[set[str], dict[str, int]]:
     measure; the strategy picks, at each winning controller state in
     declaration order, its first edge witnessing the measure.  Standard
     lifting with top n*W; exact integers throughout.
+
+    States and edges are indexed by position.  A measure above ``top``
+    is infinite, stored as ``top + W + 1``: lifting it along any edge
+    stays above ``top``, and the clamp to [0, top] or infinity is
+    monotone, so it can wait for the min (controller) or max (random)
+    over a state's edges.
     """
-    n = len(mdp.state_ids)
-    weights = {e.eid: e.weight[dim] * n - 1 for e in mdp.edges}
-    maxabs = max((abs(v) for v in weights.values()), default=0)
-    top = n * maxabs
-    INF = top + 1
-
-    f = {s: 0 for s in mdp.state_ids}
-
-    def lift_val(target_val: int, w: int) -> int:
-        if target_val >= INF:
-            return INF
-        v = target_val - w
-        if v <= 0:
-            return 0
-        if v > top:
-            return INF
-        return v
-
-    def recompute(s: str) -> int:
-        vals = [lift_val(f[e.target], weights[e.eid]) for e in mdp.out_edges[s]]
-        return max(vals) if mdp.is_random(s) else min(vals)
-
-    pred: dict[str, list[str]] = {s: [] for s in mdp.state_ids}
+    ids = mdp.state_ids
+    n = len(ids)
+    index = {s: i for i, s in enumerate(ids)}
+    arcs: list[list[tuple[int, int]]] = [[] for _ in ids]
+    preds: list[list[int]] = [[] for _ in ids]
+    maxabs = 0
     for e in mdp.edges:
-        pred[e.target].append(e.source)
+        i, t, w = index[e.source], index[e.target], e.weight[dim] * n - 1
+        arcs[i].append((t, w))
+        preds[t].append(i)
+        maxabs = max(maxabs, abs(w))
+    top = n * maxabs
+    inf = top + maxabs + 1
+    pick = [max if mdp.is_random(s) else min for s in ids]
 
-    dirty = set(mdp.state_ids)
-    queue = list(mdp.state_ids)
+    f = [0] * n
+    dirty = [True] * n
+    queue = list(range(n))
     while queue:
-        s = queue.pop()
-        dirty.discard(s)
-        new = recompute(s)
-        if new > f[s]:
-            f[s] = new
-            for p in pred[s]:
-                if p not in dirty:
-                    dirty.add(p)
+        i = queue.pop()
+        dirty[i] = False
+        new = pick[i]([f[t] - w for t, w in arcs[i]])
+        if new > top:
+            new = inf
+        if new > f[i]:
+            f[i] = new
+            for p in preds[i]:
+                if not dirty[p]:
+                    dirty[p] = True
                     queue.append(p)
 
-    win = {s for s in mdp.state_ids if f[s] < INF}
+    win = {s for s, v in zip(ids, f) if v < inf}
     strategy: dict[str, int] = {}
-    for s in mdp.state_ids:
-        if s in win and not mdp.is_random(s):
-            strategy[s] = next(e.eid for e in mdp.out_edges[s]
-                               if lift_val(f[e.target], weights[e.eid]) <= f[s])
+    for i, s in enumerate(ids):
+        if f[i] < inf and pick[i] is min:
+            strategy[s] = next(e.eid for e, (t, w) in zip(mdp.out_edges[s], arcs[i])
+                               if f[t] - w <= f[i])
     return win, strategy
 
 

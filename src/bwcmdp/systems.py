@@ -40,9 +40,9 @@ neither device.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from bwcmdp import games, linsolve
@@ -249,8 +249,10 @@ class Witness:
     Both are rebuilt on first use from the decided ``source`` and
     ``query``, so a kept Decision pins no prepared edge or index.
     ``components`` hold their states and edges as tuples, in the order of
-    the sets that deciding found.  ``assignment`` holds the nonzero
-    variables only; the rest are 0.
+    the sets that deciding found.  ``values`` holds the nonzero variables
+    only, as ``(name, value)`` pairs in name order (the rest are 0): a
+    tuple costs less to keep than a dict, and ``assignment`` rebuilds the
+    dict for the callers that look values up.
     """
 
     source: Mdp
@@ -259,9 +261,13 @@ class Witness:
     start: str
     dims: tuple[int, ...]
     components: tuple[EndComponent, ...]
-    assignment: dict[str, Fraction]
+    values: tuple[tuple[str, Fraction], ...]
     slack: Optional[Fraction]
     _prepared: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @property
+    def assignment(self) -> dict[str, Fraction]:
+        return dict(self.values)
 
     @property
     def mdp(self) -> Mdp:
@@ -281,8 +287,20 @@ class Witness:
         return self._prepared
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Decision:
+    """The answer to one query, with its witness (a yes in every mode but
+    ``wc``) or its failure and, when a spoiler beat the start state, that
+    spoiler.
+
+    Equal decisions on the same MDP object that are alive at the same
+    time are one object (see ``_kept``), so a caller that keeps many
+    rounds of decisions keeps each once.  The table that finds them holds
+    them weakly, so it keeps no decision, and through its witness no MDP,
+    alive by itself.  The class has no ``__slots__``: a slotted dataclass
+    takes a ``__weakref__`` slot only from Python 3.11 on.
+    """
+
     answer: bool
     mode: str
     witness: Optional[Witness] = None
@@ -293,8 +311,7 @@ class Decision:
         out = {"answer": "yes" if self.answer else "no", "mode": self.mode}
         if self.witness is not None:
             out["witness"] = {
-                "assignment": {k: format_rational(v)
-                               for k, v in sorted(self.witness.assignment.items()) if v},
+                "assignment": {k: format_rational(v) for k, v in self.witness.values},
                 "decomposition": [sorted(c.states) for c in self.witness.components],
                 "slack": format_rational(self.witness.slack) if self.witness.slack is not None else None,
             }
@@ -305,11 +322,29 @@ class Decision:
         return out
 
 
-@lru_cache(maxsize=4096)
-def _verdict(answer: bool, mode: str, failure: Optional[str] = None,
-             certificate: Optional[games.AdversaryChoice] = None) -> Decision:
-    """A Decision without witness; immutable, so equal ones are shared."""
-    return Decision(answer, mode, failure=failure, certificate=certificate)
+# The latest decision alive per (id of the decided MDP, mode, start
+# state).  The table holds them weakly: a strong one would pin every MDP
+# decided (and each CLI call loads a new one) for the life of the process.
+_decisions: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _kept(mdp: Mdp, query: ThresholdQuery, decision: Decision) -> Decision:
+    """``decision``, or an equal one that is still alive for the same MDP
+    object, mode and start state.
+
+    Looked up only once the decision is made, so it saves memory, not
+    work.  Equality decides a hit, so the key leaves the thresholds out:
+    hashing their Fractions cost more than the rest of the lookup.  A
+    witness must refer to ``mdp`` itself: the id of an MDP that is gone
+    can be reused by another.
+    """
+    key = (id(mdp), query.mode, query.start)
+    hit = _decisions.get(key)
+    if hit is not None and hit == decision and (hit.witness is None
+                                                or hit.witness.source is mdp):
+        return hit
+    _decisions[key] = decision
+    return decision
 
 
 def decide(mdp: Mdp, query: ThresholdQuery,
@@ -321,8 +356,13 @@ def decide(mdp: Mdp, query: ThresholdQuery,
     objective (answering no when the start state is pruned); restrict to
     the reachable part; decompose (winning components for bwc-fin, MECs
     otherwise); build and solve the matching system.  The almost-sure and
-    expectation modes skip pruning entirely.
+    expectation modes skip pruning entirely.  Equal decisions alive at
+    the same time for the same MDP object are one object (``_kept``).
     """
+    return _kept(mdp, query, _decide(mdp, query, budget, dump_lp))
+
+
+def _decide(mdp: Mdp, query: ThresholdQuery, budget: int, dump_lp) -> Decision:
     require_valid(mdp)
     if query.mode not in ("wc", "exp", "bas", "bwc-fin", "bwc-inf"):
         raise ValueError(f"unknown mode {query.mode!r}")
@@ -337,17 +377,18 @@ def decide(mdp: Mdp, query: ThresholdQuery,
 
     if query.mode == "wc":
         if not dims:
-            return _verdict(True, "wc")
+            return Decision(True, "wc")
         region = games.wc_winning_region(nmdp, dims, budget)
         if start in region:
-            return _verdict(True, "wc")
-        return _verdict(False, "wc", "worst-case objective fails at the start state",
-                        region.certificates.get(start))
+            return Decision(True, "wc")
+        return Decision(False, "wc", failure="worst-case objective fails at the start state",
+                        certificate=region.certificates.get(start))
 
     if query.mode in ("bwc-fin", "bwc-inf"):
         pruned = games.prune(nmdp, start, dims, budget)
         if isinstance(pruned, games.Unsatisfiable):
-            return _verdict(False, query.mode, "start state pruned", pruned.certificate)
+            return Decision(False, query.mode, failure="start state pruned",
+                            certificate=pruned.certificate)
         base = pruned
     else:
         keep = reachable(nmdp, start)
@@ -360,28 +401,28 @@ def decide(mdp: Mdp, query: ThresholdQuery,
         comps = [c for c in games.mwecs(base, dims, budget)
                  if games.positive_multicycle(base, c.states) > 0]
         if not comps:
-            return _verdict(False, query.mode, "no maximal winning end component")
+            return Decision(False, query.mode, failure="no maximal winning end component")
         system = finite_memory_system(base, start2, nquery.nu, comps)
     elif query.mode == "exp":
         comps = mecs(base)
         if not comps:
-            return _verdict(False, query.mode, "no maximal end component")
+            return Decision(False, query.mode, failure="no maximal end component")
         system = general_system(base, start2, nquery.nu, comps, local_positivity=False)
     else:
         comps = [c for c in mecs(base) if positively_winnable(base, c)]
         if not comps:
-            return _verdict(False, query.mode, "no positively winnable end component")
+            return Decision(False, query.mode, failure="no positively winnable end component")
         system = general_system(base, start2, nquery.nu, comps)
 
     if dump_lp is not None:
         dump_lp(system)
     outcome = linsolve.solve(system)
     if not outcome.strict_feasible:
-        return _verdict(False, query.mode, "threshold system infeasible")
-    witness = Witness(source=mdp, query=query, kept=kept, start=start2, dims=dims,
+        return Decision(False, query.mode, failure="threshold system infeasible")
+    witness = Witness(source=mdp, query=shared(query), kept=kept, start=start2, dims=dims,
                       components=shared(tuple(EndComponent(shared(tuple(c.states)),
                                                            shared(tuple(c.edges)))
                                               for c in comps)),
-                      assignment={k: v for k, v in outcome.assignment.items() if v},
+                      values=tuple(sorted((k, v) for k, v in outcome.assignment.items() if v)),
                       slack=outcome.slack)
     return Decision(True, query.mode, witness=witness)

@@ -218,30 +218,48 @@ def test_learned_cycles_spare_settles(monkeypatch):
     # On the benchmark's game shape (64 spoilers, and the all-ones loop
     # holds its state under every one of them), most distinct components
     # the spoilers leave are decided by a learned positive cycle or losing
-    # set, without Karp or the LP.
-    kernels, settles = [], []
-    init, settle = games._SpoilerKernel.__init__, games._SpoilerKernel._settle
-    monkeypatch.setattr(games._SpoilerKernel, "__init__",
-                        lambda self, *args: kernels.append(self) or init(self, *args))
+    # set, without Karp or the LP.  The kernel enumerates every state, so
+    # no certified winner cuts the enumeration short.
+    settles = []
+    settle = games._SpoilerKernel._settle
     monkeypatch.setattr(games._SpoilerKernel, "_settle",
                         lambda self, *args: settles.append(args) or settle(self, *args))
     rng = random.Random(40)
     for _ in range(3):
-        kernels.clear()
         settles.clear()
         mdp = _benchmark_game(rng, 2, 12, 6)
-        region = wc_winning_region(mdp, (0, 1))
-        kernel, = kernels
-        assert region.states
+        kernel = games._SpoilerKernel(mdp, (0, 1))
+        pending = list(range(len(mdp.state_ids)))
+        kernel.spoil(pending, 64)
+        assert pending
         assert len(settles) < len(kernel.memo) // 4, (len(settles), len(kernel.memo))
 
 
 def test_budget_checked_before_any_spoiler(monkeypatch):
-    mdp = _benchmark_game(random.Random(41), 2, 12, 6)
+    # Two states of this game lose, so they stay pending after the
+    # certified winners leave, and the enumeration is needed.
+    mdp = _benchmark_game(random.Random(40), 2, 12, 6)
+    assert not all(games._SpoilerKernel(mdp, (0, 1)).sure_winners())
     monkeypatch.setattr(games._SpoilerKernel, "winning",
                         lambda *args: pytest.fail("a spoiler was evaluated"))
     with pytest.raises(AdversaryBudgetExceeded, match=r"needs 64\+ strategies, budget is 63"):
         wc_winning_region(mdp, (0, 1), budget=63)
+
+
+def test_budget_unused_when_every_pending_state_is_certified(monkeypatch):
+    # Two tracked dimensions: d's (1, 1) loop seeds the certified set, and
+    # every edge of c, then b, then a enters it, so every state is a sure
+    # winner and no spoiler is enumerated, although the three random
+    # states admit 8 spoilers.
+    m = Mdp.build(2, [("a", "random"), ("b", "random"), ("c", "random"), ("d", "controller")],
+                  [(0, "a", "b", [1, -3]), (1, "a", "d", [2, 0]), (2, "b", "c", [-1, 1]),
+                   (3, "b", "d", [1, 1]), (4, "c", "d", [-3, 3]), (5, "c", "d", [1, -2]),
+                   (6, "d", "d", [1, 1]), (7, "d", "a", [-4, -4])],
+                  {k: F(1, 2) for k in range(6)})
+    monkeypatch.setattr(games._SpoilerKernel, "spoil",
+                        lambda *args: pytest.fail("spoilers enumerated"))
+    region = wc_winning_region(m, (0, 1), budget=1)
+    assert region.states == set(m.state_ids) and region.certificates == {}
 
 
 def test_budget_unused_when_nothing_is_pending(monkeypatch):
@@ -256,6 +274,58 @@ def test_budget_unused_when_nothing_is_pending(monkeypatch):
     monkeypatch.setattr(games, "_SpoilerKernel", lambda *args: pytest.fail("kernel built"))
     region = wc_winning_region(m, (0,), budget=1)
     assert region.states == set(m.state_ids) and region.certificates == {}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sure_winners_win(dim):
+    # Every state the pre-pass certifies wins against every spoiler, on
+    # small games and on the benchmark's game shape.
+    rng = random.Random(50 + dim)
+    mdps = [_spoiler_game(rng, dim) for _ in range(30)]
+    mdps += [_benchmark_game(rng, dim, 12, 6) for _ in range(6)]
+    certified = 0
+    for mdp in mdps:
+        dims = tuple(range(dim))
+        sure = games._SpoilerKernel(mdp, dims).sure_winners()
+        states, _ = brute_wc_region(mdp, dims)
+        assert {s for s, won in zip(mdp.state_ids, sure) if won} <= states
+        certified += sum(sure)
+    assert certified > 20
+
+
+def _spoiler_rank(mdp, sigma):
+    """Position of a spoiler in ``itertools.product`` order over the
+    random states' out-edges."""
+    rank = 0
+    for s, eid in sigma.choice:
+        options = [e.eid for e in mdp.out_edges[s]]
+        rank = rank * len(options) + options.index(eid)
+    return rank
+
+
+def test_enumeration_stops_at_last_losers_first_spoiler(monkeypatch):
+    # On the benchmark shape, when the certified states are the whole
+    # winning region, the enumeration ends with the spoiler that beats
+    # the last loser; otherwise it tries all 64.
+    calls = []
+    winning = games._SpoilerKernel.winning
+    monkeypatch.setattr(games._SpoilerKernel, "winning",
+                        lambda self, *args: calls.append(1) or winning(self, *args))
+    rng = random.Random(60)
+    early = 0
+    for _ in range(12):
+        mdp = _benchmark_game(rng, 2, 12, 6)
+        sure = games._SpoilerKernel(mdp, (0, 1)).sure_winners()
+        calls.clear()
+        region = wc_winning_region(mdp, (0, 1))
+        if sum(sure) == len(region.states):
+            # With no loser, no spoiler is tried at all.
+            assert len(calls) == 1 + max((_spoiler_rank(mdp, sigma)
+                                          for sigma in region.certificates.values()), default=-1)
+            early += len(calls) < 64
+        else:
+            assert len(calls) == 64
+    assert early
 
 
 def test_unidim_certificates_first_in_enumeration_order():

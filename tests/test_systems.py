@@ -1,5 +1,6 @@
 """Threshold-system builders and the decision procedures."""
 
+import gc
 import hashlib
 import json
 import random
@@ -7,11 +8,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from bwcmdp import linsolve
+from bwcmdp import jsonio, linsolve, systems
+from bwcmdp.cli import main
 from bwcmdp.decomposition import mecs
 from bwcmdp.games import mwecs
 from bwcmdp.linsolve import residuals
-from bwcmdp.model import MODES, Mdp, ThresholdQuery
+from bwcmdp.model import MODES, Mdp, ThresholdQuery, fixture
 from bwcmdp.systems import (_flow_system, decide, ec_expectation_system,
                             ensure_controller_start, finite_memory_system, general_system, xe,
                             ye, ys)
@@ -196,6 +198,55 @@ def test_witness_holds_nonzero_entries_only(run_ex):
                                    "x[6]": "1/80", "y[t]": "19/20", "y[u]": "1/20",
                                    "ye[0]": "19/20", "ye[1]": "1/20"},
                     "decomposition": [["t"], ["u", "v"]], "slack": "11/2"}}
+
+
+def test_equal_decisions_are_one_object(run_ex):
+    # Equal queries on one MDP object give the decision already alive,
+    # whichever query object asks: a yes with its witness, and a no.
+    for nu, answer in (([0, 9], True), ([9, 9], False)):
+        first = decide(run_ex, ThresholdQuery.build("bwc-fin", "s", [0, 0], nu))
+        assert first.answer is answer and (first.witness is not None) is answer
+        assert decide(run_ex, ThresholdQuery.build("bwc-fin", "s", [0, 0], nu)) is first
+
+
+def test_equal_mdps_keep_their_own_witness_source():
+    # Two equal MDPs that are distinct objects: each decision's witness
+    # refers to the MDP it was decided on.
+    a, b = fixture("RUN_EX"), fixture("RUN_EX")
+    assert a == b and a is not b
+    q = ThresholdQuery.build("bwc-fin", "s", [0, 0], [0, 9])
+    da, db = decide(a, q), decide(b, q)
+    assert da == db
+    assert da.witness.source is a and db.witness.source is b
+    assert decide(a, q) is da and decide(b, q) is db
+
+
+def test_dropped_decision_leaves_the_table():
+    mdp = fixture("RUN_EX")
+    q = ThresholdQuery.build("exp", "s", [0, 0], [0, 9])
+    key = (id(mdp), "exp", "s")
+    dec = decide(mdp, q)
+    assert systems._decisions[key] is dec
+    del dec
+    gc.collect()
+    assert key not in systems._decisions
+
+
+def test_cli_decides_do_not_grow_the_table(tmp_path, capsys):
+    # Each CLI call loads its own MDP object, and nothing keeps the
+    # decision once the call returns.
+    path = str(tmp_path / "run.json")
+    jsonio.save_mdp(path, fixture("RUN_EX"))
+    argv = ["decide", "--mdp", path, "--mode", "bwc-fin", "--from", "s", "--mu=0,0",
+            "--nu=0,9"]
+    assert main(argv) == 0
+    gc.collect()
+    size = len(systems._decisions)
+    for _ in range(5):
+        assert main(argv) == 0
+    gc.collect()
+    assert len(systems._decisions) == size
+    capsys.readouterr()
 
 
 # Each MEC here whose only positive cycle is a random state's self-loop
