@@ -16,7 +16,9 @@ its edges).  Spoilers are then enumerated only for the other states,
 until each has lost once.  Certified states do win, so every losing
 state still gets the first spoiler, in enumeration order, that beats it.
 With a single spoiler the pre-pass would cost as much as the spoiler,
-and is skipped.
+and is skipped; so is it when some tracked dimension, or their sum,
+gains on no edge between two controller states, since then no seed
+exists.
 
 One integer-indexed kernel (``_SpoilerKernel``) serves the pre-pass and
 every spoiler of a ``wc_winning_region`` call, and is built only when
@@ -183,11 +185,19 @@ class _SpoilerKernel:
         spoiler does, and wins there.  The set is then closed under the
         attractor: a controller state joins with one edge into it, a
         random state with all of its edges.  With a single spoiler it
-        certifies nothing: trying that spoiler costs no more.
+        certifies nothing: trying that spoiler costs no more.  Nor does
+        it look for seeds when some tracked dimension, or their sum,
+        gains on no arc between controller states.
         """
         random, succ, target = self.random, self.succ, self.target
         sure = [False] * len(succ)
         if all(len(ws) == 1 for v, ws in enumerate(succ) if random[v]):
+            return sure
+        # A seed's positive multi-cycle gains in every tracked dimension
+        # and in their sum, so each Karp column (the weights negated) needs
+        # an arc between controller states where it is negative.
+        inner = [cols for i, t, cols, _ in self.arcs if not (random[i] or random[t])]
+        if not inner or max(map(min, zip(*inner))) >= 0:
             return sure
         queue: list[int] = []
         for comp in index_sccs([[] if random[v] else [w for w in ws if not random[w]]

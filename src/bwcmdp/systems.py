@@ -334,14 +334,11 @@ def _kept(mdp: Mdp, query: ThresholdQuery, decision: Decision) -> Decision:
 
     Looked up only once the decision is made, so it saves memory, not
     work.  Equality decides a hit, so the key leaves the thresholds out:
-    hashing their Fractions cost more than the rest of the lookup.  A
-    witness must refer to ``mdp`` itself: the id of an MDP that is gone
-    can be reused by another.
+    hashing their Fractions cost more than the rest of the lookup.
     """
     key = (id(mdp), query.mode, query.start)
     hit = _decisions.get(key)
-    if hit is not None and hit == decision and (hit.witness is None
-                                                or hit.witness.source is mdp):
+    if hit is not None and hit == decision:
         return hit
     _decisions[key] = decision
     return decision

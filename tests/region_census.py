@@ -16,7 +16,9 @@ of ``perfbench/gen.py``'s ``corpus(seed, size)``) or ``games`` (those of
 region calls of one decide from 0.  The digest covers the tracked
 dimensions, the sorted winning states and each losing state's spoiler
 choice.  When a decide raises, its last line reads ``error
-ExceptionName`` in place of the digest.
+ExceptionName`` in place of the digest, and the census exits 1.
+``tests/test_games.py`` pins the digest of the whole output over seeds
+1-2 with ``--size 96``.
 """
 
 from __future__ import annotations
@@ -26,15 +28,52 @@ import hashlib
 import os
 import sys
 import time
-
-from synthesis_census import _seeds
+from typing import Iterator, Sequence
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MODES = ("wc", "bwc-fin", "bwc-inf")  # the modes that solve the game
 GAMES = 12  # game instances per seed, as in the wc-games workload
 
 
+def census(gen, seeds: Sequence[int], size: int) -> Iterator[str]:
+    """The census lines over ``gen.corpus(seed, size)`` and
+    ``gen.games(seed, GAMES)`` for each seed, with ``gen`` the module of
+    ``perfbench/gen.py`` and ``bwcmdp`` already importable."""
+    from bwcmdp import games, systems
+    from bwcmdp.model import ThresholdQuery
+
+    solve = games.wc_winning_region
+    digests: list[str] = []
+
+    def record(mdp, dims=None, budget=games.DEFAULT_ADVERSARY_BUDGET):
+        region = solve(mdp, dims, budget)
+        data = (region.dims, sorted(region.states),
+                sorted((s, c.choice) for s, c in region.certificates.items()))
+        digests.append(hashlib.sha256(repr(data).encode()).hexdigest())
+        return region
+
+    # prune, mwecs and decide all look the solver up in the games module.
+    games.wc_winning_region = record
+    try:
+        for seed in seeds:
+            for family, instances in (("corpus", gen.corpus(seed, size)),
+                                      ("games", gen.games(seed, GAMES))):
+                for k, (mdp, q) in enumerate(instances):
+                    for mode in MODES:
+                        digests.clear()
+                        try:
+                            systems.decide(mdp, ThresholdQuery(mode, q.start, q.mu, q.nu))
+                        except Exception as exc:  # reported as a line of its own
+                            digests.append(f"error {type(exc).__name__}")
+                        for call, digest in enumerate(digests):
+                            yield f"{family} {seed} {k} {mode} {call} {digest}"
+    finally:
+        games.wc_winning_region = solve
+
+
 def main(argv=None) -> int:
+    from synthesis_census import _seeds
+
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", required=True, help="the source tree whose bwcmdp is run")
     p.add_argument("--seeds", required=True, type=_seeds, help="seeds, e.g. 1-10,150408211")
@@ -43,38 +82,15 @@ def main(argv=None) -> int:
 
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(os.path.dirname(HERE), "perfbench")]
     import gen
-    from bwcmdp import games, systems
-    from bwcmdp.model import ThresholdQuery
 
-    solve = games.wc_winning_region
-    digests: list[str] = []
-
-    def census(mdp, dims=None, budget=games.DEFAULT_ADVERSARY_BUDGET):
-        region = solve(mdp, dims, budget)
-        data = (region.dims, sorted(region.states),
-                sorted((s, c.choice) for s, c in region.certificates.items()))
-        digests.append(hashlib.sha256(repr(data).encode()).hexdigest())
-        return region
-
-    # prune, mwecs and decide all look the solver up in the games module.
-    games.wc_winning_region = census
-    started, lines = time.process_time(), 0
-    for seed in args.seeds:
-        for family, instances in (("corpus", gen.corpus(seed, args.size)),
-                                  ("games", gen.games(seed, GAMES))):
-            for k, (mdp, q) in enumerate(instances):
-                for mode in MODES:
-                    digests.clear()
-                    try:
-                        systems.decide(mdp, ThresholdQuery(mode, q.start, q.mu, q.nu))
-                    except Exception as exc:  # reported as a line of its own
-                        digests.append(f"error {type(exc).__name__}")
-                    for call, digest in enumerate(digests):
-                        print(family, seed, k, mode, call, digest)
-                    lines += len(digests)
-    print(f"# {lines} region calls in {time.process_time() - started:.1f} s CPU",
-          file=sys.stderr)
-    return 0
+    started, lines, errors = time.process_time(), 0, 0
+    for line in census(gen, args.seeds, args.size):
+        print(line)
+        lines += 1
+        errors += " error " in line
+    print(f"# {lines} region calls, {errors} decides raised, in "
+          f"{time.process_time() - started:.1f} s CPU", file=sys.stderr)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

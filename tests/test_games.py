@@ -1,9 +1,12 @@
 """Worst-case game solving: multicycle certificates, regions, values, pruning."""
 
+import hashlib
+import importlib.util
 import itertools
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -483,3 +486,24 @@ def test_prune_unknown_start_solves_nothing(run_ex, monkeypatch):
     monkeypatch.setattr(games, "wc_winning_region", lambda *a, **k: pytest.fail("solved"))
     with pytest.raises(KeyError):
         prune(run_ex, "nowhere")
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_region_census_is_pinned():
+    # Every region and spoiler that deciding solves over the corpus of
+    # seeds 1-2 x 96 and the wc-games games of seeds 1-2 (tests/region_census.py)
+    # digests to the value it had before sure winners were certified.
+    root = Path(__file__).resolve().parents[1]
+    census = _load("region_census", root / "tests" / "region_census.py")
+    gen = _load("perfbench_gen", root / "perfbench" / "gen.py")
+    lines = list(census.census(gen, [1, 2], 96))
+    assert len(lines) == 727 and not any(" error " in line for line in lines)
+    assert games.wc_winning_region is wc_winning_region
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == "2885128cd9b28bea041c4df741b9af779d57c168c8010d52734555b39d9c242e"
