@@ -1,17 +1,22 @@
 """Command-line interface: exit codes, JSON round trips, determinism."""
 
+import dataclasses
+import hashlib
+import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import bwcmdp
-from bwcmdp import cli, jsonio
+from bwcmdp import cli, games, jsonio
 from bwcmdp.cli import main
-from bwcmdp.model import Mdp, ThresholdQuery, fixture, validate
+from bwcmdp.model import Edge, Mdp, ThresholdQuery, fixture, validate
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +547,61 @@ def test_malformed_mdp_exits_2(capsys, tmp_path, mutate):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda m: dict(dimension=0, edges=tuple(
+        dataclasses.replace(e, weight=()) for e in m.edges)),
+        "dimension must be >= 1, got 0", id="dimension-0"),
+    pytest.param(lambda m: dict(states=m.states + (("t", "controller"),)),
+                 "duplicate state id 't'", id="duplicate-state"),
+    pytest.param(lambda m: dict(states=m.states[:3] + (("v", "nature"),)),
+                 "state 'v' has unknown owner 'nature'", id="unknown-owner"),
+    pytest.param(lambda m: dict(edges=m.edges + (Edge(2, "t", "t", (1, 1)),)),
+                 "duplicate edge id 2", id="duplicate-edge"),
+    pytest.param(lambda m: dict(edges=m.edges + (Edge(7, "x", "t", (0, 0)),)),
+                 "edge 7 has unknown source 'x'", id="unknown-source"),
+    pytest.param(lambda m: dict(edges=m.edges + (Edge(7, "t", "x", (0, 0)),)),
+                 "edge 7 has unknown target 'x'", id="unknown-target"),
+    pytest.param(lambda m: dict(probabilities={6: F(1, 2)}),
+                 "missing probability for edge 5 at random state v", id="missing-probability"),
+    pytest.param(lambda m: dict(probabilities={**m.probabilities, 2: F(1)}),
+                 "probability given for controller edge 2", id="controller-probability"),
+    pytest.param(lambda m: dict(probabilities={**m.probabilities, 9: F(1)}),
+                 "probability given for unknown edge 9", id="unknown-edge-probability"),
+    pytest.param(lambda m: dict(initial="x"), "initial state 'x' unknown", id="unknown-initial"),
+])
+def test_invalid_mdp_is_reported_and_refused(capsys, tmp_path, change, message):
+    # Each fault yields exactly its own message: validate lists it (exit 1)
+    # and decide refuses the file with it (exit 2).
+    run = fixture("RUN_EX")
+    mdp = dataclasses.replace(run, **change(run))
+    assert validate(mdp) == [message]
+    path = str(tmp_path / "bad.json")
+    jsonio.save_mdp(path, mdp)
+    if jsonio.load_mdp(path) != mdp:
+        # A file gives each probability on its edge, so one of no edge cannot be written.
+        assert "unknown edge" in message
+        return
+    code, out, _ = run_cli(capsys, "validate", "--mdp", path)
+    assert code == 1 and json.loads(out) == {"valid": False, "violations": [message]}
+    code, out, err = run_cli(capsys, "decide", "--mdp", path, "--mode", "wc", "--from", "s")
+    assert (code, out, err) == (2, "", f"error: invalid MDP:\n  {message}\n")
+
+
+@pytest.mark.parametrize("command", [("verify", "--check", "as"), ("simulate",)])
+def test_no_start_state_exits_2(capsys, tmp_path, command):
+    # Without --from, verify and simulate start at the MDP's initial state.
+    from bwcmdp.machines import memoryless
+
+    run = dataclasses.replace(fixture("RUN_EX"), initial=None)
+    path, strat = str(tmp_path / "mdp.json"), str(tmp_path / "m.json")
+    jsonio.save_mdp(path, run)
+    with open(strat, "w") as fh:
+        json.dump(jsonio.machine_to_json(run, memoryless(run, {"s": 1, "u": 4, "t": 2}), "s"), fh)
+    code, out, err = run_cli(capsys, *command, "--mdp", path, "--strategy", strat)
+    assert (code, out) == (2, "")
+    assert err == "error: no start state: pass --from or set the MDP's initial state\n"
+
+
 @pytest.mark.parametrize("mode", ["bwc-fin", "bwc-inf"])
 def test_fallback_search_failure_names_its_cause(capsys, tmp_path, mode):
     # Corpus seed 9, instance 31: the decision is yes, but the pruned MDP
@@ -567,3 +627,34 @@ def test_fallback_search_failure_names_its_cause(capsys, tmp_path, mode):
     assert code == 2 and out == ""
     assert err == ("error: worst-case fallback search checked all 582 memoryless and "
                    "pure 2-memory machines, and none wins from every state\n")
+
+
+def test_census_is_pinned():
+    # Every line of tests/census.py over the corpus of seeds 1-2 x 96 and the
+    # wc-games games of seeds 1-2, digested kind by kind.  The region digest
+    # is the one pinned since sure winners were certified.
+    import census
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    solver, handler = games.wc_winning_region, signal.getsignal(signal.SIGALRM)
+    kinds = {kind: [] for kind in census.KINDS}
+    for line in census.census(gen, [1, 2], 96):
+        kind, rest = line.split(" ", 1)
+        kinds[kind].append(rest + "\n")
+    assert games.wc_winning_region is solver
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert not [line for lines in kinds.values() for line in lines
+                if " error " in line or line.endswith(" timeout\n")]
+    assert {kind: len(lines) for kind, lines in kinds.items()} == {
+        "decide": 1080, "region": 727, "synthesize": 576, "simulate": 127}
+    digests = {kind: hashlib.sha256("".join(lines).encode()).hexdigest()
+               for kind, lines in kinds.items()}
+    assert digests == {
+        "decide": "e08b65a1ca963cecd1e2fb4530b1ffff5a10b771b9b2f040ec1df4604c88d704",
+        "region": "2885128cd9b28bea041c4df741b9af779d57c168c8010d52734555b39d9c242e",
+        "synthesize": "239566ba8bae0e4497668015b9945c62e978215c156087170bce5b361832d3b9",
+        "simulate": "54176c42ae7d596b380278d492eb720fe11840ee298ac5427ce2fdf8144b3153",
+    }

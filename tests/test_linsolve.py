@@ -7,8 +7,8 @@ from unittest import mock
 
 import pytest
 
-from bwcmdp.linsolve import (LinearSystem, Row, check_assignment, maximize, named_row,
-                             residuals, solve)
+from bwcmdp.linsolve import (LinearSystem, LpOutcome, Row, check_assignment, maximize,
+                             named_row, residuals, solve)
 from oracles import vertex_feasible
 
 
@@ -67,6 +67,22 @@ def test_residuals_exact():
     assert out.status == "feasible"
     res = residuals(s, out.assignment)
     assert res[0] == 0 and res[1] >= 0
+
+
+def test_check_assignment_rejects_each_violation():
+    s = LinearSystem(variables=["x", "y"])
+    s.add({"x": 1, "y": 1}, "=", 2)
+    s.add({"x": 1}, ">=", F(1, 2))
+    s.add({"y": 1}, ">", 0)
+    assert check_assignment(s, LpOutcome("feasible", {"x": F(1), "y": F(1)}, F(1)))
+    for outcome in (
+        LpOutcome("infeasible"),  # no assignment
+        LpOutcome("feasible", {"x": F(3), "y": F(-1)}, F(1)),  # a negative variable
+        LpOutcome("feasible", {"x": F(1), "y": F(2)}, F(1)),  # x + y = 3
+        LpOutcome("feasible", {"x": F(1, 4), "y": F(7, 4)}, F(1)),  # x < 1/2
+        LpOutcome("feasible", {"x": F(1), "y": F(1)}, F(2)),  # y = 1, below the slack 2
+    ):
+        assert not check_assignment(s, outcome)
 
 
 def _random_system(rng: random.Random) -> LinearSystem:
