@@ -136,6 +136,8 @@ def cmd_decide(args) -> int:
 def cmd_synthesize(args) -> int:
     from bwcmdp import synthesis
 
+    if args.period < 1:
+        raise SystemExit2(f"--period must be >= 1, got {args.period}")
     mdp = _load(args)
     query = _query(args, mdp)
     decision = decide(mdp, query, budget=args.budget)

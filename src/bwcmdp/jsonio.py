@@ -177,9 +177,22 @@ def procedural_from_json(mdp: Mdp, data: dict):
     composed = machine_from_json(data["transient"])
     fallback = machine_from_json(data["fallback"])
     period = int(data["period"])
+    if period < 1:
+        raise ValueError(f"strategy record's period must be >= 1, got {period}")
     monitors = [tuple(map(parse_rational, rates)) for rates in data["monitors"]]
+    if not monitors:  # every witness has a component of positive mass
+        raise ValueError("strategy record's monitors has no rows")
+    for rates in monitors:
+        if len(rates) != prepared.dimension:
+            raise ValueError(f"strategy record's monitors need {prepared.dimension} rates a row, "
+                             f"not {len(rates)}")
+    branch_map = dict(data["memory_branch"])
+    for b in branch_map.values():
+        if not isinstance(b, int) or not 0 <= b < len(monitors):
+            raise ValueError(f"strategy record's memory_branch names branch {b!r}, but "
+                             f"monitors has {len(monitors)} rows")
     return BranchedInfiniteStrategy(prepared, data["start"], composed, monitors, fallback,
-                                    period, dict(data["memory_branch"]))
+                                    period, branch_map)
 
 
 def load_strategy(mdp: Mdp, path: str):

@@ -33,16 +33,18 @@ def run_key(seed: int, run: int) -> int:
 
 
 def _splitmix64_array(z: np.ndarray) -> np.ndarray:
-    """``splitmix64`` of every entry of a uint64 array, in place.  Unsigned
-    array arithmetic wraps modulo 2**64, as the masks do above."""
+    """``splitmix64`` of every entry of a uint64 array, in place, with one
+    temporary of its size.  Unsigned array arithmetic wraps modulo 2**64,
+    as the masks do above."""
     import numpy as np
 
     z += np.uint64(_PHI)
-    z ^= z >> np.uint64(30)
+    shifted = z >> np.uint64(30)
+    z ^= shifted
     z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(_M2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 

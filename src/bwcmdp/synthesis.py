@@ -1048,8 +1048,11 @@ def bwc_infinite_strategy(mdp: Mdp, query: ThresholdQuery, period: int,
     every component state, ``_least_bottom_mean``) under
     a total-payoff monitor whose per-dimension floor
     rates are half that expectation; on a monitor trip the strategy
-    switches permanently to the worst-case fallback.
+    switches permanently to the worst-case fallback.  ``period``, the
+    phase length, must be at least 1.
     """
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
     w, plan, component_of, entries = _witness_parts(mdp, query, decision)
 
     fallback = memoryless_wc_search(w.mdp, w.dims)

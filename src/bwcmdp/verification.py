@@ -10,9 +10,13 @@ arithmetic.
 
 Simulation side: seeded Monte Carlo over the induced chain with one
 deterministic stream per run, stepped by one loop (``step_blocks``) that
-is vectorized across runs in NumPy, draws a block of steps at a time and
-finishes runs on deterministic cycles in closed form; only the
-simulation functions import NumPy.  Floating point appears only
+is vectorized across runs in NumPy and draws a block of steps at a time.
+It ranks each draw among the chain's distinct thresholds and moves every
+run several steps a table lookup (``_group_walk``), or for chains with
+too many nodes or thresholds for the tables one compare a threshold
+column a step (``_compare_walk``); a run that reaches a cycle of
+single-transition nodes is finished in closed form and leaves the walk.
+Only the simulation functions import NumPy.  Floating point appears only
 in reported statistics, never in verdicts.
 """
 
@@ -364,11 +368,20 @@ def verify_almost_sure(mdp: Mdp, machine, mu: Sequence[Fraction],
 
 # Steps per block of draws and of buffered transitions; runs are also
 # checked for the closed-form finish, or by the bwc-inf monitor, once a
-# block.  On the benchmark's
-# chains and monitor (1,000 runs; 2 vCPUs, Python 3.11), blocks of 16 and
-# 32 steps simulate equally fast and 8 or 64 up to 15% slower; the block
-# buffers, a few BLOCK * runs arrays of 8-byte numbers, grow with it.
+# block.  With the table walk, on the benchmark's chains and monitor
+# (1,000 runs; 2 vCPUs, Python 3.11, best of 12 alternating runs), blocks
+# of 8 steps simulate about 25% slower than 16 and blocks of 32 about 10%
+# slower; the block buffers, a few BLOCK * runs arrays of 8-byte numbers,
+# grow with it (the monitor's traced peak is 0.5 MB at 8, 0.7 MB at 16
+# and 1.2 MB at 32).
 BLOCK = 16
+# Grouped-step tables hold at most TABLE_CAP entries.  A table step ranks
+# each draw against every distinct threshold of the chain, a comparison
+# step against one threshold a column; on rings of two-way coins with
+# distinct odds (1,000 runs, 2,000 steps; 2 vCPUs, Python 3.11) the tables
+# are faster up to about RANKS_PER_COLUMN thresholds a column.
+TABLE_CAP = 1 << 11
+RANKS_PER_COLUMN = 8
 
 
 @dataclass(frozen=True)
@@ -494,46 +507,133 @@ def _cycle_tables(base: np.ndarray, target: np.ndarray, weight: np.ndarray):
     return length, offset, prefix
 
 
-def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
-                horizon: int, on_block=None) -> np.ndarray:
-    """The simulation loop: every run walks ``horizon`` steps from ``node``.
+def _rank_levels(cols: np.ndarray):
+    """The thresholds ``ceil(cols * 2**53)`` and theta, their distinct
+    values below the padding 2**53, sorted."""
+    import numpy as np
 
-    ``tables`` are ``_chain_arrays``' first three.  Step t of run r uses
-    draw t + 1 of r's stream.  The draws of BLOCK steps are made at once,
-    as 53-bit integers z compared with the thresholds ``ceil(cols * 2**53)``
-    (the uniform ``z / 2**53 >= c`` exactly when ``z >= ceil(c * 2**53)``;
-    the padding threshold 1.0 is above every draw).  Each step
-    starts from the transition taken before (a run's position): the
-    position tables, built once, hold the base and thresholds of the
-    transition's target node.  The transitions taken are buffered, and at
-    the end of each block the flat table ``weight`` is summed over them
-    with one gather of its rows.  Returns those per-run sums, exact in
-    int64.
+    thresholds = np.ceil(cols * float(1 << 53)).astype(np.uint64)
+    theta = np.sort(thresholds[thresholds < np.uint64(1 << 53)])
+    distinct = np.ones(len(theta), dtype=bool)  # np.unique would import numpy.ma
+    distinct[1:] = theta[1:] != theta[:-1]
+    return thresholds, theta[distinct]
 
-    ``on_block(t0, taken, sums)``, if given, is called after each block's
-    walk: ``taken[i]`` holds every run's transition at step t0 + i and
-    ``sums[r]`` run r's weight sums over the block (exact, in a narrow
-    integer type).  It
-    may return ``(runs, steps, nodes)`` to redirect run ``runs[j]`` to
-    node ``nodes[j]`` after step ``t0 + steps[j]`` (at most once per run
-    and block): the run walks the rest of the block again from there,
-    with its own draws, and its sums and ``taken`` column are rewritten
-    before they count.  Without it, once every run is on a cycle of
-    single-transition nodes at the end of a block, the rest of the walk
-    is summed in closed form.
+
+def _group_size(nodes: int, radix: int, columns: int) -> Optional[int]:
+    """Steps per table lookup: the largest power of two m dividing BLOCK
+    with ``nodes * radix**m`` entries within TABLE_CAP.  None when the
+    chain steps by comparisons: its ``radix - 1`` distinct thresholds are
+    more than RANKS_PER_COLUMN per threshold column (``columns``) or than
+    255 (ranks are bytes), or even one-step tables would pass the cap."""
+    if radix - 1 > min(RANKS_PER_COLUMN * columns, 255) or nodes * radix > TABLE_CAP:
+        return None
+    m = BLOCK
+    while nodes * radix**m > TABLE_CAP:
+        m //= 2
+    return m
+
+
+def _group_walk(cols: np.ndarray, base: np.ndarray, target: np.ndarray,
+                weight_rows: np.ndarray, record: bool):
+    """The table step of ``step_blocks``, or None for a chain that steps
+    by comparisons (``_compare_walk``).
+
+    A draw z's rank is ``#{j : z >= theta[j]}`` over the chain's T
+    distinct thresholds theta (``_rank_levels``), and node v takes choice
+    ``#{k : J[k, v] < rank}``, J[k, v] being the place of v's k-th
+    threshold in theta: the same test as ``z >= ceil(c * 2**53)``.  With
+    radix R = T + 1 and m steps per lookup (``_group_size``), a run's
+    state is v * R**m, and m steps with ranks r_0..r_{m-1} have code
+    ``sum(r_i * R**(m-1-i))``.  The tables at ``state + code`` hold the
+    state after the m steps, their weight sums and, if ``record``, their
+    transitions.  A one-step table in the same index space, at
+    ``state + rank``, walks the steps that do not fill a group.  Returns
+    ``(enter, node_at, walk)`` as ``_compare_walk`` does.
     """
     import numpy as np
 
-    cols, base, target = tables
+    thresholds, theta = _rank_levels(cols)
+    radix, nodes = len(theta) + 1, len(base)
+    m = _group_size(nodes, radix, len(cols))
+    if m is None:
+        return None
+    scale = radix**m
+    place = np.searchsorted(theta, thresholds)  # the padding goes past theta
+    step = base[:, None] + (place[:, :, None] < np.arange(radix)).sum(axis=0)
+    # k-step tables, doubled up to m, at v * R**k + code: the node after
+    # the k steps, their weight sums and transitions.  The sums are in the
+    # narrow type of a block of min(BLOCK, horizon) steps; when m is past
+    # the horizon they may wrap, but no block then fills a group.
+    after, group_sums = target.take(step).ravel(), weight_rows.take(step.ravel(), axis=0)
+    group_taken = step.reshape(1, -1) if record else None
+    k = 1
+    while k < m:
+        width = radix**k
+        then = (after * width)[:, None] + np.arange(width)
+        group_sums = (group_sums[:, None, :] + group_sums.take(then, axis=0)).reshape(
+            -1, group_sums.shape[1])
+        if record:
+            group_taken = np.concatenate([np.repeat(group_taken, width, axis=1),
+                                          group_taken.take(then.ravel(), axis=1)])
+        after = after.take(then).ravel()
+        k *= 2
+    after *= scale
+    one_step = np.zeros(nodes * scale, dtype=np.int64)
+    one_step[(np.arange(nodes) * scale)[:, None] + np.arange(radix)] = step
+    state_of = target * scale
+    # Codes are below R**m <= TABLE_CAP: 2 bytes.
+    powers = (radix ** np.arange(m - 1, -1, -1)).astype(np.uint16)[:, None]
+
+    def walk(state, bits, out):
+        ranks = (bits >= theta[0]).view(np.uint8) if len(theta) else \
+            np.zeros(bits.shape, dtype=np.uint8)
+        for level in theta[1:]:
+            ranks += bits >= level
+        groups, n = len(bits) // m, bits.shape[1]
+        codes = (ranks[:groups * m].reshape(groups, m, n) * powers).sum(axis=1, dtype=np.uint16)
+        index = np.empty((groups, n), dtype=np.int64)
+        for g, row in enumerate(index):
+            np.add(state, codes[g], out=row)
+            state = after.take(row, mode="clip")
+            if out is not None:
+                group_taken.take(row, axis=1, out=out[g * m:(g + 1) * m], mode="clip")
+        sums = group_sums.take(index, axis=0).sum(axis=0, dtype=group_sums.dtype)
+        for i in range(groups * m, len(bits)):
+            e = one_step.take(state + ranks[i], mode="clip")
+            sums += weight_rows.take(e, axis=0)
+            state = state_of.take(e)
+            if out is not None:
+                out[i] = e
+        return state, sums
+
+    return (lambda node: node * scale), np.repeat(np.arange(nodes), scale), walk
+
+
+def _compare_walk(cols: np.ndarray, base: np.ndarray, target: np.ndarray,
+                  weight_rows: np.ndarray):
+    """The comparison step of ``step_blocks``: a run's state is its
+    position, the transition it took last or, before any step and after
+    a jump, node v at ``v + len(target)``.  Tables built once give the
+    position's node's first transition and its thresholds
+    ``ceil(cols * 2**53)``; a step is one lookup plus one comparison per
+    threshold column (the padding threshold 2**53 is above every draw).
+
+    Returns ``(enter, node_at, walk)``: the states of nodes, the node of
+    every state, and ``walk(state, bits, out)``, which steps every run once
+    per row of draws ``bits`` and returns the states after them and each
+    run's weight sums (in ``weight_rows``' type), writing the transitions
+    taken into ``out`` unless it is None.
+    """
+    import numpy as np
+
     n_edges = len(target)
-    # Position p is transition p, or node p - n_edges before any step and
-    # after a jump; ``at[p]`` is the node a run at p is on.
     at = np.concatenate([target, np.arange(len(base), dtype=np.int64)])
     pos_base = base.take(at)
     pos_thresholds = np.ceil(cols * float(1 << 53)).astype(np.uint64).take(at, axis=1)
 
     def walk(pos, bits, out):
-        # out[i] = the transitions of the step driven by bits[i].
+        if out is None:
+            out = np.empty(bits.shape, dtype=np.int64)
         for z, e in zip(bits, out):
             # Indices are in range by construction; "clip" skips the check
             # and the output buffer that "raise" needs.
@@ -541,45 +641,84 @@ def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
             for row in pos_thresholds:
                 e += z >= row.take(pos, mode="clip")
             pos = e
+        return pos.copy(), weight_rows.take(out, axis=0).sum(axis=0, dtype=weight_rows.dtype)
 
-    cycles = None if on_block is not None else _cycle_tables(base, target, weight)
-    # A block's sums gather whole rows of ``weight`` and add them in the
-    # least integer type that holds any sum of a block's weights: 1 or 2
-    # bytes an entry for small weights, not 8.
+    return (lambda node: node + n_edges), at, walk
+
+
+def step_blocks(tables, weight: np.ndarray, node: np.ndarray, keys: np.ndarray,
+                horizon: int, on_block=None) -> np.ndarray:
+    """The simulation loop: every run walks ``horizon`` steps from ``node``.
+
+    ``tables`` are ``_chain_arrays``' first three.  Step t of run r uses
+    draw t + 1 of r's stream.  The draws of BLOCK steps are made at once,
+    as 53-bit integers z (the uniform ``z / 2**53 >= c`` exactly when
+    ``z >= ceil(c * 2**53)``), and walked by one step function chosen
+    once per call: ``_group_walk``'s tables, several steps a lookup, or
+    for chains with too many nodes or thresholds for them,
+    ``_compare_walk``'s one lookup and compare per step.  A block's
+    weight sums are added in the least integer type that holds any sum
+    of a block's weights (1 or 2 bytes an entry for small weights, not 8)
+    and returned per run, exact in int64.
+
+    ``on_block(t0, taken, sums)``, if given, is called after each block's
+    walk: ``taken[i]`` holds every run's transition at step t0 + i and
+    ``sums[r]`` run r's weight sums over the block.  It may return
+    ``(runs, steps, nodes)`` to redirect run ``runs[j]`` to node
+    ``nodes[j]`` after step ``t0 + steps[j]`` (at most once per run and
+    block): the run walks the rest of the block again from there, with
+    its own draws, and its sums and ``taken`` column are rewritten before
+    they count.  Without it, a run that is on a cycle of
+    single-transition nodes at the start of a block is finished in closed
+    form and leaves the walk.
+    """
+    import numpy as np
+
+    cols, base, target = tables
     narrow = np.min_scalar_type(-min(BLOCK, horizon) * int(np.abs(weight).max()) - 1)
     weight_rows = weight.astype(narrow)
+    enter, node_at, walk = (_group_walk(cols, base, target, weight_rows, on_block is not None)
+                            or _compare_walk(cols, base, target, weight_rows))
+    cycles = None if on_block is not None else _cycle_tables(base, target, weight)
+    if cycles is not None:
+        cycle_at = cycles[0].take(node_at)  # the cycle length of every state's node
     total = np.zeros((len(node), weight.shape[1]), dtype=np.int64)
-    taken = np.empty((BLOCK, len(node)), dtype=np.int64)
-    pos = node + n_edges
+    # The runs still walking: their indices, states and totals so far.
+    runs, state, acc = np.arange(len(node)), enter(node), total
+    taken = None if on_block is None else np.empty((BLOCK, len(node)), dtype=np.int64)
     for t0 in range(0, horizon, BLOCK):
         if cycles is not None:
-            if t0:
-                node = at.take(pos)
-            length = cycles[0].take(node)
-            if length.all():
-                _finish_on_cycles(total, cycles, node, length, horizon - t0)
-                return total
+            length = cycle_at.take(state)
+            if length.any():
+                done = np.flatnonzero(length)
+                finished = acc[done]
+                _finish_on_cycles(finished, cycles, node_at.take(state[done]), length[done],
+                                  horizon - t0)
+                total[runs[done]] = finished
+                if len(done) == len(runs):
+                    return total
+                keep = np.flatnonzero(length == 0)
+                runs, state, keys, acc = runs[keep], state[keep], keys[keep], acc[keep]
         b = min(BLOCK, horizon - t0)
         bits = rng.bits_block(keys, t0 + 1, b)
-        block = taken[:b]
-        walk(pos, bits, block)
-        sums = weight_rows.take(block, axis=0).sum(axis=0, dtype=narrow)
-        pos = block[-1]
+        block = None if taken is None else taken[:b]
+        state, sums = walk(state, bits, block)
         jumps = None if on_block is None else on_block(t0, block, sums)
         if jumps is not None:
-            runs, steps, nodes = jumps
+            moved, steps, nodes = jumps
             for i in sorted(set(steps.tolist())):  # np.unique would import numpy.ma
                 sel = steps == i
-                r = runs[sel]
+                r = moved[sel]
                 if i == b - 1:
-                    pos = pos.copy()  # pos is the buffer's last row
-                    pos[r] = nodes[sel] + n_edges
+                    state[r] = enter(nodes[sel])
                     continue
                 out = np.empty((b - i - 1, len(r)), dtype=np.int64)
-                walk(nodes[sel] + n_edges, bits[i + 1:, r], out)
+                state[r], _ = walk(enter(nodes[sel]), bits[i + 1:, r], out)
                 block[i + 1:, r] = out
-            sums[runs] = weight_rows.take(block[:, runs], axis=0).sum(axis=0, dtype=narrow)
-        total += sums
+            sums[moved] = weight_rows.take(block[:, moved], axis=0).sum(axis=0, dtype=narrow)
+        acc += sums
+    if acc is not total:
+        total[runs] = acc
     return total
 
 

@@ -494,6 +494,21 @@ def test_bwc_inf_strategy_reports_the_mdps_weights(capsys, tmp_path):
     assert in_memory.to_json() == rep
 
 
+@pytest.mark.parametrize("period", ["0", "-3"])
+def test_synthesize_rejects_a_non_positive_period(capsys, tmp_path, run_path, period):
+    from bwcmdp.synthesis import bwc_infinite_strategy
+
+    strat = tmp_path / "proc.json"
+    code, out, err = run_cli(capsys, "synthesize", "--mdp", run_path, "--mode", "bwc-inf",
+                             "--from", "s", "--mu", "0,0", "--nu", "1,1", "--period", period,
+                             "--out", str(strat))
+    assert code == 2 and out == "" and f"--period must be >= 1, got {period}" in err
+    assert not strat.exists()
+    query = ThresholdQuery.build("bwc-inf", "s", [0, 0], [1, 1])
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        bwc_infinite_strategy(fixture("RUN_EX"), query, period=int(period))
+
+
 def _reprob(data):
     for e in data["edges"]:
         if "prob" in e:
@@ -508,7 +523,17 @@ def _reprob(data):
     # Floors num*i*K of a rate -3*2**56 wrap int64 (to +2**62 at K = 64).
     (None, lambda rec: rec.update(monitors=[[str(-3 * 2**56)] * 2 for _ in rec["monitors"]]),
      "s", "int64"),
-], ids=["probabilities", "missing-edge", "no-mdp", "other-start", "negative-rate-overflow"])
+    (None, lambda rec: rec.update(period=0), "s", "period"),
+    (None, lambda rec: rec.update(period=-5), "s", "period"),
+    # Every branch of memory_branch needs a row of monitors, and every row
+    # one rate per dimension.
+    (None, lambda rec: rec.update(monitors=[]), "s", "monitors has no rows"),
+    (None, lambda rec: rec.update(monitors=rec["monitors"][:1]), "s",
+     "memory_branch names branch 1"),
+    (None, lambda rec: rec.update(monitors=[rates[:1] for rates in rec["monitors"]]), "s",
+     "monitors need 2 rates a row"),
+], ids=["probabilities", "missing-edge", "no-mdp", "other-start", "negative-rate-overflow",
+        "period-0", "period-negative", "no-monitors", "one-monitor-row", "short-monitor-row"])
 def test_bwc_inf_strategy_file_mismatch_exits_2(capsys, tmp_path, run_path, mutate_mdp,
                                                 mutate_file, frm, message):
     strat = str(tmp_path / "proc.json")

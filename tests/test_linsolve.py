@@ -54,6 +54,21 @@ def test_undeclared_variable_rejected():
         s.add({"zz": 1}, "=", 0)
 
 
+def test_construction_guards():
+    s = LinearSystem(variables=["x"])
+    with pytest.raises(ValueError, match="unknown relation '<='"):
+        s.add({"x": 1}, "<=", 0)
+    with pytest.raises(ValueError, match="duplicate variable 'x'"):
+        solve(LinearSystem(variables=["x", "y", "x"]))
+    with pytest.raises(ValueError, match="variable name '__y' is reserved"):
+        solve(LinearSystem(variables=["x", "__y"]))
+    # A Row built directly skips named_row's relation check; the simplex
+    # still refuses it.
+    direct = LinearSystem(variables=["x"], constraints=[Row({0: 1}, "<=", 1)])
+    with pytest.raises(ValueError, match="unsupported relation '<=' at simplex level"):
+        solve(direct)
+
+
 def test_unbounded_objective():
     status, asg, val = maximize(["x"], [Row({0: 1}, ">=", 0)], {0: 1})
     assert status == "unbounded" and asg is not None

@@ -18,12 +18,20 @@ from bwcmdp.machines import induced_chain, memoryless
 from bwcmdp.model import Mdp, ThresholdQuery, fixture, negate_weights
 from bwcmdp.synthesis import bas_strategy, bwc_finite_strategy, bwc_infinite_strategy
 from bwcmdp.systems import decide
-from bwcmdp.verification import (BLOCK, _chain_arrays, _cycle_tables, _initial_nodes, simulate,
-                                 step_blocks)
+from bwcmdp.verification import (BLOCK, RANKS_PER_COLUMN, TABLE_CAP, _chain_arrays,
+                                 _cycle_tables, _group_size, _initial_nodes, _rank_levels,
+                                 simulate, step_blocks)
 from conftest import random_mdp
-from oracles import scalar_chain_totals, scalar_monitor_totals, uniform
+from oracles import _first_node, _step, scalar_chain_totals, scalar_monitor_totals, uniform
 
 HORIZONS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+def group_size(*chains):
+    """Steps per table lookup in ``step_blocks`` over the union of
+    ``chains``, None when it steps by comparisons."""
+    cols, base, _, _ = _chain_arrays(*chains)
+    return _group_size(len(base), len(_rank_levels(cols)[1]) + 1, len(cols))
 
 
 def kernel_chain_totals(chain, horizon, runs, seed):
@@ -153,6 +161,79 @@ def test_chain_kernel_matches_scalar_walk():
                 scalar_chain_totals(chain, horizon, 3, seed=k), (k, horizon)
 
 
+def test_chains_take_the_table_walk():
+    # The benchmark's chains and the others above step through the tables,
+    # several steps a lookup: the horizons above leave a few steps past the
+    # last full group.
+    sizes = [group_size(chain) for chain in _chains() + _absorbing_chains()]
+    assert None not in sizes and {4, 8, BLOCK} <= set(sizes)
+
+
+def test_runs_leave_the_walk_at_different_blocks():
+    # A coin that stays with odds 31/32, else falls into a 2-cycle: each run
+    # is finished in closed form at the first block it starts on the cycle.
+    mdp = Mdp.build(1, [("r", "random"), ("x1", "controller"), ("x2", "controller")],
+                    [(0, "r", "r", [1]), (1, "r", "x1", [-2]), (2, "x1", "x2", [3]),
+                     (3, "x2", "x1", [-1])], {0: F(31, 32), 1: F(1, 32)})
+    chain = induced_chain(mdp, memoryless(mdp, {}), "r")
+    runs, horizon = 40, 20 * BLOCK + 3
+    assert kernel_chain_totals(chain, horizon, runs, seed=5) == \
+        scalar_chain_totals(chain, horizon, runs, seed=5)
+    # The blocks at whose start the runs first sit on the cycle.
+    finished = set()
+    for r in range(runs):
+        key = rng.run_key(5, r)
+        node = _first_node(chain, key)
+        for t in range(horizon):
+            node, _, _ = _step(chain, node, uniform(key, t + 1))
+            if chain.nodes[node][0] == "x1":
+                finished.add(-(-(t + 1) // BLOCK))
+                break
+    assert len(finished) >= 5
+
+
+def _coin_ring(n):
+    """A ring of n nodes, every 8th a fair coin that steps ahead by 1 or 5:
+    one distinct threshold."""
+    names = [f"c{i}" for i in range(n)]
+    states = [(s, "random" if i % 8 == 0 else "controller") for i, s in enumerate(names)]
+    edges, probs = [], {}
+    for i, s in enumerate(names):
+        edges.append((len(edges), s, names[(i + 1) % n], [i % 7 - 3]))
+        if i % 8 == 0:
+            probs[len(edges) - 1] = probs[len(edges)] = F(1, 2)
+            edges.append((len(edges), s, names[(i + 5) % n], [2 - i % 5]))
+    mdp = Mdp.build(1, states, edges, probs)
+    return induced_chain(mdp, memoryless(mdp, {}), "c0")
+
+
+def _many_thresholds():
+    """A ring of RANKS_PER_COLUMN + 1 two-way coins with distinct odds:
+    one threshold column, RANKS_PER_COLUMN + 1 distinct thresholds."""
+    n = RANKS_PER_COLUMN + 1
+    names = [f"c{i}" for i in range(n)]
+    edges, probs = [], {}
+    for i, s in enumerate(names):
+        probs[2 * i], probs[2 * i + 1] = F(i + 1, n + 2), F(n + 1 - i, n + 2)
+        edges += [(2 * i, s, names[(i + 1) % n], [i % 3 - 1]),
+                  (2 * i + 1, s, names[(i + 3) % n], [2 - i % 4])]
+    mdp = Mdp.build(1, [(s, "random") for s in names], edges, probs)
+    return induced_chain(mdp, memoryless(mdp, {}), "c0")
+
+
+def test_comparison_step_matches_scalar_walk():
+    # Chains with too many thresholds or nodes step by comparisons; a ring
+    # at the table cap steps through one-step tables.
+    assert TABLE_CAP % 2 == 0
+    cases = [(_many_thresholds(), None), (_coin_ring(TABLE_CAP // 2 + 1), None),
+             (_coin_ring(TABLE_CAP // 2), 1)]
+    for k, (chain, size) in enumerate(cases):
+        assert group_size(chain) == size
+        for horizon in (1, BLOCK + 1, 3 * BLOCK + 5):
+            assert kernel_chain_totals(chain, horizon, 7, seed=k) == \
+                scalar_chain_totals(chain, horizon, 7, seed=k), (k, horizon)
+
+
 def test_cycle_tables_are_linear_in_nodes():
     # One cycle through 200,000 nodes: tables of nodes * cycle length
     # entries (4 * 10**10) could not be built; these hold 2 * nodes + 1
@@ -239,6 +320,46 @@ def test_monitor_kernel_matches_scalar_replay():
     # again) and on a block's last step with steps left.
     assert any(t % BLOCK < BLOCK - 1 for t, _ in trips)
     assert any(t % BLOCK == BLOCK - 1 and t < horizon - 1 for t, horizon in trips)
+
+
+def test_monitor_trips_at_group_ends_and_on_the_comparison_step():
+    # A gamble, +12 or -4 on a fair coin, against a safe loop of 1 steps
+    # through the tables; so does a longer one, where coin i of n pays +12
+    # back to a with odds (n + 1 + i) / (2n + 2), else -4 on to the next
+    # coin, but its n = RANKS_PER_COLUMN + 1 distinct odds are too many
+    # thresholds for the tables.  Floor rates up to three times the
+    # synthesized ones trip runs at many steps.
+    gamble = Mdp.build(1, [("a", "controller"), ("r", "random")],
+                       [(0, "a", "a", [1]), (1, "a", "r", [0]), (2, "r", "a", [12]),
+                        (3, "r", "a", [-4])], {2: F(1, 2), 3: F(1, 2)}, initial="a")
+    n = RANKS_PER_COLUMN + 1
+    edges, probs = [(0, "a", "a", [1]), (1, "a", "r0", [0]), (2, "b", "a", [0])], {2: F(1)}
+    for i in range(n):
+        probs[len(edges)], probs[len(edges) + 1] = F(n + 1 + i, 2 * n + 2), F(n + 1 - i, 2 * n + 2)
+        edges += [(len(edges), f"r{i}", "a", [12]),
+                  (len(edges) + 1, f"r{i}", f"r{i + 1}" if i + 1 < n else "b", [-4])]
+    longer = Mdp.build(1, [("a", "controller"), ("b", "random")]
+                       + [(f"r{i}", "random") for i in range(n)], edges, probs, initial="a")
+    query = ThresholdQuery.build("bwc-inf", "a", [0], [F(3, 2)])
+    trips = []
+    for seed, mdp in enumerate((gamble, longer)):
+        strategy = bwc_infinite_strategy(mdp, query, period=8)
+        m = group_size(induced_chain(strategy.mdp, strategy.composed, strategy.start),
+                       induced_chain(strategy.mdp, strategy.fwc, strategy.mdp.state_ids))
+        for period in (1, 2, 3, BLOCK - 1, BLOCK + 1, 2 * BLOCK):
+            for factor in (1, 2, 3):
+                monitors = [tuple(factor * r for r in rates) for rates in strategy.monitors]
+                case = replace(strategy, period=period, monitors=monitors)
+                horizon = max(3 * BLOCK + 5, 3 * period)
+                want, tripped, breaches = scalar_monitor_totals(case, mdp, horizon, 33, seed)
+                assert case.simulate_runs(mdp, "a", horizon, 33, seed).tolist() == want
+                assert breaches == 0
+                trips += [(t, m) for t in tripped]
+    # Trips on the last step of a group inside a block: the rest of the
+    # block is walked again from a group's start.
+    assert any(m is not None and m < BLOCK and t % m == m - 1 and t % BLOCK < BLOCK - 1
+               for t, m in trips)
+    assert any(m is None for _, m in trips)
 
 
 def test_monitor_simulation_memory():
